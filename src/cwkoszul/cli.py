@@ -3,7 +3,9 @@
 Inputs are complex/graph JSON files or `catalog:<name>` pseudo-paths.  Every
 command accepts --json for a machine-readable report; human output is aligned
 plain text.  Exit codes: 0 success, 2 input or validation error, 3 hypothesis
-failure; `koszul --exit-status` maps the verdict itself onto 0/1.
+failure, 4 internal fault (a failed internal check or any unexpected
+exception; the traceback goes to stderr); `koszul --exit-status` maps the
+verdict itself onto 0/1.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .dualalg import (
     whole_graph_criterion,
 )
 from .layered import BOTTOM, GraphError, LayeredGraph, graph_from_dict
-from .linalg import ZZ, field_from_spec
+from .linalg import ZZ, TorsionError, field_from_spec
 
 
 class InputError(Exception):
@@ -38,6 +40,13 @@ class InputError(Exception):
 
 class HypothesisFailure(Exception):
     """A structural hypothesis of the requested computation fails: exit code 3."""
+
+
+def _field(spec: str):
+    try:
+        return field_from_spec(spec)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _sha256(data: bytes) -> str:
@@ -201,7 +210,7 @@ def _cmd_poset(args):
 
 def _cmd_cohomology(args):
     x, prov = load_complex(args.input)
-    field = field_from_spec(args.field)
+    field = _field(args.field)
     dims = cellular_cohomology(x, field)
     result = {"name": x.name, "field": field.key, "dims": dims}
     lines = [f"cellular cohomology of {x.name!r} over {field.key}"]
@@ -211,7 +220,7 @@ def _cmd_cohomology(args):
 
 def _cmd_relative(args):
     x, prov = load_complex(args.input)
-    field = field_from_spec(args.field)
+    field = _field(args.field)
     if args.cell not in x:
         raise InputError(f"unknown cell {args.cell!r}")
     dims = relative_cohomology(x, args.cell, field)
@@ -228,7 +237,7 @@ def _cmd_hx(args):
             raise InputError("choose either --field or --integral, not both")
         ring = ZZ
     else:
-        ring = field_from_spec(args.field or "q")
+        ring = _field(args.field or "q")
     table = hx_table(x, ring)
     if args.integral:
         entries = {
@@ -248,7 +257,7 @@ def _cmd_hx(args):
 
 def _cmd_rdims(args):
     x, prov = load_complex(args.input)
-    field = field_from_spec(args.field)
+    field = _field(args.field)
     g = _poset_of(x, args.poset)
     dims = graded_dims(g, field)
     result = {"name": x.name, "poset": args.poset, "field": field.key, "dims": dims}
@@ -301,7 +310,7 @@ def _verdict_result(verdict, extra) -> dict:
 
 def _cmd_koszul(args):
     x, prov = load_complex(args.input)
-    field = field_from_spec(args.field)
+    field = _field(args.field)
     g = _poset_of(x, args.poset)
     verdict, extra = _run_koszul(g, field, args.check_remark39)
     result = _verdict_result(verdict, extra)
@@ -337,7 +346,7 @@ def _cmd_koszul(args):
 
 def _cmd_koszul_graph(args):
     g, prov = load_graph(args.input)
-    field = field_from_spec(args.field)
+    field = _field(args.field)
     verdict, extra = _run_koszul(g, field, args.check_remark39)
     result = _verdict_result(verdict, extra)
     lines = [f"dual algebra of graph {g.name!r}"]
@@ -350,7 +359,7 @@ def _cmd_koszul_graph(args):
 
 def _cmd_ann_check(args):
     x, prov = load_complex(args.input)
-    field = field_from_spec(args.field)
+    field = _field(args.field)
     g = _poset_of(x, args.poset)
     if args.vertex not in g or args.vertex == BOTTOM:
         raise InputError(f"unknown vertex {args.vertex!r}")
@@ -376,7 +385,7 @@ def _cmd_ann_check(args):
 
 def _cmd_phi_check(args):
     x, prov = load_complex(args.input)
-    field = field_from_spec(args.field)
+    field = _field(args.field)
     ok, details = comparison_iso_check(x, field)
     result = {
         "name": x.name,
@@ -494,9 +503,17 @@ def main(argv=None) -> int:
     except HypothesisFailure as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ComplexError, GraphError, TorsionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a failed internal check must never read as a verdict or an input error;
+        # traceback is imported here to keep it off the start-up path
+        import traceback
+
+        traceback.print_exc()
+        print("internal error: the traceback above locates the fault", file=sys.stderr)
+        return 4
     if args.json:
         sys.stdout.write(_canonical_json(report))
     else:

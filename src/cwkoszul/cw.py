@@ -70,7 +70,6 @@ class RegularCWComplex:
         self._report: list[str] | None = None
         self._bar: LayeredGraph | None = None
         self._hat: LayeredGraph | None = None
-        self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -90,9 +89,6 @@ class RegularCWComplex:
 
     def __contains__(self, c: str) -> bool:
         return c in self.dims
-
-    def d(self, upper: str, lower: str) -> int:
-        return self.incidence.get((upper, lower), 0)
 
     def faces(self, c: str) -> tuple[str, ...]:
         self.cell_dim(c)

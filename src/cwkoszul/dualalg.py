@@ -428,7 +428,7 @@ def comparison_map(
     cols = []
     for q in range(lq.dim):
         beta, alpha = lq.ambient_labels[lq.nonpivots[q]]
-        chain = g.maximal_chains(beta, alpha)[0]
+        chain = g.first_maximal_chain(beta, alpha)
         sgn = field.of(sign_of_path(x, chain))
         vec = block.presentation.project({word_index[chain]: sgn})
         cols.append(vec)

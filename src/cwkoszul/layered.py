@@ -261,6 +261,21 @@ class LayeredGraph:
         descend()
         return out
 
+    def first_maximal_chain(self, b: str, a: str) -> tuple[str, ...]:
+        """The lexicographically first maximal chain of [a, b], maximal_chains(b, a)[0].
+
+        Greedy descent: each step takes the smallest lower cover still above a,
+        so no other chain is listed.
+        """
+        if not self.le(a, b):
+            raise GraphError(f"{a!r} is not below {b!r}")
+        chain = [b]
+        while chain[-1] != a:
+            chain.append(next(
+                w for w in self._lower[chain[-1]] if w == a or a in self._below[w]
+            ))
+        return tuple(chain)
+
     def diamond_classes(self, b: str, a: str) -> list[list[tuple[str, ...]]]:
         """Partition of maximal_chains(b, a) under one-position exchanges.
 

@@ -1,9 +1,14 @@
 """Exact sparse linear algebra over Q, prime fields and Z.
 
 Matrices store only nonzero entries; scalars are `fractions.Fraction` over Q,
-canonical residues (ints in [0, p)) over F_p, and Python ints over Z.  All
-pivoting is deterministic -- smallest column index first, then smallest row
-index -- so ranks, kernels and quotient bases are reproducible across runs.
+canonical residues (ints in [0, p)) over F_p, and Python ints over Z.
+
+Every elimination goes through one kernel, `rref_rows`: incremental
+Gauss-Jordan on dict rows with the field arithmetic inline (`% p` over F_p;
+over Q integral entries stay ints and a Fraction appears only where a
+division is inexact).  The reduced row echelon form of a row space is
+unique, so ranks, kernels, quotient bases and representatives depend only on
+the spans involved, never on row order: they are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -21,24 +26,7 @@ class Rationals:
     one = Fraction(1)
 
     def of(self, x):
-        return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return x if type(x) is Fraction else Fraction(x)
 
     def __repr__(self):
         return "QQ"
@@ -59,29 +47,12 @@ class Integers:
             return x.numerator
         return int(x)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        raise TypeError("Z is not a field")
-
     def __repr__(self):
         return "ZZ"
 
 
 class PrimeField:
     """The field F_p, values are canonical residues in [0, p)."""
-
-    _TABLE_LIMIT = 1024  # inverses precomputed below this
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -93,34 +64,18 @@ class PrimeField:
         self.char = p
         self.zero = 0
         self.one = 1 % p
-        if p < self._TABLE_LIMIT:
-            self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-        else:
-            self._inv = None
 
     def of(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
-            return self.mul(x.numerator % self.p, self.inv(x.denominator % self.p))
+            return x.numerator * self.inv(x.denominator) % self.p
         return int(x) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv is not None:
-            return self._inv[a]
         return pow(a, self.p - 2, self.p)
 
     def __repr__(self):
@@ -182,25 +137,73 @@ def field_from_spec(text: str):
 
 
 # ---------------------------------------------------------------------------
+# the elimination kernel
+
+
+def _field_char(ring) -> int:
+    """p over F_p and 0 over Q; Z has no division and is refused."""
+    if isinstance(ring, Integers):
+        raise TypeError("Z is not a field")
+    return ring.char
+
+
+def _subtract(dst: dict, coeff, src: dict, p: int) -> None:
+    """dst -= coeff * src in place, dropping zeros; residues mod p when p > 0."""
+    get = dst.get
+    if p:
+        for j, v in src.items():
+            w = (get(j, 0) - coeff * v) % p
+            if w:
+                dst[j] = w
+            else:
+                dst.pop(j, None)
+    else:
+        for j, v in src.items():
+            w = get(j, 0) - coeff * v
+            if w:
+                dst[j] = w
+            else:
+                dst.pop(j, None)
+
+
+def _divide(row: dict, d, p: int) -> dict:
+    """row / d; over Q an exact integral quotient stays an int."""
+    if p:
+        inv = pow(d, p - 2, p)
+        return {j: v * inv % p for j, v in row.items()}
+    out = {}
+    for j, v in row.items():
+        if type(v) is int and type(d) is int and not v % d:
+            out[j] = v // d
+        else:
+            w = Fraction(v, d)
+            out[j] = w.numerator if w.denominator == 1 else w
+    return out
+
+
+# ---------------------------------------------------------------------------
 # sparse matrices
 
 
 class SparseExactMatrix:
     """Immutable sparse matrix mapping column vectors: F^cols -> F^rows.
 
-    Vectors are dicts {index: nonzero scalar}.
+    Vectors are dicts {index: nonzero scalar}.  The column dicts that `apply`
+    reads are built on first use and kept with the matrix.
     """
 
-    __slots__ = ("rows", "cols", "entries", "ring")
+    __slots__ = ("rows", "cols", "entries", "ring", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: dict, ring):
         self.rows = rows
         self.cols = cols
         self.ring = ring
+        self._columns = None
+        of, zero = ring.of, ring.zero
         clean = {}
         for (i, j), v in entries.items():
-            v = ring.of(v)
-            if v != ring.zero:
+            v = of(v)
+            if v != zero:
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
                 clean[(i, j)] = v
@@ -245,28 +248,26 @@ class SparseExactMatrix:
             cols[j][i] = v
         return cols
 
+    def _cached_columns(self) -> list[dict]:
+        if self._columns is None:
+            self._columns = self.col_list()
+        return self._columns
+
     def apply(self, vec: dict) -> dict:
         """Matrix times column vector."""
-        ring = self.ring
+        cols = self._cached_columns()
+        p = self.ring.char
         out: dict = {}
-        cols = self.col_list()
         for j, x in vec.items():
-            if x == ring.zero:
-                continue
-            for i, m in cols[j].items():
-                w = ring.add(out.get(i, ring.zero), ring.mul(m, x))
-                if w == ring.zero:
-                    out.pop(i, None)
-                else:
-                    out[i] = w
+            if x:
+                _subtract(out, -x, cols[j], p)
         return out
 
     def matmul(self, other: "SparseExactMatrix") -> "SparseExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        ring = self.ring
-        cols = [self.apply(c) for c in other.col_list()]
-        return SparseExactMatrix.from_columns(cols, self.rows, ring)
+        cols = [self.apply(c) for c in other._cached_columns()]
+        return SparseExactMatrix.from_columns(cols, self.rows, self.ring)
 
     def transpose(self) -> "SparseExactMatrix":
         return SparseExactMatrix(
@@ -304,67 +305,65 @@ class SparseExactMatrix:
         return f"SparseExactMatrix({self.rows}x{self.cols}, {len(self.entries)} nz, {self.ring!r})"
 
 
-def vec_axpy(ring, target: dict, coeff, source: dict) -> None:
-    """target += coeff * source, in place, dropping zeros."""
-    if coeff == ring.zero:
-        return
-    for c, v in source.items():
-        w = ring.add(target.get(c, ring.zero), ring.mul(coeff, v))
-        if w == ring.zero:
-            target.pop(c, None)
-        else:
-            target[c] = w
-
-
 def rref_rows(rows: list[dict], ring) -> list[tuple[int, dict]]:
-    """Reduced row echelon form of sparse row vectors.
+    """Reduced row echelon form of sparse row vectors over a field.
 
     Returns [(pivot_col, row)] sorted by pivot column; each row has a 1 at its
-    pivot and zeros at every other pivot column.  Pivot choice: smallest column
-    index, then smallest original row index.
+    pivot, which is its smallest column, and zeros at every other pivot
+    column.  This form is unique for a row space, so the result does not
+    depend on the order of the rows, on zero rows or on repeated rows.
+
+    Incremental Gauss-Jordan: each incoming row is reduced only at the pivot
+    columns it holds, its smallest remaining column becomes a new pivot, and
+    that column is cleared from exactly the earlier pivot rows that a column
+    index lists for it.
     """
-    work = []
-    for r in rows:
-        work.append({c: v for c, v in r.items() if v != ring.zero})
-    live = set(range(len(work)))
-    mins = {i: (min(work[i]) if work[i] else None) for i in live}
-    order: list[tuple[int, int]] = []
-    while True:
-        pcol = None
-        for i in live:
-            m = mins[i]
-            if m is not None and (pcol is None or m < pcol):
-                pcol = m
-        if pcol is None:
-            break
-        pidx = min(i for i in live if mins[i] == pcol)
-        piv = work[pidx]
-        inv = ring.inv(piv[pcol])
-        if inv != ring.one:
-            piv = {c: ring.mul(inv, v) for c, v in piv.items()}
-            work[pidx] = piv
-        live.discard(pidx)
-        for i in range(len(work)):
-            if i == pidx:
-                continue
-            row = work[i]
-            coeff = row.get(pcol)
-            if coeff is not None:
-                vec_axpy(ring, row, ring.neg(coeff), piv)
-                if i in live:
-                    mins[i] = min(row) if row else None
-        order.append((pcol, pidx))
-    order.sort()
-    return [(c, work[i]) for c, i in order]
+    p = _field_char(ring)
+    tails: dict[int, dict] = {}  # pivot column -> its row without the pivot 1
+    users: dict[int, set] = {}  # nonpivot column -> pivot columns whose tails hold it
+    for src in rows:
+        if p:
+            row = {c: w for c, v in src.items() if (w := v % p)}
+        else:
+            row = {c: (v.numerator if v.denominator == 1 else v) for c, v in src.items() if v}
+        for c in [c for c in row if c in tails]:
+            _subtract(row, row.pop(c), tails[c], p)
+        if not row:
+            continue
+        pc = min(row)
+        pv = row.pop(pc)
+        if pv != 1:
+            row = _divide(row, pv, p)
+        for j in row:
+            users.setdefault(j, set()).add(pc)
+        for q in users.pop(pc, ()):
+            tail = tails[q]
+            _subtract(tail, tail.pop(pc), row, p)
+            for j in row:
+                if j in tail:
+                    users[j].add(q)
+                else:
+                    users[j].discard(q)
+        tails[pc] = row
+    if p:
+        return [(c, {c: 1, **tails[c]}) for c in sorted(tails)]
+    return [
+        (c, {c: QQ.one, **{j: QQ.of(v) for j, v in tails[c].items()}})
+        for c in sorted(tails)
+    ]
 
 
-def reduce_mod_rows(vec: dict, rref: list[tuple[int, dict]], ring) -> dict:
-    """Reduce a vector modulo the row span of an RREF; result has no pivot coords."""
+def reduce_mod_rows(vec: dict, rref, ring) -> dict:
+    """Reduce a vector modulo the row span of an RREF; result has no pivot coords.
+
+    `rref` holds the (pivot column, row) pairs of `rref_rows`, as its list or
+    as a dict; only the pivot columns present in the vector are looked up.
+    """
+    p = _field_char(ring)
+    pivot_rows = rref if isinstance(rref, dict) else dict(rref)
     out = dict(vec)
-    for pcol, row in rref:
-        coeff = out.get(pcol)
-        if coeff is not None:
-            vec_axpy(ring, out, ring.neg(coeff), row)
+    for c in [c for c in out if c in pivot_rows]:
+        _subtract(out, out[c], pivot_rows[c], p)
     return out
 
 
@@ -381,18 +380,14 @@ def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
     if ring is not m.ring:
         m = m.convert(ring)
     red = rref_rows(m.row_list(), ring)
+    p = ring.char
     pivot_set = {c for c, _ in red}
-    vecs = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = {j: ring.one}
-        for c, row in red:
-            coeff = row.get(j)
-            if coeff is not None:
-                v[c] = ring.neg(coeff)
-        vecs.append(v)
-    return vecs
+    vecs = {j: {j: ring.one} for j in range(m.cols) if j not in pivot_set}
+    for c, row in red:
+        for j, coeff in row.items():
+            if j != c:
+                vecs[j][c] = -coeff % p if p else -coeff
+    return list(vecs.values())
 
 
 def kernel_basis(m: SparseExactMatrix, ring=None) -> SparseExactMatrix:
@@ -406,14 +401,8 @@ def image_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
     ring = ring or m.ring
     if ring is not m.ring:
         m = m.convert(ring)
-    red = rref_rows(m.col_list(), ring)
+    red = rref_rows(m._cached_columns(), ring)
     return [row for _, row in red]
-
-
-def image_basis(m: SparseExactMatrix, ring=None) -> SparseExactMatrix:
-    ring = ring or m.ring
-    vecs = image_vectors(m, ring)
-    return SparseExactMatrix.from_columns(vecs, m.rows, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +425,8 @@ class QuotientPresentation:
         self.relations = relations
         self.ring = ring
         self.rref = rref_rows(relations.row_list(), ring)
-        pivot_set = {c for c, _ in self.rref}
-        self.pivots = sorted(pivot_set)
-        self.nonpivots = [j for j in range(len(ambient_labels)) if j not in pivot_set]
+        self._pivot_rows = dict(self.rref)
+        self.nonpivots = [j for j in range(len(ambient_labels)) if j not in self._pivot_rows]
         self._nonpivot_pos = {j: q for q, j in enumerate(self.nonpivots)}
         self.dim = len(self.nonpivots)
 
@@ -446,7 +434,7 @@ class QuotientPresentation:
         return [self.ambient_labels[j] for j in self.nonpivots]
 
     def reduce(self, vec: dict) -> dict:
-        return reduce_mod_rows(vec, self.rref, self.ring)
+        return reduce_mod_rows(vec, self._pivot_rows, self.ring)
 
     def in_relation_span(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -457,10 +445,6 @@ class QuotientPresentation:
 
     def lift(self, q: int) -> dict:
         return {self.nonpivots[q]: self.ring.one}
-
-    def project_matrix(self) -> SparseExactMatrix:
-        cols = [self.project({j: self.ring.one}) for j in range(len(self.ambient_labels))]
-        return SparseExactMatrix.from_columns(cols, self.dim, self.ring)
 
     def __repr__(self):
         return f"QuotientPresentation(ambient={len(self.ambient_labels)}, dim={self.dim})"
@@ -522,10 +506,10 @@ def cochain_cohomology(
             img = image_vectors(mats[i - 1], ring)
         else:
             img = []
-        img_rref = rref_rows(img, ring)
-        reduced = [reduce_mod_rows(v, img_rref, ring) for v in kern]
+        img_rows = dict(rref_rows(img, ring))
+        reduced = [reduce_mod_rows(v, img_rows, ring) for v in kern]
         reps = [row for _, row in rref_rows(reduced, ring)]
-        hdim = len(kern) - len(img_rref)
+        hdim = len(kern) - len(img_rows)
         if len(reps) != hdim:
             raise AssertionError("cohomology representative count mismatch")
         out.append((hdim, reps))
@@ -659,6 +643,10 @@ def smith_normal_form(m: SparseExactMatrix) -> SmithForm:
     return SmithForm(tuple(_snf_reduce(dense, None, None)))
 
 
+class TorsionError(ValueError):
+    """A relation lattice whose quotient has torsion, so no free coordinates."""
+
+
 class IntegralQuotient:
     """Z^ambient modulo the row lattice of an integer relation matrix.
 
@@ -680,7 +668,7 @@ class IntegralQuotient:
         else:
             factors = []
         if any(d != 1 for d in factors):
-            raise ValueError(
+            raise TorsionError(
                 f"integral quotient has torsion (invariant factors {factors}); "
                 "no free coordinate system exists"
             )
@@ -733,8 +721,9 @@ def integral_cochain_cohomology(
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Cohomology of a complex of free Z-modules: (free rank, torsion) per degree.
 
-    Torsion of H^i comes from the invariant factors of the (i-1)-st
-    differential exceeding 1; free ranks come from ranks over Q.
+    One Smith normal form per differential gives both: its number of nonzero
+    invariant factors is the rank over Q, and the factors of the (i-1)-st
+    differential exceeding 1 are the torsion of H^i.
     """
     if len(mats) != max(len(dims) - 1, 0):
         raise ValueError("expected one differential less than the number of spaces")
@@ -742,14 +731,14 @@ def integral_cochain_cohomology(
     for i in range(len(zmats) - 1):
         if not zmats[i + 1].matmul(zmats[i]).is_zero():
             raise ValueError(f"composition of differentials {i} and {i + 1} is nonzero")
-    qranks = [rank(m.convert(QQ)) for m in zmats]
+    snfs = [smith_normal_form(m) for m in zmats]
     out = []
     for i, d in enumerate(dims):
-        ker = d - qranks[i] if i < len(zmats) else d
-        prev = qranks[i - 1] if i > 0 else 0
+        ker = d - snfs[i].rank if i < len(snfs) else d
         if i > 0:
-            tors = tuple(f for f in smith_normal_form(zmats[i - 1]).factors if f != 1)
+            prev = snfs[i - 1].rank
+            tors = tuple(f for f in snfs[i - 1].factors if f != 1)
         else:
-            tors = ()
+            prev, tors = 0, ()
         out.append((ker - prev, tors))
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from cwkoszul.cw import RegularCWComplex
 from cwkoszul.layered import LayeredGraph
@@ -72,3 +73,30 @@ def random_uniform_graphs(count: int, seed: int) -> list[LayeredGraph]:
         if g.is_uniform()[0]:
             out.append(g)
     return out
+
+
+def dense_rref(rows: list[list], p: int = 0) -> list[tuple[int, dict]]:
+    """Textbook Gauss-Jordan on a dense copy, over Q (p = 0) or over F_p.
+
+    Scans columns left to right, swaps a pivot row up, scales it to 1 and
+    clears its column in every other row.  Returns the nonzero rows of the
+    reduced row echelon form as (pivot column, {column: value}), the shape
+    `rref_rows` returns; values are Fractions over Q and residues mod p.
+    """
+    a = [[v % p if p else Fraction(v) for v in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if found is None:
+            continue
+        a[r], a[found] = a[found], a[r]
+        inv = pow(a[r][c], p - 2, p) if p else 1 / a[r][c]
+        a[r] = [v * inv % p if p else v * inv for v in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return [(c, {j: v for j, v in enumerate(a[i]) if v}) for i, c in enumerate(pivots)]

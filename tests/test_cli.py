@@ -204,3 +204,49 @@ def test_field_parse_error(capsys):
     code, _, err = run(capsys, "cohomology", "catalog:point", "--field", "f4")
     assert code == 2
     assert "field" in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_internal_assertion_exits_four(monkeypatch, capsys):
+    # a failed internal check must not read as NOT KOSZUL (exit 1)
+    monkeypatch.setattr("cwkoszul.cli.koszul_obstructions",
+                        _raise(AssertionError("routes disagree")))
+    code, out, err = run(capsys, "koszul", "catalog:simplex3", "--poset", "hat",
+                         "--field", "q", "--exit-status")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "routes disagree" in err
+
+
+def test_internal_value_error_exits_four(monkeypatch, capsys):
+    # nor may a bare ValueError from an internal check read as an input error (exit 2)
+    monkeypatch.setattr("cwkoszul.cli.koszul_obstructions",
+                        _raise(ValueError("composition of differentials 0 and 1 is nonzero")))
+    code, out, err = run(capsys, "koszul", "catalog:simplex3", "--poset", "hat",
+                         "--field", "f2", "--exit-status")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "composition" in err
+
+
+def test_bad_prime_selector_exits_two(capsys):
+    code, _, err = run(capsys, "koszul", "catalog:simplex3", "--field", "fp:8",
+                       "--exit-status")
+    assert code == 2
+    assert "not prime" in err
+    assert "Traceback" not in err
+
+
+def test_torsion_refusal_exits_two(monkeypatch, capsys):
+    from cwkoszul.linalg import TorsionError
+
+    monkeypatch.setattr("cwkoszul.cli.hx_table",
+                        _raise(TorsionError("integral quotient has torsion")))
+    code, _, err = run(capsys, "hx", "catalog:simplex3", "--integral")
+    assert code == 2
+    assert "torsion" in err and "Traceback" not in err

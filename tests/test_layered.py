@@ -128,6 +128,19 @@ def test_maximal_chains():
         g.maximal_chains("0", "012")
 
 
+def test_first_maximal_chain_is_first_listed():
+    g = catalog("sphere3").face_poset_bar()
+    pairs = 0
+    for b in g.vertex_ids():
+        for a in g.vertex_ids():
+            if g.le(a, b):
+                assert g.first_maximal_chain(b, a) == g.maximal_chains(b, a)[0]
+                pairs += 1
+    assert pairs > len(g.vertex_ids())
+    with pytest.raises(GraphError, match="not below"):
+        g.first_maximal_chain(BOTTOM, g.vertex_ids()[-1])
+
+
 def test_diamond_classes():
     g = catalog("simplex2").face_poset_bar()
     assert len(g.diamond_classes("01", "0")) == 1  # single chain
