@@ -57,7 +57,24 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def load_complex(spec: str) -> tuple[RegularCWComplex, dict]:
+def _read_json(spec: str) -> tuple[object, bytes]:
+    """The parsed content of a JSON file and its raw bytes."""
+    try:
+        with open(spec, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {spec!r}: {exc}") from None
+    try:
+        return json.loads(raw.decode("utf-8")), raw
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{spec!r} is not valid UTF-8 JSON: {exc}") from None
+
+
+def _read_complex(spec: str) -> tuple[RegularCWComplex, dict, list[str]]:
+    """A complex, its provenance and its validation report.
+
+    Catalog entries are built valid and are not validated again.
+    """
     if spec.startswith("catalog:"):
         name = spec[len("catalog:"):]
         try:
@@ -65,36 +82,24 @@ def load_complex(spec: str) -> tuple[RegularCWComplex, dict]:
         except ComplexError as exc:
             raise InputError(str(exc)) from None
         digest = _sha256(_canonical_json(x.to_dict()).encode())
-        return x, {"source": spec, "sha256": digest}
-    try:
-        with open(spec, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {spec!r}: {exc}") from None
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{spec!r} is not valid UTF-8 JSON: {exc}") from None
+        return x, {"source": spec, "sha256": digest}, []
+    data, raw = _read_json(spec)
     try:
         x = complex_from_dict(data)
     except ComplexError as exc:
         raise InputError(f"{spec!r}: {exc}") from None
-    report = x.validate()
+    return x, {"source": spec, "sha256": _sha256(raw)}, x.validate()
+
+
+def load_complex(spec: str) -> tuple[RegularCWComplex, dict]:
+    x, prov, report = _read_complex(spec)
     if report:
         raise InputError(f"{spec!r} fails validation: " + "; ".join(report))
-    return x, {"source": spec, "sha256": _sha256(raw)}
+    return x, prov
 
 
 def load_graph(spec: str) -> tuple[LayeredGraph, dict]:
-    try:
-        with open(spec, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {spec!r}: {exc}") from None
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{spec!r} is not valid UTF-8 JSON: {exc}") from None
+    data, raw = _read_json(spec)
     try:
         g = graph_from_dict(data)
     except GraphError as exc:
@@ -165,26 +170,7 @@ def _table_lines(title: str, dim: int, cell) -> list[str]:
 
 
 def _cmd_validate(args):
-    spec = args.input
-    if spec.startswith("catalog:"):
-        x, prov = load_complex(spec)
-        report = []
-    else:
-        try:
-            with open(spec, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {spec!r}: {exc}") from None
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InputError(f"{spec!r} is not valid UTF-8 JSON: {exc}") from None
-        try:
-            x = complex_from_dict(data)
-        except ComplexError as exc:
-            raise InputError(f"{spec!r}: {exc}") from None
-        report = x.validate()
-        prov = {"source": spec, "sha256": _sha256(raw)}
+    x, prov, report = _read_complex(args.input)
     result = {"name": x.name, "counts": list(x.counts()), "violations": report}
     lines = [f"complex {x.name!r}: cells by dimension {x.counts()}"]
     if report:

@@ -8,6 +8,19 @@ modulo rows that sum, over a fixed prefix and suffix, the admissible middle
 letters.  Left multiplication by the sum of all generators is a differential;
 its cohomology on the blocks of fixed head and tail rank decides Koszulity
 vertex by vertex.
+
+No relation changes a word's first letter, so every component is a direct
+sum of head blocks B(h, m): the degree-m words headed by h, modulo relations.
+A block depends only on the interval below h.  `koszul_decide` presents each
+block once per decision, as the cokernel of A_{m-2} (x) R -> A_{m-1} (x) V
+restricted to h (Polishchuk-Positselski, Quadratic Algebras, 2005): its
+ambient space is the direct sum of the blocks B(c, m-1) over the lower covers
+c of h, so it never lists the path words themselves, and it assembles the
+word complex of every interval from these shared blocks.  The other entry
+points (`graded_component`, `block_component`, `word_complex`, the comparison
+map and the annihilator test) present components on full path words, which
+lets them project arbitrary words; they are the reference the blocks are
+tested against.
 """
 
 from __future__ import annotations
@@ -32,35 +45,45 @@ from .bigraded import ReducedLayer, reduced_layer
 # path words and relation rows
 
 
-def path_words(g: LayeredGraph, m: int) -> list[tuple[str, ...]]:
-    """All descending cover chains of m letters avoiding the minimum, sorted."""
+def path_words(g: LayeredGraph, m: int, memo: dict | None = None) -> list[tuple[str, ...]]:
+    """All descending cover chains of m letters avoiding the minimum, sorted.
+
+    `memo` is a dict owned by one public call, which lets the word lists of
+    that call be built once; nothing is kept beyond it.
+    """
+    memo = {} if memo is None else memo
     key = ("words", m)
-    if key in g._cache:
-        return g._cache[key]
-    if m == 0:
-        out = [()]
-    elif m == 1:
-        out = sorted((v,) for v in g.vertex_ids(skip_bottom=True))
-    else:
-        out = sorted(
-            (u,) + w
-            for w in path_words(g, m - 1)
-            for u in g.upper_covers(w[0])
-        )
-    g._cache[key] = out
-    return out
+    if key not in memo:
+        if m == 0:
+            memo[key] = [()]
+        elif m == 1:
+            memo[key] = sorted((v,) for v in g.vertex_ids(skip_bottom=True))
+        else:
+            memo[key] = sorted(
+                (u,) + w
+                for w in path_words(g, m - 1, memo)
+                for u in g.upper_covers(w[0])
+            )
+    return memo[key]
 
 
-def path_words_by_head(g: LayeredGraph, m: int, head_rank: int) -> list[tuple[str, ...]]:
-    key = ("words", m, head_rank)
-    if key in g._cache:
-        return g._cache[key]
-    out = [w for w in path_words(g, m) if g.rank(w[0]) == head_rank]
-    g._cache[key] = out
-    return out
+def path_words_by_head(
+    g: LayeredGraph, m: int, head_rank: int, memo: dict | None = None
+) -> list[tuple[str, ...]]:
+    """The degree-m path words whose head sits at the given rank, sorted."""
+    memo = {} if memo is None else memo
+    key = ("by_head", m)
+    if key not in memo:
+        groups: dict[int, list[tuple[str, ...]]] = {}
+        for w in path_words(g, m, memo):
+            groups.setdefault(g.rank(w[0]), []).append(w)
+        memo[key] = groups
+    return memo[key].get(head_rank, [])
 
 
-def _relation_rows(g: LayeredGraph, m: int, head_rank: int | None) -> list[list[tuple[str, ...]]]:
+def _relation_rows(
+    g: LayeredGraph, m: int, head_rank: int | None, memo: dict
+) -> list[list[tuple[str, ...]]]:
     """Relation supports in the degree-m component (optionally one head block).
 
     One row per (prefix, suffix): the words obtained by inserting each
@@ -74,9 +97,9 @@ def _relation_rows(g: LayeredGraph, m: int, head_rank: int | None) -> list[list[
     covers = g.covers
     for i in range(1, m):
         if head_rank is None:
-            prefixes = path_words(g, i)
+            prefixes = path_words(g, i, memo)
         else:
-            prefixes = path_words_by_head(g, i, head_rank)
+            prefixes = path_words_by_head(g, i, head_rank, memo)
         for pi in prefixes:
             b = pi[-1]
             rb = g.rank(b)
@@ -85,7 +108,7 @@ def _relation_rows(g: LayeredGraph, m: int, head_rank: int | None) -> list[list[
             if i == m - 1:
                 rows.append([pi + (c,) for c in g.lower_covers(b)])
             else:
-                for v in path_words_by_head(g, m - i - 1, rb - 2):
+                for v in path_words_by_head(g, m - i - 1, rb - 2, memo):
                     members = [
                         pi + (c,) + v
                         for c in g.lower_covers(b)
@@ -119,24 +142,25 @@ def _component(words: list, rows: list, field) -> QuotientPresentation:
     return quotient(list(words), rel, field)
 
 
-def graded_component(g: LayeredGraph, m: int, field) -> GradedComponent:
-    """The full degree-m component; its relation matrix is block diagonal by head."""
-    key = ("graded", m, field.key)
-    if key not in g._cache:
-        words = path_words(g, m)
-        rows = _relation_rows(g, m, None) if m >= 2 else []
-        g._cache[key] = GradedComponent(g, m, _component(words, rows, field))
-    return g._cache[key]
+def graded_component(g: LayeredGraph, m: int, field, memo: dict | None = None) -> GradedComponent:
+    """The full degree-m component; its relation matrix is block diagonal by head.
+
+    `memo` shares path words between the calls of one public function.
+    """
+    memo = {} if memo is None else memo
+    words = path_words(g, m, memo)
+    rows = _relation_rows(g, m, None, memo) if m >= 2 else []
+    return GradedComponent(g, m, _component(words, rows, field))
 
 
-def block_component(g: LayeredGraph, m: int, head_rank: int, field) -> GradedComponent:
-    """The degree-m block of words whose head sits at the given rank."""
-    key = ("block", m, head_rank, field.key)
-    if key not in g._cache:
-        words = path_words_by_head(g, m, head_rank)
-        rows = _relation_rows(g, m, head_rank) if m >= 2 else []
-        g._cache[key] = GradedComponent(g, m, _component(words, rows, field))
-    return g._cache[key]
+def block_component(
+    g: LayeredGraph, m: int, head_rank: int, field, memo: dict | None = None
+) -> GradedComponent:
+    """The degree-m block of words whose head sits at the given rank (`memo` as above)."""
+    memo = {} if memo is None else memo
+    words = path_words_by_head(g, m, head_rank, memo)
+    rows = _relation_rows(g, m, head_rank, memo) if m >= 2 else []
+    return GradedComponent(g, m, _component(words, rows, field))
 
 
 def graded_dims(g: LayeredGraph, field, up_to: int | None = None) -> list[int]:
@@ -146,7 +170,8 @@ def graded_dims(g: LayeredGraph, field, up_to: int | None = None) -> list[int]:
     listed dimension is always 0.
     """
     top = g.max_rank + 1 if up_to is None else up_to
-    return [graded_component(g, m, field).dim for m in range(1, top + 1)]
+    memo: dict = {}
+    return [graded_component(g, m, field, memo).dim for m in range(1, top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +240,8 @@ def word_complex(g: LayeredGraph, k: int, field) -> WordComplex:
     d = g.max_rank - 1
     if not 0 <= k <= d:
         raise GraphError(f"tail index {k} outside 0..{d}")
-    blocks = {n: block_component(g, n - k + 1, n + 1, field) for n in range(k, d + 1)}
+    memo: dict = {}
+    blocks = {n: block_component(g, n - k + 1, n + 1, field, memo) for n in range(k, d + 1)}
     mats: dict[int, SparseExactMatrix] = {}
     for n in range(k, d):
         coeffs = {y: field.one for y in g.at_rank(n + 2)}
@@ -254,30 +280,132 @@ class KoszulVerdict:
     checked: list[tuple[str, int, bool]]
 
 
+class HeadBlocks:
+    """The head blocks B(h, m) of one graph over one field, each presented once.
+
+    B(h, m) is presented on the quotient coordinates of the blocks below it.
+    Its ambient basis is the concatenation, over the lower covers c of h in
+    sorted order, of the bases of B(c, m-1), labelled (h,) + word.  Degree 2
+    has one relation, the sum of all of them.  In degree m >= 3, every d two
+    ranks below h and every basis vector q of B(d, m-2) give one relation:
+    the sum, over the covers c between h and d, of q with c prepended.
+    These are the path-word relations whose prefix is (h,); the ones with
+    longer prefixes are already divided out in the blocks B(c, m-1).  The
+    quotient basis is the one the path-word presentation picks, since both
+    reduced echelon forms keep exactly the words that are no combination of
+    later words modulo the relations.
+
+    A store serves one `koszul_decide` call and is dropped with it.
+    """
+
+    def __init__(self, g: LayeredGraph, field):
+        self.graph = g
+        self.field = field
+        self._blocks: dict[tuple[str, int], tuple[QuotientPresentation, dict[str, int]]] = {}
+        self._prepends: dict[tuple[str, str, int], list[dict]] = {}
+
+    def block(self, h: str, m: int) -> tuple[QuotientPresentation, dict[str, int]]:
+        """B(h, m) for 1 <= m <= rank(h), and the ambient offset of each B(c, m-1)."""
+        key = (h, m)
+        if key not in self._blocks:
+            g, one = self.graph, self.field.one
+            labels: list[tuple[str, ...]] = []
+            offsets: dict[str, int] = {}
+            rows: list[dict] = []
+            if m == 1:
+                labels.append((h,))
+            else:
+                covers = g.lower_covers(h)
+                for c in covers:
+                    offsets[c] = len(labels)
+                    labels.extend((h,) + w for w in self.block(c, m - 1)[0].labels())
+                if m == 2:
+                    rows.append({offsets[c]: one for c in covers})
+                else:
+                    for d in g.sphere(h, 2):
+                        mids = [c for c in covers if (c, d) in g.covers]
+                        for q in range(self.block(d, m - 2)[0].dim):
+                            row = {}
+                            for c in mids:
+                                off = offsets[c]
+                                for i, v in self.prepend(c, d, m - 2)[q].items():
+                                    row[off + i] = v
+                            rows.append(row)
+            rel = SparseExactMatrix.from_rows(rows, len(labels), self.field)
+            self._blocks[key] = (quotient(labels, rel, self.field), offsets)
+        return self._blocks[key]
+
+    def prepend(self, y: str, h: str, m: int) -> list[dict]:
+        """Left multiplication by y, B(h, m) -> B(y, m+1), one column per basis vector."""
+        key = (y, h, m)
+        if key not in self._prepends:
+            pres, offsets = self.block(y, m + 1)
+            off, one = offsets[h], self.field.one
+            self._prepends[key] = [
+                pres.project({off + q: one}) for q in range(self.block(h, m)[0].dim)
+            ]
+        return self._prepends[key]
+
+    def word_complex(self, x: str, k: int) -> tuple[list[list[tuple[str, ...]]], list[SparseExactMatrix]]:
+        """The tail-k word complex of the interval below x, from shared blocks.
+
+        Returns the basis labels of each space, for head degrees k..rank(x)-1,
+        and the differentials between consecutive spaces.  The space of head
+        degree n is the direct sum of B(h, n-k+1) over the vertices h of rank
+        n+1 below x, in sorted order; the differential prepends every
+        generator one rank above the head.
+        """
+        g = self.graph
+        r = g.rank(x)
+        heads = [g.sphere(x, r - n - 1) for n in range(k, r)]
+        labels: list[list[tuple[str, ...]]] = []
+        offsets: list[dict[str, int]] = []
+        for i, hs in enumerate(heads):
+            space: list[tuple[str, ...]] = []
+            offs: dict[str, int] = {}
+            for h in hs:
+                offs[h] = len(space)
+                space.extend(self.block(h, i + 1)[0].labels())
+            labels.append(space)
+            offsets.append(offs)
+        mats = []
+        for i in range(len(heads) - 1):
+            entries = {}
+            for y in heads[i + 1]:
+                oy = offsets[i + 1][y]
+                for h in g.lower_covers(y):
+                    oh = offsets[i][h]
+                    for q, col in enumerate(self.prepend(y, h, i + 1)):
+                        for j, v in col.items():
+                            entries[(oy + j, oh + q)] = v
+            mats.append(SparseExactMatrix(len(labels[i + 1]), len(labels[i]), entries, self.field))
+        return labels, mats
+
+
 def koszul_decide(g: LayeredGraph, field) -> KoszulVerdict:
     """Decide Koszulity of the dual algebra of a uniform layered graph.
 
     Works bottom-up: for each vertex x of rank >= 2 the word complexes of the
     interval below x must have one-dimensional cohomology concentrated in head
     degree equal to the tail index.  The first failure yields the witness.
+    Every complex is assembled from head blocks shared by the whole decision.
     """
     ok, wit = g.is_uniform()
     if not ok:
         raise GraphError(
             f"graph {g.name!r} is not uniform at vertex {wit[0]!r}; classes {wit[1]}"
         )
+    blocks = HeadBlocks(g, field)
     checked: list[tuple[str, int, bool]] = []
     for x in g.vertex_ids():
         r = g.rank(x)
         if r < 2:
             continue
-        sub = g.below(x)
         dtop = r - 1
         failure = None
         for k in range(dtop + 1):
-            wc = word_complex(sub, k, field)
-            dims, mats = wc.chain()
-            homs = cochain_cohomology(dims, mats, field)
+            labels, mats = blocks.word_complex(x, k)
+            homs = cochain_cohomology([len(space) for space in labels], mats, field)
             if homs[0][0] != 1:
                 raise AssertionError(
                     f"internal error: head-degree-{k} cohomology of the interval below "
@@ -294,11 +422,8 @@ def koszul_decide(g: LayeredGraph, field) -> KoszulVerdict:
             for i in range(1, dtop - k + 1):
                 hdim, reps = homs[i]
                 if hdim != 0:
-                    n = k + i
-                    labels = wc.blocks[n].labels()
-                    rep = reps[0]
-                    cocycle = sorted((labels[q], c) for q, c in rep.items())
-                    failure = KoszulWitness(x, n, k, cocycle)
+                    cocycle = sorted((labels[i][q], c) for q, c in reps[0].items())
+                    failure = KoszulWitness(x, k + i, k, cocycle)
                     break
             if failure:
                 break
@@ -345,7 +470,8 @@ def annihilator_check(g: LayeredGraph, field, x: str, n: int) -> bool:
     if n == r:
         return True
     top = g.max_rank
-    comps = {m: graded_component(g, m, field) for m in range(top + 2)}
+    memo: dict = {}
+    comps = {m: graded_component(g, m, field, memo) for m in range(top + 2)}
     now = {y: field.one for y in g.sphere(x, n)}
     nxt = [y for y in g.sphere(x, n + 1) if y != BOTTOM]
     nxt_set = set(nxt)
@@ -445,10 +571,11 @@ def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]
     d = x.dim
     details = []
     all_ok = True
+    memo: dict = {}
     for k in range(d + 1):
         layer = reduced_layer(x, k, field)
         for n in range(k, d + 1):
-            block = block_component(g, n - k + 1, n + 1, field)
+            block = block_component(g, n - k + 1, n + 1, field, memo)
             phi = comparison_map(x, field, n, k, layer=layer, block=block)
             ldim, rdim = layer.quotients[n].dim, block.dim
             ok = ldim == rdim and mat_rank(phi) == ldim

@@ -82,7 +82,6 @@ class LayeredGraph:
                     acc.update(below[w])
                 below[v] = frozenset(acc)
         self._below = below
-        self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -138,16 +137,13 @@ class LayeredGraph:
         return tuple(v for v in self.at_rank(want) if v in self._below[x])
 
     def below(self, x: str) -> "LayeredGraph":
-        """The induced layered graph on [bottom, x]; ranks unchanged."""
+        """The induced layered graph on [bottom, x]; ranks unchanged, built anew."""
         self.rank(x)
-        key = ("below", x)
-        if key not in self._cache:
-            keep = set(self._below[x]) | {x}
-            verts = {v: self.vertices[v] for v in keep}
-            covs = {(u, l) for (u, l) in self.covers if u in keep and l in keep and l != BOTTOM}
-            name = f"{self.name}[<={x}]" if self.name else f"[<={x}]"
-            self._cache[key] = LayeredGraph(verts, covs, name=name)
-        return self._cache[key]
+        keep = set(self._below[x]) | {x}
+        verts = {v: self.vertices[v] for v in keep}
+        covs = {(u, l) for (u, l) in self.covers if u in keep and l in keep and l != BOTTOM}
+        name = f"{self.name}[<={x}]" if self.name else f"[<={x}]"
+        return LayeredGraph(verts, covs, name=name)
 
     # -- structure predicates ------------------------------------------------
 

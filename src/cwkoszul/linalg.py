@@ -502,11 +502,9 @@ def cochain_cohomology(
             kern = kernel_vectors(mats[i], ring)
         else:
             kern = [{j: ring.one} for j in range(d)]
-        if i > 0:
-            img = image_vectors(mats[i - 1], ring)
-        else:
-            img = []
-        img_rows = dict(rref_rows(img, ring))
+        # image_vectors rows are already in reduced echelon form: key them by pivot
+        img = image_vectors(mats[i - 1], ring) if i > 0 else []
+        img_rows = {min(row): row for row in img}
         reduced = [reduce_mod_rows(v, img_rows, ring) for v in kern]
         reps = [row for _, row in rref_rows(reduced, ring)]
         hdim = len(kern) - len(img_rows)

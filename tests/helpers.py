@@ -100,3 +100,57 @@ def dense_rref(rows: list[list], p: int = 0) -> list[tuple[int, dict]]:
                 a[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
     return [(c, {j: v for j, v in enumerate(a[i]) if v}) for i, c in enumerate(pivots)]
+
+
+def reference_koszul_decide(g: LayeredGraph, field):
+    """The per-interval Koszulity decision: a fresh interval subgraph and
+    path-word word complexes for every vertex, with no blocks shared."""
+    from cwkoszul.dualalg import KoszulVerdict, KoszulWitness, word_complex
+    from cwkoszul.layered import GraphError
+    from cwkoszul.linalg import cochain_cohomology
+
+    ok, wit = g.is_uniform()
+    if not ok:
+        raise GraphError(
+            f"graph {g.name!r} is not uniform at vertex {wit[0]!r}; classes {wit[1]}"
+        )
+    checked: list[tuple[str, int, bool]] = []
+    for x in g.vertex_ids():
+        r = g.rank(x)
+        if r < 2:
+            continue
+        sub = g.below(x)
+        dtop = r - 1
+        failure = None
+        for k in range(dtop + 1):
+            wc = word_complex(sub, k, field)
+            dims, mats = wc.chain()
+            homs = cochain_cohomology(dims, mats, field)
+            if homs[0][0] != 1:
+                raise AssertionError(
+                    f"internal error: head-degree-{k} cohomology of the interval below "
+                    f"{x!r} has dimension {homs[0][0]}, expected 1"
+                )
+            if k < dtop and homs[dtop - k][0] != 0:
+                raise AssertionError(
+                    f"internal error: top cohomology below {x!r} (k={k}) is nonzero"
+                )
+            if k < dtop - 1 and homs[dtop - 1 - k][0] != 0:
+                raise AssertionError(
+                    f"internal error: subtop cohomology below {x!r} (k={k}) is nonzero"
+                )
+            for i in range(1, dtop - k + 1):
+                hdim, reps = homs[i]
+                if hdim != 0:
+                    n = k + i
+                    labels = wc.blocks[n].labels()
+                    rep = reps[0]
+                    cocycle = sorted((labels[q], c) for q, c in rep.items())
+                    failure = KoszulWitness(x, n, k, cocycle)
+                    break
+            if failure:
+                break
+        checked.append((x, r, failure is None))
+        if failure:
+            return KoszulVerdict(False, field.key, g.name, failure, checked)
+    return KoszulVerdict(True, field.key, g.name, None, checked)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cwkoszul.catalog import catalog
 from cwkoszul.cli import main
 from cwkoszul.cw import complex_from_dict
@@ -58,6 +60,23 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "cohomology", "nope.json", "--field", "q")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "koszul", "koszul-graph"])
+@pytest.mark.parametrize("content", [b'{"name": "x", "cells": [', b"\xff\xfe{}"])
+def test_invalid_json_file(tmp_path, capsys, command, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {str(path)!r} is not valid UTF-8 JSON: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "koszul-graph"])
+def test_missing_file_every_reader(capsys, command):
+    code, _, err = run(capsys, command, "nope.json")
+    assert code == 2
+    assert err.startswith("error: cannot read 'nope.json': ")
 
 
 def test_koszul_exit_status():
