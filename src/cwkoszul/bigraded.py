@@ -7,10 +7,18 @@ down through its faces; the two commute.  Dividing each column by the vertical
 image leaves a complex of quotients whose cohomology generalizes ordinary
 cellular cohomology (the k = 0 row reproduces it) and whose vanishing below
 the top dimension is exactly what the Koszulity decision needs.
+
+Pair bases are read off the closure of each upper cell.  `reduced_layers`
+builds the pair layer of each column once and lends its bases to the next
+column as the targets of the vertical differential; the table and the
+comparison check both walk it.  Relative cohomology lives on the star of a
+cell, found by walking up through cofaces.  Over a field every entry is a
+dimension read from ranks; over Z it comes from one Smith form per map.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cw import ComplexError, RegularCWComplex
@@ -18,7 +26,7 @@ from .linalg import (
     ZZ,
     IntegralQuotient,
     SparseExactMatrix,
-    cochain_cohomology,
+    cohomology_dims,
     induced_map,
     induced_map_integral,
     integral_cochain_cohomology,
@@ -30,15 +38,14 @@ def pair_basis(x: RegularCWComplex, n: int, k: int) -> list[tuple[str, str]]:
     """Pairs (upper n-cell, lower k-cell face), sorted by (upper, lower)."""
     if k > n:
         return []
-    out = []
-    for beta in x.cells(n):
-        if n == k:
-            out.append((beta, beta))
-            continue
-        for alpha in x.cells(k):
-            if x.le(alpha, beta):
-                out.append((beta, alpha))
-    return out
+    if k == n:
+        return [(beta, beta) for beta in x.cells(n)]
+    faces, dims = x._strict_faces, x.dims
+    return [
+        (beta, alpha)
+        for beta in x.cells(n)
+        for alpha in sorted(a for a in faces[beta] if dims[a] == k)
+    ]
 
 
 @dataclass
@@ -55,16 +62,18 @@ class BigradedLayer:
         return {n: len(b) for n, b in self.bases.items()}
 
 
-def build_layer(x: RegularCWComplex, k: int) -> BigradedLayer:
-    """Assemble bases and differentials of column k; entries are integers."""
+def build_layer(x: RegularCWComplex, k: int, below: BigradedLayer | None = None) -> BigradedLayer:
+    """Assemble bases and differentials of column k; entries are integers.
+
+    `below`, the layer of column k-1 when the caller holds it, supplies the
+    target bases of the vertical differential, which are listed otherwise.
+    """
     x.ensure_valid()
     d = x.dim
     if not 0 <= k <= d:
         raise ComplexError(f"column {k} outside 0..{d}")
     bases = {n: pair_basis(x, n, k) for n in range(k, d + 1)}
     index = {n: {pair: i for i, pair in enumerate(bases[n])} for n in bases}
-    below = {n: pair_basis(x, n, k - 1) for n in range(k, d + 1)} if k >= 1 else {}
-    below_index = {n: {pair: i for i, pair in enumerate(below[n])} for n in below}
 
     d_up: dict[int, SparseExactMatrix] = {}
     for n in range(k, d + 1):
@@ -78,12 +87,13 @@ def build_layer(x: RegularCWComplex, k: int) -> BigradedLayer:
     d_down: dict[int, SparseExactMatrix] = {}
     if k >= 1:
         for n in range(k, d + 1):
+            below_basis = below.bases[n] if below is not None else pair_basis(x, n, k - 1)
+            tgt = {pair: i for i, pair in enumerate(below_basis)}
             entries = {}
-            tgt = below_index[n]
             for j, (beta, alpha) in enumerate(bases[n]):
                 for gamma in x.faces(alpha):
                     entries[(tgt[(beta, gamma)], j)] = x.incidence[(alpha, gamma)]
-            d_down[n] = SparseExactMatrix(len(below[n]), len(bases[n]), entries, ZZ)
+            d_down[n] = SparseExactMatrix(len(below_basis), len(bases[n]), entries, ZZ)
 
     return BigradedLayer(x, k, bases, d_up, d_down)
 
@@ -106,19 +116,30 @@ class ReducedLayer:
         return [self.quotients[n].dim for n in ns], [self.mats[n] for n in ns[:-1]]
 
 
-def reduced_layer(x: RegularCWComplex, k: int, ring) -> ReducedLayer:
-    """Quotient of column k by the vertical image of column k+1."""
-    layer = build_layer(x, k)
+def reduced_layer(
+    x: RegularCWComplex,
+    k: int,
+    ring,
+    layer: BigradedLayer | None = None,
+    above: BigradedLayer | None = None,
+) -> ReducedLayer:
+    """Quotient of column k by the vertical image of column k+1.
+
+    `layer` and `above` are the pair layers of columns k and k+1 (None past
+    the top) when the caller has built them; both are built here otherwise.
+    """
     d = x.dim
-    above = build_layer(x, k + 1) if k + 1 <= d else None
+    if layer is None:
+        layer = build_layer(x, k)
+        above = build_layer(x, k + 1, layer) if k < d else None
     quotients: dict[int, object] = {}
     for n in range(k, d + 1):
         labels = layer.bases[n]
-        if above is not None and n >= k + 1:
-            rows = [above.d_down[n].apply({j: 1}) for j in range(len(above.bases[n]))]
+        if above is not None and n > k:
+            # one relation per column of the vertical differential
+            rel = above.d_down[n].transpose()
         else:
-            rows = []
-        rel = SparseExactMatrix.from_rows(rows, len(labels), ZZ)
+            rel = SparseExactMatrix.zero(0, len(labels), ZZ)
         if ring is ZZ:
             quotients[n] = IntegralQuotient(labels, rel)
         else:
@@ -131,6 +152,15 @@ def reduced_layer(x: RegularCWComplex, k: int, ring) -> ReducedLayer:
         else:
             mats[n] = induced_map(f.convert(ring), quotients[n], quotients[n + 1])
     return ReducedLayer(x, k, ring, quotients, mats)
+
+
+def reduced_layers(x: RegularCWComplex, ring) -> Iterator[ReducedLayer]:
+    """The reduced columns k = 0..dim in turn, each pair layer built once."""
+    layer = build_layer(x, 0)
+    for k in range(x.dim + 1):
+        above = build_layer(x, k + 1, layer) if k < x.dim else None
+        yield reduced_layer(x, k, ring, layer, above)
+        layer = above
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +186,7 @@ def cellular_complex(x: RegularCWComplex, ring) -> tuple[list[int], list[SparseE
 def cellular_cohomology(x: RegularCWComplex, field) -> list[int]:
     """Dimensions of the cellular cohomology of X over a field."""
     dims, mats = cellular_complex(x, field)
-    return [h for h, _ in cochain_cohomology(dims, mats, field)]
+    return cohomology_dims(dims, mats, field)
 
 
 def integral_cellular_cohomology(x: RegularCWComplex) -> list[tuple[int, tuple[int, ...]]]:
@@ -171,9 +201,11 @@ def relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int]:
     The relative cochain complex lives on the cells having alpha as a face.
     """
     x.ensure_valid()
-    x.cell_dim(alpha)
-    d = x.dim
-    cells = [[c for c in x.cells(n) if x.le(alpha, c)] for n in range(d + 1)]
+    a, d = x.cell_dim(alpha), x.dim
+    # the star of alpha, dimension by dimension, walking up through cofaces
+    cells: list[list[str]] = [[] for _ in range(a)] + [[alpha]]
+    for _ in range(a, d):
+        cells.append(sorted({g for c in cells[-1] for g in x.cofaces(c)}))
     dims = [len(cs) for cs in cells]
     mats = []
     for n in range(d):
@@ -181,10 +213,9 @@ def relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int]:
         entries = {}
         for j, beta in enumerate(cells[n]):
             for gamma in x.cofaces(beta):
-                if gamma in tgt:
-                    entries[(tgt[gamma], j)] = x.incidence[(gamma, beta)]
+                entries[(tgt[gamma], j)] = x.incidence[(gamma, beta)]
         mats.append(SparseExactMatrix(dims[n + 1], dims[n], entries, field))
-    return [h for h, _ in cochain_cohomology(dims, mats, field)]
+    return cohomology_dims(dims, mats, field)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +239,14 @@ def hx_table(x: RegularCWComplex, ring) -> PairCohomologyTable:
     x.ensure_valid()
     d = x.dim
     entries: dict[tuple[int, int], object] = {}
-    for k in range(d + 1):
-        layer = reduced_layer(x, k, ring)
+    for layer in reduced_layers(x, ring):
         dims, mats = layer.chain()
         if ring is ZZ:
             homs = integral_cochain_cohomology(dims, mats)
-            for i, val in enumerate(homs):
-                entries[(k + i, k)] = val
         else:
-            homs = cochain_cohomology(dims, mats, ring)
-            for i, (h, _) in enumerate(homs):
-                entries[(k + i, k)] = h
+            homs = cohomology_dims(dims, mats, ring)
+        for i, val in enumerate(homs):
+            entries[(layer.k + i, layer.k)] = val
     return PairCohomologyTable(ring.key, d, entries)
 
 

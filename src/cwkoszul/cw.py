@@ -9,8 +9,6 @@ characteristics of cell boundaries, and single diamond classes on intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .layered import BOTTOM, TOP, GraphError, LayeredGraph
 
 
@@ -177,12 +175,17 @@ class RegularCWComplex:
                 ok, witness = bar.is_thin()
                 if not ok:
                     report.append(f"face poset is not thin at {witness[:2]}")
+                # an interval of rank <= 2 is one class: its maximal chains
+                # differ from each other in their one interior position
                 for b in bar.vertex_ids():
+                    rb = bar.rank(b)
                     for a in sorted(bar.strictly_below(b)):
-                        if len(bar.diamond_classes(b, a)) != 1:
+                        if rb - bar.rank(a) > 2 and len(bar.diamond_classes(b, a)) != 1:
                             report.append(
                                 f"interval [{a!r}, {b!r}] splits into several diamond classes"
                             )
+                if not report:
+                    self._bar = bar
         self._report = report
         return report
 
@@ -246,19 +249,6 @@ class RegularCWComplex:
                     parent[max(ra, rb)] = min(ra, rb)
         return len({find(c) for c in tops}) == 1
 
-    # -- subcomplexes ------------------------------------------------------------
-
-    def closed_cell(self, alpha: str) -> "Subcomplex":
-        """All faces of alpha, alpha included."""
-        self.cell_dim(alpha)
-        return Subcomplex(self, frozenset(self._strict_faces[alpha] | {alpha}))
-
-    def complement_star(self, alpha: str) -> "Subcomplex":
-        """All cells whose closure avoids alpha."""
-        self.cell_dim(alpha)
-        keep = frozenset(c for c in self.dims if not self.le(alpha, c))
-        return Subcomplex(self, keep)
-
     # -- serialization ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -288,34 +278,6 @@ class RegularCWComplex:
 
     def __repr__(self):
         return f"RegularCWComplex({self.name!r}, counts={self.counts()})"
-
-
-@dataclass(frozen=True)
-class Subcomplex:
-    """A downward-closed set of cells of a parent complex."""
-
-    parent: RegularCWComplex
-    cells: frozenset[str]
-
-    def __post_init__(self):
-        for c in self.cells:
-            for f in self.parent.faces(c):
-                if f not in self.cells:
-                    raise ComplexError(
-                        f"subcomplex is not downward closed: {c!r} without its face {f!r}"
-                    )
-
-    def induced(self) -> RegularCWComplex:
-        dims = {c: self.parent.dims[c] for c in self.cells}
-        inc = {
-            (u, l): s
-            for (u, l), s in self.parent.incidence.items()
-            if u in self.cells and l in self.cells
-        }
-        return RegularCWComplex(f"{self.parent.name}|sub", dims, inc)
-
-    def euler_characteristic(self) -> int:
-        return self.parent.euler_characteristic(self.cells)
 
 
 def complex_from_dict(data: dict) -> RegularCWComplex:

@@ -32,13 +32,14 @@ from .layered import BOTTOM, GraphError, LayeredGraph
 from .linalg import (
     QuotientPresentation,
     SparseExactMatrix,
-    cochain_cohomology,
+    cocycle_representatives,
+    cohomology_dims,
     induced_map,
     quotient,
     rank as mat_rank,
     rref_rows,
 )
-from .bigraded import ReducedLayer, reduced_layer
+from .bigraded import ReducedLayer, reduced_layer, reduced_layers
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +257,6 @@ def word_complex(g: LayeredGraph, k: int, field) -> WordComplex:
     return WordComplex(g, k, field, blocks, mats)
 
 
-def word_cohomology(g: LayeredGraph, k: int, field) -> list[tuple[int, list[dict]]]:
-    """Cohomology of the tail-k word complex, listed for head degrees k..d."""
-    wc = word_complex(g, k, field)
-    dims, mats = wc.chain()
-    return cochain_cohomology(dims, mats, field)
-
-
 @dataclass
 class KoszulWitness:
     vertex: str
@@ -405,23 +399,29 @@ def koszul_decide(g: LayeredGraph, field) -> KoszulVerdict:
         failure = None
         for k in range(dtop + 1):
             labels, mats = blocks.word_complex(x, k)
-            homs = cochain_cohomology([len(space) for space in labels], mats, field)
-            if homs[0][0] != 1:
+            dims = [len(space) for space in labels]
+            hs = cohomology_dims(dims, mats, field)
+            if hs[0] != 1:
                 raise AssertionError(
                     f"internal error: head-degree-{k} cohomology of the interval below "
-                    f"{x!r} has dimension {homs[0][0]}, expected 1"
+                    f"{x!r} has dimension {hs[0]}, expected 1"
                 )
-            if k < dtop and homs[dtop - k][0] != 0:
+            if k < dtop and hs[dtop - k] != 0:
                 raise AssertionError(
                     f"internal error: top cohomology below {x!r} (k={k}) is nonzero"
                 )
-            if k < dtop - 1 and homs[dtop - 1 - k][0] != 0:
+            if k < dtop - 1 and hs[dtop - 1 - k] != 0:
                 raise AssertionError(
                     f"internal error: subtop cohomology below {x!r} (k={k}) is nonzero"
                 )
             for i in range(1, dtop - k + 1):
-                hdim, reps = homs[i]
-                if hdim != 0:
+                if hs[i] != 0:
+                    reps = cocycle_representatives(mats, i, dims[i], field)
+                    if len(reps) != hs[i]:
+                        raise AssertionError(
+                            f"internal error: {len(reps)} representatives below {x!r} "
+                            f"(n={k + i}, k={k}) for a cohomology of dimension {hs[i]}"
+                        )
                     cocycle = sorted((labels[i][q], c) for q, c in reps[0].items())
                     failure = KoszulWitness(x, k + i, k, cocycle)
                     break
@@ -443,10 +443,9 @@ def whole_graph_criterion(g: LayeredGraph, field) -> bool:
     """
     d = g.max_rank - 1
     for k in range(d + 1):
-        homs = word_cohomology(g, k, field)
-        for i in range(1, d - k + 1):
-            if homs[i][0] != 0:
-                return False
+        dims, mats = word_complex(g, k, field).chain()
+        if any(cohomology_dims(dims, mats, field)[1:]):
+            return False
     return True
 
 
@@ -572,8 +571,8 @@ def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]
     details = []
     all_ok = True
     memo: dict = {}
-    for k in range(d + 1):
-        layer = reduced_layer(x, k, field)
+    for layer in reduced_layers(x, field):
+        k = layer.k
         for n in range(k, d + 1):
             block = block_component(g, n - k + 1, n + 1, field, memo)
             phi = comparison_map(x, field, n, k, layer=layer, block=block)

@@ -8,8 +8,6 @@ in serialized graphs; rank-1 vertices are wired to it automatically.
 
 from __future__ import annotations
 
-from collections import deque
-
 
 BOTTOM = "0bar"
 TOP = "1bar"
@@ -196,43 +194,6 @@ class LayeredGraph:
                 if len(mids) != 2:
                     return False, (a, b, sorted([a, b] + mids))
         return True, None
-
-    def _linked_sequence(self, a: str, a2: str, shared: str) -> tuple[list[str], list[str]] | None:
-        """BFS witness for down-up ('lower') or up-down ('upper') connectivity."""
-        if self.rank(a) != self.rank(a2):
-            raise GraphError(f"{a!r} and {a2!r} have different ranks")
-        if a == a2:
-            return [a], []
-        nbrs = self._lower if shared == "lower" else self._upper
-        side = self._upper if shared == "lower" else self._lower
-        prev: dict[str, tuple[str, str]] = {a: ("", "")}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for m in nbrs[u]:
-                for w in side[m]:
-                    if w not in prev and self.vertices[w] == self.vertices[a]:
-                        prev[w] = (u, m)
-                        if w == a2:
-                            seq, links = [w], []
-                            while prev[w][0]:
-                                u0, m0 = prev[w]
-                                links.append(m0)
-                                seq.append(u0)
-                                w = u0
-                            seq.reverse()
-                            links.reverse()
-                            return seq, links
-                        queue.append(w)
-        return None
-
-    def down_up_sequence(self, a: str, a2: str) -> tuple[list[str], list[str]] | None:
-        """Same-rank witness a_0..a_n with common lower covers b_1..b_n, or None."""
-        return self._linked_sequence(a, a2, "lower")
-
-    def up_down_sequence(self, a: str, a2: str) -> tuple[list[str], list[str]] | None:
-        """Same-rank witness a_0..a_n with common upper covers b_1..b_n, or None."""
-        return self._linked_sequence(a, a2, "upper")
 
     # -- chains ---------------------------------------------------------------
 

@@ -9,6 +9,11 @@ over Q integral entries stay ints and a Fraction appears only where a
 division is inexact).  The reduced row echelon form of a row space is
 unique, so ranks, kernels, quotient bases and representatives depend only on
 the spans involved, never on row order: they are reproducible across runs.
+
+Cohomology is read from ranks: `cohomology_dims` checks the shapes and
+d o d = 0 and takes one rank per differential.  Cocycles are built only
+where a caller needs them, one degree at a time, by
+`cocycle_representatives`; `cochain_cohomology` returns both.
 """
 
 from __future__ import annotations
@@ -263,19 +268,10 @@ class SparseExactMatrix:
                 _subtract(out, -x, cols[j], p)
         return out
 
-    def matmul(self, other: "SparseExactMatrix") -> "SparseExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        cols = [self.apply(c) for c in other._cached_columns()]
-        return SparseExactMatrix.from_columns(cols, self.rows, self.ring)
-
     def transpose(self) -> "SparseExactMatrix":
         return SparseExactMatrix(
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}, self.ring
         )
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def convert(self, ring) -> "SparseExactMatrix":
         return SparseExactMatrix(self.rows, self.cols, dict(self.entries), ring)
@@ -285,13 +281,6 @@ class SparseExactMatrix:
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
-
-    def debug_triples(self) -> str:
-        """Printable (row, col, value) triples, one per line, sorted."""
-        lines = [f"{self.rows} {self.cols}"]
-        for (i, j) in sorted(self.entries):
-            lines.append(f"{i} {j} {self.entries[(i, j)]}")
-        return "\n".join(lines)
 
     def __eq__(self, other):
         return (
@@ -368,10 +357,13 @@ def reduce_mod_rows(vec: dict, rref, ring) -> dict:
 
 
 def rank(m: SparseExactMatrix, ring=None) -> int:
+    """Rank over a field, eliminating the rows or the columns, whichever are fewer."""
     ring = ring or m.ring
     if ring is not m.ring:
         m = m.convert(ring)
-    return len(rref_rows(m.row_list(), ring))
+    if not m.entries:
+        return 0
+    return len(rref_rows(m._cached_columns() if m.cols < m.rows else m.row_list(), ring))
 
 
 def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
@@ -388,12 +380,6 @@ def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
             if j != c:
                 vecs[j][c] = -coeff % p if p else -coeff
     return list(vecs.values())
-
-
-def kernel_basis(m: SparseExactMatrix, ring=None) -> SparseExactMatrix:
-    ring = ring or m.ring
-    vecs = kernel_vectors(m, ring)
-    return SparseExactMatrix.from_columns(vecs, m.cols, ring)
 
 
 def image_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
@@ -478,14 +464,11 @@ def induced_map(
 # cochain cohomology over a field
 
 
-def cochain_cohomology(
-    dims: list[int], mats: list[SparseExactMatrix], ring
-) -> list[tuple[int, list[dict]]]:
-    """Cohomology of 0 -> C_0 -> C_1 -> ... -> C_N -> 0.
+def _check_complex(dims: list[int], mats: list[SparseExactMatrix]) -> None:
+    """Shapes fit dims and consecutive composites vanish.
 
-    mats[i] maps C_i -> C_{i+1}; consecutive composites must vanish.
-    Returns per degree (dimension, representative cocycles); representatives
-    are echelon kernel vectors reduced modulo the image of the previous map.
+    The composite is checked by applying each map to the cached columns of
+    the previous one; no product matrix is built.
     """
     if len(mats) != max(len(dims) - 1, 0):
         raise ValueError("expected one differential less than the number of spaces")
@@ -494,23 +477,65 @@ def cochain_cohomology(
             raise ValueError(f"differential {i} has shape {m.rows}x{m.cols}, "
                              f"expected {dims[i + 1]}x{dims[i]}")
     for i in range(len(mats) - 1):
-        if not mats[i + 1].matmul(mats[i]).is_zero():
-            raise ValueError(f"composition of differentials {i} and {i + 1} is nonzero")
+        nxt = mats[i + 1]
+        for col in mats[i]._cached_columns():
+            if col and nxt.apply(col):
+                raise ValueError(f"composition of differentials {i} and {i + 1} is nonzero")
+
+
+def cohomology_dims(dims: list[int], mats: list[SparseExactMatrix], ring) -> list[int]:
+    """Dimensions of the cohomology of 0 -> C_0 -> C_1 -> ... -> C_N -> 0.
+
+    mats[i] maps C_i -> C_{i+1}; consecutive composites must vanish.  One
+    rank per map gives h^i = dims[i] - rank(mats[i]) - rank(mats[i-1]).
+    """
+    _check_complex(dims, mats)
+    ranks = [rank(m, ring) for m in mats] + [0]
     out = []
     for i, d in enumerate(dims):
-        if i < len(mats):
-            kern = kernel_vectors(mats[i], ring)
-        else:
-            kern = [{j: ring.one} for j in range(d)]
-        # image_vectors rows are already in reduced echelon form: key them by pivot
-        img = image_vectors(mats[i - 1], ring) if i > 0 else []
-        img_rows = {min(row): row for row in img}
-        reduced = [reduce_mod_rows(v, img_rows, ring) for v in kern]
-        reps = [row for _, row in rref_rows(reduced, ring)]
-        hdim = len(kern) - len(img_rows)
-        if len(reps) != hdim:
+        h = d - ranks[i] - (ranks[i - 1] if i else 0)
+        if h < 0:
+            raise AssertionError(f"negative cohomology dimension {h} in degree {i}")
+        out.append(h)
+    return out
+
+
+def cocycle_representatives(mats: list[SparseExactMatrix], i: int, dim: int, ring) -> list[dict]:
+    """Representative cocycles of H^i of a complex, in degree i only.
+
+    `dim` is the dimension of C_i.  The representatives are the echelon
+    kernel vectors of mats[i] reduced modulo the image of mats[i-1], brought
+    to reduced echelon form.  The complex is taken as checked by
+    `cohomology_dims`.
+    """
+    if i < len(mats):
+        kern = kernel_vectors(mats[i], ring)
+    else:
+        kern = [{j: ring.one} for j in range(dim)]
+    # image_vectors rows are already in reduced echelon form: key them by pivot
+    img_rows = {min(row): row for row in image_vectors(mats[i - 1], ring)} if i > 0 else {}
+    reduced = [reduce_mod_rows(v, img_rows, ring) for v in kern]
+    reps = [row for _, row in rref_rows(reduced, ring)]
+    if len(reps) != len(kern) - len(img_rows):
+        raise AssertionError("cohomology representative count mismatch")
+    return reps
+
+
+def cochain_cohomology(
+    dims: list[int], mats: list[SparseExactMatrix], ring
+) -> list[tuple[int, list[dict]]]:
+    """Cohomology of 0 -> C_0 -> C_1 -> ... -> C_N -> 0, with representatives.
+
+    Returns per degree (dimension, representative cocycles), as
+    `cohomology_dims` and `cocycle_representatives` give them.
+    """
+    hs = cohomology_dims(dims, mats, ring)
+    out = []
+    for i, h in enumerate(hs):
+        reps = cocycle_representatives(mats, i, dims[i], ring)
+        if len(reps) != h:
             raise AssertionError("cohomology representative count mismatch")
-        out.append((hdim, reps))
+        out.append((h, reps))
     return out
 
 
@@ -723,12 +748,8 @@ def integral_cochain_cohomology(
     invariant factors is the rank over Q, and the factors of the (i-1)-st
     differential exceeding 1 are the torsion of H^i.
     """
-    if len(mats) != max(len(dims) - 1, 0):
-        raise ValueError("expected one differential less than the number of spaces")
     zmats = [m.convert(ZZ) for m in mats]
-    for i in range(len(zmats) - 1):
-        if not zmats[i + 1].matmul(zmats[i]).is_zero():
-            raise ValueError(f"composition of differentials {i} and {i + 1} is nonzero")
+    _check_complex(dims, zmats)
     snfs = [smith_normal_form(m) for m in zmats]
     out = []
     for i, d in enumerate(dims):

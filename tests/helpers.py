@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 from cwkoszul.cw import RegularCWComplex
@@ -154,3 +156,163 @@ def reference_koszul_decide(g: LayeredGraph, field):
         if failure:
             return KoszulVerdict(False, field.key, g.name, failure, checked)
     return KoszulVerdict(True, field.key, g.name, None, checked)
+
+
+# ---------------------------------------------------------------------------
+# code only the tests call, and scan-based references for the fast paths
+
+
+def debug_triples(m) -> str:
+    """Printable (row, col, value) triples of a sparse matrix, one per line, sorted."""
+    lines = [f"{m.rows} {m.cols}"]
+    for (i, j) in sorted(m.entries):
+        lines.append(f"{i} {j} {m.entries[(i, j)]}")
+    return "\n".join(lines)
+
+
+def matmul(a, b):
+    """The product a * b of two sparse matrices, column by column."""
+    from cwkoszul.linalg import SparseExactMatrix
+
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+    return SparseExactMatrix.from_columns([a.apply(c) for c in b.col_list()], a.rows, a.ring)
+
+
+def is_zero(m) -> bool:
+    return not m.entries
+
+
+def kernel_basis(m, ring=None):
+    """The kernel vectors of m as the columns of a matrix."""
+    from cwkoszul.linalg import SparseExactMatrix, kernel_vectors
+
+    ring = ring or m.ring
+    return SparseExactMatrix.from_columns(kernel_vectors(m, ring), m.cols, ring)
+
+
+def _linked_sequence(g: LayeredGraph, a: str, a2: str, shared: str):
+    """BFS witness for down-up ('lower') or up-down ('upper') connectivity."""
+    from cwkoszul.layered import GraphError
+
+    if g.rank(a) != g.rank(a2):
+        raise GraphError(f"{a!r} and {a2!r} have different ranks")
+    if a == a2:
+        return [a], []
+    nbrs = g.lower_covers if shared == "lower" else g.upper_covers
+    side = g.upper_covers if shared == "lower" else g.lower_covers
+    prev: dict[str, tuple[str, str]] = {a: ("", "")}
+    queue = deque([a])
+    while queue:
+        u = queue.popleft()
+        for m in nbrs(u):
+            for w in side(m):
+                if w not in prev and g.rank(w) == g.rank(a):
+                    prev[w] = (u, m)
+                    if w == a2:
+                        seq, links = [w], []
+                        while prev[w][0]:
+                            u0, m0 = prev[w]
+                            links.append(m0)
+                            seq.append(u0)
+                            w = u0
+                        seq.reverse()
+                        links.reverse()
+                        return seq, links
+                    queue.append(w)
+    return None
+
+
+def down_up_sequence(g: LayeredGraph, a: str, a2: str):
+    """Same-rank witness a_0..a_n with common lower covers b_1..b_n, or None."""
+    return _linked_sequence(g, a, a2, "lower")
+
+
+def up_down_sequence(g: LayeredGraph, a: str, a2: str):
+    """Same-rank witness a_0..a_n with common upper covers b_1..b_n, or None."""
+    return _linked_sequence(g, a, a2, "upper")
+
+
+@dataclass(frozen=True)
+class Subcomplex:
+    """A downward-closed set of cells of a parent complex."""
+
+    parent: RegularCWComplex
+    cells: frozenset[str]
+
+    def __post_init__(self):
+        from cwkoszul.cw import ComplexError
+
+        for c in self.cells:
+            for f in self.parent.faces(c):
+                if f not in self.cells:
+                    raise ComplexError(
+                        f"subcomplex is not downward closed: {c!r} without its face {f!r}"
+                    )
+
+    def induced(self) -> RegularCWComplex:
+        dims = {c: self.parent.dims[c] for c in self.cells}
+        inc = {
+            (u, l): s
+            for (u, l), s in self.parent.incidence.items()
+            if u in self.cells and l in self.cells
+        }
+        return RegularCWComplex(f"{self.parent.name}|sub", dims, inc)
+
+    def euler_characteristic(self) -> int:
+        return self.parent.euler_characteristic(self.cells)
+
+
+def closed_cell(x: RegularCWComplex, alpha: str) -> Subcomplex:
+    """All faces of alpha, alpha included."""
+    x.cell_dim(alpha)
+    return Subcomplex(x, frozenset(x._strict_faces[alpha] | {alpha}))
+
+
+def complement_star(x: RegularCWComplex, alpha: str) -> Subcomplex:
+    """All cells whose closure avoids alpha."""
+    x.cell_dim(alpha)
+    return Subcomplex(x, frozenset(c for c in x.dims if not x.le(alpha, c)))
+
+
+def word_cohomology(g: LayeredGraph, k: int, field):
+    """Cohomology of the tail-k word complex, listed for head degrees k..d."""
+    from cwkoszul.dualalg import word_complex
+    from cwkoszul.linalg import cochain_cohomology
+
+    dims, mats = word_complex(g, k, field).chain()
+    return cochain_cohomology(dims, mats, field)
+
+
+def scan_pair_basis(x: RegularCWComplex, n: int, k: int) -> list[tuple[str, str]]:
+    """Pairs (upper n-cell, lower k-cell face) by testing every k-cell with `le`."""
+    if k > n:
+        return []
+    return [(beta, alpha) for beta in x.cells(n) for alpha in x.cells(k) if x.le(alpha, beta)]
+
+
+def scan_relative_complex(x: RegularCWComplex, alpha: str, field):
+    """The cochain complex of (X, Y_alpha) on the star of alpha, found by
+    testing every cell with `le`: (dims, differentials)."""
+    from cwkoszul.linalg import SparseExactMatrix
+
+    cells = [[c for c in x.cells(n) if x.le(alpha, c)] for n in range(x.dim + 1)]
+    dims = [len(cs) for cs in cells]
+    mats = []
+    for n in range(x.dim):
+        tgt = {c: i for i, c in enumerate(cells[n + 1])}
+        entries = {}
+        for j, beta in enumerate(cells[n]):
+            for gamma in x.cofaces(beta):
+                if gamma in tgt:
+                    entries[(tgt[gamma], j)] = x.incidence[(gamma, beta)]
+        mats.append(SparseExactMatrix(dims[n + 1], dims[n], entries, field))
+    return dims, mats
+
+
+def scan_relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int]:
+    """Dimensions of H^n(X, Y_alpha; F) from `scan_relative_complex`."""
+    from cwkoszul.linalg import cochain_cohomology
+
+    dims, mats = scan_relative_complex(x, alpha, field)
+    return [h for h, _ in cochain_cohomology(dims, mats, field)]

@@ -11,9 +11,10 @@ from cwkoszul.bigraded import (
     koszul_obstructions,
     pair_basis,
     reduced_layer,
+    reduced_layers,
     relative_cohomology,
 )
-from cwkoszul.catalog import catalog
+from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.cw import ComplexError
 from cwkoszul.linalg import (
     GF,
@@ -25,7 +26,14 @@ from cwkoszul.linalg import (
     smith_normal_form,
 )
 
-from helpers import segment_plus_point, two_disjoint_triangles
+from helpers import (
+    is_zero,
+    matmul,
+    scan_pair_basis,
+    scan_relative_cohomology,
+    segment_plus_point,
+    two_disjoint_triangles,
+)
 
 FIELDS = (QQ, GF(2), GF(3))
 
@@ -46,16 +54,16 @@ def test_layer_differentials_commute_and_square_to_zero():
         layers = {k: build_layer(x, k) for k in range(x.dim + 1)}
         for k, layer in layers.items():
             for n in sorted(layer.d_up)[:-1]:
-                assert layer.d_up[n + 1].matmul(layer.d_up[n]).is_zero()
+                assert is_zero(matmul(layer.d_up[n + 1], layer.d_up[n]))
             if k >= 2:
                 below = layers[k - 1]
                 for n in layer.d_down:
-                    assert below.d_down[n].matmul(layer.d_down[n]).is_zero()
+                    assert is_zero(matmul(below.d_down[n], layer.d_down[n]))
             if k >= 1:
                 below = layers[k - 1]
                 for n in sorted(layer.bases)[:-1]:
-                    left = below.d_up[n].matmul(layer.d_down[n])
-                    right = layers[k - 1 + 1].d_down[n + 1].matmul(layer.d_up[n])
+                    left = matmul(below.d_up[n], layer.d_down[n])
+                    right = matmul(layers[k - 1 + 1].d_down[n + 1], layer.d_up[n])
                     assert left == right
 
 
@@ -301,3 +309,49 @@ def test_obstructions_require_hypotheses():
         koszul_obstructions(segment_plus_point(), QQ)
     with pytest.raises(ComplexError, match="connected"):
         koszul_obstructions(two_disjoint_triangles(), QQ)
+
+
+SMALL = [n for n in catalog_names() if n not in ("simplex5", "sphere4")]
+
+
+def test_pair_basis_equals_le_scan():
+    for name in catalog_names():
+        x = catalog(name)
+        for n in range(x.dim + 1):
+            for k in range(x.dim + 1):
+                assert pair_basis(x, n, k) == scan_pair_basis(x, n, k), (name, n, k)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_relative_cohomology_equals_le_scan(field):
+    for name in SMALL:
+        x = catalog(name)
+        for alpha in x.cells():
+            assert relative_cohomology(x, alpha, field) == scan_relative_cohomology(
+                x, alpha, field
+            ), (name, alpha)
+
+
+def test_layer_below_supplies_the_vertical_targets():
+    for name in SMALL:
+        x = catalog(name)
+        for k in range(1, x.dim + 1):
+            shared = build_layer(x, k, build_layer(x, k - 1))
+            alone = build_layer(x, k)
+            assert shared.bases == alone.bases and shared.d_up == alone.d_up
+            assert shared.d_down == alone.d_down, (name, k)
+
+
+@pytest.mark.parametrize("ring", FIELDS + (ZZ,), ids=repr)
+def test_shared_columns_equal_reduced_layer(ring):
+    for name in SMALL:
+        x = catalog(name)
+        layers = list(reduced_layers(x, ring))
+        assert [layer.k for layer in layers] == list(range(x.dim + 1))
+        for layer in layers:
+            ref = reduced_layer(x, layer.k, ring)
+            assert layer.dims() == ref.dims(), (name, layer.k)
+            for n, q in layer.quotients.items():
+                assert q.ambient_labels == ref.quotients[n].ambient_labels
+                assert q.labels() == ref.quotients[n].labels(), (name, layer.k, n)
+            assert layer.mats == ref.mats, (name, layer.k)

@@ -4,11 +4,19 @@ import pytest
 
 from cwkoszul.bigraded import cellular_cohomology
 from cwkoszul.catalog import catalog, catalog_names
-from cwkoszul.cw import ComplexError, RegularCWComplex, Subcomplex, complex_from_dict
+from cwkoszul.cw import ComplexError, RegularCWComplex, complex_from_dict
 from cwkoszul.layered import BOTTOM
 from cwkoszul.linalg import QQ
 
-from helpers import dangling_square_complex, segment_plus_point, two_disjoint_triangles
+from helpers import (
+    Subcomplex,
+    closed_cell,
+    complement_star,
+    dangling_square_complex,
+    random_uniform_graphs,
+    segment_plus_point,
+    two_disjoint_triangles,
+)
 
 
 def test_catalog_counts():
@@ -98,11 +106,11 @@ def test_connected_by_codim1():
 
 def test_closed_cell_and_complement_star():
     x = catalog("simplex1")
-    assert x.complement_star("0").cells == frozenset({"1"})
+    assert complement_star(x, "0").cells == frozenset({"1"})
     x3 = catalog("simplex3")
-    assert x3.closed_cell("0123").cells == frozenset(x3.cells())
+    assert closed_cell(x3, "0123").cells == frozenset(x3.cells())
     s = catalog("example_singular")
-    y = s.complement_star("C4")
+    y = complement_star(s, "C4")
     assert y.euler_characteristic() == 0
     assert cellular_cohomology(y.induced(), QQ) == [1, 1, 0]  # circle type
 
@@ -135,7 +143,7 @@ def test_boundary_euler_characteristics_match_spheres():
         for c in x.cells():
             n = x.cell_dim(c)
             if n >= 1:
-                chi = x.closed_cell(c).euler_characteristic() - (-1) ** n
+                chi = closed_cell(x, c).euler_characteristic() - (-1) ** n
                 assert chi == 1 + (-1) ** (n - 1), (name, c)
 
 
@@ -177,3 +185,27 @@ def test_diamond_classes_single_on_cw_intervals():
         for b in g.vertex_ids():
             for a in sorted(g.strictly_below(b)):
                 assert len(g.diamond_classes(b, a)) == 1, (name, b, a)
+
+
+def test_intervals_of_rank_at_most_two_have_one_diamond_class():
+    # validation skips these intervals: their maximal chains differ in their
+    # one interior position, so they always form a single class
+    graphs = [catalog(name).face_poset_bar() for name in catalog_names()]
+    graphs += [catalog(name).face_poset_hat() for name in ("sphere2", "rp2_six")]
+    graphs += random_uniform_graphs(20, seed=5)
+    for g in graphs:
+        for b in g.vertex_ids():
+            for a in g.strictly_below(b):
+                if g.rank(b) - g.rank(a) <= 2:
+                    assert len(g.diamond_classes(b, a)) == 1, (g.name, a, b)
+
+
+def test_validation_keeps_its_face_poset():
+    x = complex_from_dict(catalog("sphere2").to_dict())
+    assert x._bar is None
+    assert x.validate() == []
+    bar = x._bar
+    assert bar is not None and x.face_poset_bar() is bar
+    assert bar == x._face_poset_bar_unchecked()
+    bad = dangling_square_complex()
+    assert bad.validate() and bad._bar is None

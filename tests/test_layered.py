@@ -5,7 +5,7 @@ import pytest
 from cwkoszul.catalog import catalog
 from cwkoszul.layered import BOTTOM, GraphError, LayeredGraph, graph_from_dict
 
-from helpers import edge_poset, nonuniform_poset
+from helpers import down_up_sequence, edge_poset, nonuniform_poset, up_down_sequence
 
 
 def test_construction_rejects_bad_rank_drop():
@@ -89,18 +89,18 @@ def test_is_thin():
 
 def test_down_up_trivial_and_edge():
     g = edge_poset()
-    assert g.down_up_sequence("a", "a") == (["a"], [])
-    seq, links = g.down_up_sequence("a", "b")
+    assert down_up_sequence(g, "a", "a") == (["a"], [])
+    seq, links = down_up_sequence(g, "a", "b")
     assert seq == ["a", "b"] and links == [BOTTOM]
     with pytest.raises(GraphError, match="different ranks"):
-        g.down_up_sequence("a", "e")
+        down_up_sequence(g, "a", "e")
 
 
 def test_up_down_sequence():
     g = edge_poset()
-    seq, links = g.up_down_sequence("a", "b")
+    seq, links = up_down_sequence(g, "a", "b")
     assert seq == ["a", "b"] and links == ["e"]
-    assert nonuniform_poset().up_down_sequence("p", "q") is None
+    assert up_down_sequence(nonuniform_poset(), "p", "q") is None
 
 
 def test_down_up_within_uniform_intervals():
@@ -112,8 +112,8 @@ def test_down_up_within_uniform_intervals():
                 layer = sub.at_rank(r)
                 for a in layer:
                     for b in layer:
-                        assert sub.down_up_sequence(a, b) is not None
-                        assert sub.up_down_sequence(a, b) is not None
+                        assert down_up_sequence(sub, a, b) is not None
+                        assert up_down_sequence(sub, a, b) is not None
 
 
 def test_maximal_chains():

@@ -15,7 +15,13 @@ from cwkoszul.dualalg import (
 from cwkoszul.layered import BOTTOM, graph_from_dict
 from cwkoszul.linalg import QQ, cochain_cohomology
 
-from helpers import random_layered_graph, random_uniform_graphs
+from helpers import (
+    down_up_sequence,
+    matmul,
+    random_layered_graph,
+    random_uniform_graphs,
+    up_down_sequence,
+)
 
 SMALL_CATALOG = ("point", "simplex2", "sphere1", "sphere2", "rp2_six",
                  "example_singular", "three_triangles_shared_edge")
@@ -83,8 +89,8 @@ def test_uniform_random_graphs_connectivity(seed):
             for r in range(1, sub.max_rank + 1):
                 layer = sub.at_rank(r)
                 for a in layer:
-                    assert sub.down_up_sequence(layer[0], a) is not None
-                    assert sub.up_down_sequence(layer[0], a) is not None
+                    assert down_up_sequence(sub, layer[0], a) is not None
+                    assert up_down_sequence(sub, layer[0], a) is not None
 
 
 def test_uniform_random_graphs_word_complex_squares_to_zero():
@@ -104,8 +110,8 @@ def test_layer_differentials_interchange(name):
     layers = {k: build_layer(x, k) for k in range(x.dim + 1)}
     for k in range(1, x.dim + 1):
         for n in sorted(layers[k].bases)[:-1]:
-            left = layers[k - 1].d_up[n].matmul(layers[k].d_down[n])
-            right = layers[k].d_down[n + 1].matmul(layers[k].d_up[n])
+            left = matmul(layers[k - 1].d_up[n], layers[k].d_down[n])
+            right = matmul(layers[k].d_down[n + 1], layers[k].d_up[n])
             assert left == right, (name, n, k)
 
 
