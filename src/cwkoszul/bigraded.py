@@ -189,12 +189,6 @@ def cellular_cohomology(x: RegularCWComplex, field) -> list[int]:
     return cohomology_dims(dims, mats, field)
 
 
-def integral_cellular_cohomology(x: RegularCWComplex) -> list[tuple[int, tuple[int, ...]]]:
-    """Cellular cohomology over Z: (free rank, torsion factors) per degree."""
-    dims, mats = cellular_complex(x, ZZ)
-    return integral_cochain_cohomology(dims, mats)
-
-
 def relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int]:
     """Dimensions of H^n(X, Y_alpha; F), Y_alpha the complement star of alpha.
 

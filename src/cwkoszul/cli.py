@@ -11,6 +11,7 @@ verdict itself onto 0/1.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -403,7 +404,9 @@ def _cmd_catalog(args):
     return data, _canonical_json(data).rstrip("\n").split("\n"), 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="cwkoszul",
         description="Koszulity of layered-graph dual algebras from regular CW complexes",
@@ -479,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report, lines, code = args.fn(args)
     except InputError as exc:

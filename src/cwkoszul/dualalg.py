@@ -1,26 +1,20 @@
-"""The graded dual algebra of a layered graph, presented on descending path words.
+"""The graded dual algebra of a layered graph, presented by head blocks.
 
 The algebra has one degree-1 generator per nonminimal vertex.  A product of
 generators is nonzero only along a strictly descending chain of covers (a
 "path word"), and for every vertex the sum of its one-step continuations
-vanishes.  Consequently each graded component is the span of its path words
-modulo rows that sum, over a fixed prefix and suffix, the admissible middle
-letters.  Left multiplication by the sum of all generators is a differential;
-its cohomology on the blocks of fixed head and tail rank decides Koszulity
-vertex by vertex.
+vanishes.  No relation changes a word's first letter, so each graded
+component A_m is the direct sum of head blocks B(h, m): the degree-m words
+headed by h, modulo relations.
 
-No relation changes a word's first letter, so every component is a direct
-sum of head blocks B(h, m): the degree-m words headed by h, modulo relations.
-A block depends only on the interval below h.  `koszul_decide` presents each
-block once per decision, as the cokernel of A_{m-2} (x) R -> A_{m-1} (x) V
-restricted to h (Polishchuk-Positselski, Quadratic Algebras, 2005): its
-ambient space is the direct sum of the blocks B(c, m-1) over the lower covers
-c of h, so it never lists the path words themselves, and it assembles the
-word complex of every interval from these shared blocks.  The other entry
-points (`graded_component`, `block_component`, `word_complex`, the comparison
-map and the annihilator test) present components on full path words, which
-lets them project arbitrary words; they are the reference the blocks are
-tested against.
+`HeadBlocks` presents each block once per public call, as the cokernel of
+A_{m-2} (x) R -> A_{m-1} (x) V restricted to h (Polishchuk-Positselski,
+Quadratic Algebras, 2005), on the blocks B(c, m-1) of the lower covers c of
+h, so no path word is ever listed.  Every entry point works on these blocks:
+`graded_dims` sums their dimensions, left multiplication by generators is
+made of `HeadBlocks.prepend` maps at block offsets (the annihilator test and
+the differential of `word_complex`, whose cohomology decides Koszulity), and
+the comparison map projects each chain onto block coordinates.
 """
 
 from __future__ import annotations
@@ -34,227 +28,11 @@ from .linalg import (
     SparseExactMatrix,
     cocycle_representatives,
     cohomology_dims,
-    induced_map,
     quotient,
     rank as mat_rank,
     rref_rows,
 )
 from .bigraded import ReducedLayer, reduced_layer, reduced_layers
-
-
-# ---------------------------------------------------------------------------
-# path words and relation rows
-
-
-def path_words(g: LayeredGraph, m: int, memo: dict | None = None) -> list[tuple[str, ...]]:
-    """All descending cover chains of m letters avoiding the minimum, sorted.
-
-    `memo` is a dict owned by one public call, which lets the word lists of
-    that call be built once; nothing is kept beyond it.
-    """
-    memo = {} if memo is None else memo
-    key = ("words", m)
-    if key not in memo:
-        if m == 0:
-            memo[key] = [()]
-        elif m == 1:
-            memo[key] = sorted((v,) for v in g.vertex_ids(skip_bottom=True))
-        else:
-            memo[key] = sorted(
-                (u,) + w
-                for w in path_words(g, m - 1, memo)
-                for u in g.upper_covers(w[0])
-            )
-    return memo[key]
-
-
-def path_words_by_head(
-    g: LayeredGraph, m: int, head_rank: int, memo: dict | None = None
-) -> list[tuple[str, ...]]:
-    """The degree-m path words whose head sits at the given rank, sorted."""
-    memo = {} if memo is None else memo
-    key = ("by_head", m)
-    if key not in memo:
-        groups: dict[int, list[tuple[str, ...]]] = {}
-        for w in path_words(g, m, memo):
-            groups.setdefault(g.rank(w[0]), []).append(w)
-        memo[key] = groups
-    return memo[key].get(head_rank, [])
-
-
-def _relation_rows(
-    g: LayeredGraph, m: int, head_rank: int | None, memo: dict
-) -> list[list[tuple[str, ...]]]:
-    """Relation supports in the degree-m component (optionally one head block).
-
-    One row per (prefix, suffix): the words obtained by inserting each
-    admissible letter between a prefix ending at b and a suffix two ranks
-    further down; their sum vanishes in the algebra.
-
-    Ambient spaces carry path words only: any other word contains a two-letter
-    factor that is itself a relation, so it is zero before these rows apply.
-    """
-    rows: list[list[tuple[str, ...]]] = []
-    covers = g.covers
-    for i in range(1, m):
-        if head_rank is None:
-            prefixes = path_words(g, i, memo)
-        else:
-            prefixes = path_words_by_head(g, i, head_rank, memo)
-        for pi in prefixes:
-            b = pi[-1]
-            rb = g.rank(b)
-            if rb < 2:
-                continue
-            if i == m - 1:
-                rows.append([pi + (c,) for c in g.lower_covers(b)])
-            else:
-                for v in path_words_by_head(g, m - i - 1, rb - 2, memo):
-                    members = [
-                        pi + (c,) + v
-                        for c in g.lower_covers(b)
-                        if (c, v[0]) in covers
-                    ]
-                    if members:
-                        rows.append(members)
-    return rows
-
-
-@dataclass
-class GradedComponent:
-    """One graded component of the dual algebra as a quotient of path words."""
-
-    graph: LayeredGraph
-    degree: int
-    presentation: QuotientPresentation
-
-    @property
-    def dim(self) -> int:
-        return self.presentation.dim
-
-    def labels(self) -> list[tuple[str, ...]]:
-        return self.presentation.labels()
-
-
-def _component(words: list, rows: list, field) -> QuotientPresentation:
-    index = {w: j for j, w in enumerate(words)}
-    rel_rows = [{index[w]: field.one for w in row} for row in rows]
-    rel = SparseExactMatrix.from_rows(rel_rows, len(words), field)
-    return quotient(list(words), rel, field)
-
-
-def graded_component(g: LayeredGraph, m: int, field, memo: dict | None = None) -> GradedComponent:
-    """The full degree-m component; its relation matrix is block diagonal by head.
-
-    `memo` shares path words between the calls of one public function.
-    """
-    memo = {} if memo is None else memo
-    words = path_words(g, m, memo)
-    rows = _relation_rows(g, m, None, memo) if m >= 2 else []
-    return GradedComponent(g, m, _component(words, rows, field))
-
-
-def block_component(
-    g: LayeredGraph, m: int, head_rank: int, field, memo: dict | None = None
-) -> GradedComponent:
-    """The degree-m block of words whose head sits at the given rank (`memo` as above)."""
-    memo = {} if memo is None else memo
-    words = path_words_by_head(g, m, head_rank, memo)
-    rows = _relation_rows(g, m, head_rank, memo) if m >= 2 else []
-    return GradedComponent(g, m, _component(words, rows, field))
-
-
-def graded_dims(g: LayeredGraph, field, up_to: int | None = None) -> list[int]:
-    """Dimensions of the graded components in degrees 1..up_to.
-
-    The default range ends one past the longest descending chain, so the last
-    listed dimension is always 0.
-    """
-    top = g.max_rank + 1 if up_to is None else up_to
-    memo: dict = {}
-    return [graded_component(g, m, field, memo).dim for m in range(1, top + 1)]
-
-
-# ---------------------------------------------------------------------------
-# left multiplication
-
-
-def _lmul_ambient(
-    g: LayeredGraph,
-    coeffs: dict[str, object],
-    src_words: list[tuple[str, ...]],
-    dst_words: list[tuple[str, ...]],
-    field,
-) -> SparseExactMatrix:
-    """Prepend a linear combination of generators, on ambient path words."""
-    dst_index = {w: i for i, w in enumerate(dst_words)}
-    covers = g.covers
-    entries: dict[tuple[int, int], object] = {}
-    for j, w in enumerate(src_words):
-        for y, cv in coeffs.items():
-            if w == ():
-                tgt = (y,)
-            elif (y, w[0]) in covers:
-                tgt = (y,) + w
-            else:
-                continue
-            i = dst_index.get(tgt)
-            if i is not None:
-                entries[(i, j)] = cv
-    return SparseExactMatrix(len(dst_words), len(src_words), entries, field)
-
-
-def _lmul_induced(
-    g: LayeredGraph, coeffs: dict, src: GradedComponent, dst: GradedComponent, field
-) -> SparseExactMatrix:
-    """Left multiplication on quotient coordinates (no relation re-checks;
-    any left multiplication preserves the relation ideal)."""
-    f = _lmul_ambient(g, coeffs, src.presentation.ambient_labels, dst.presentation.ambient_labels, field)
-    cols = [dst.presentation.project(f.apply(src.presentation.lift(q))) for q in range(src.dim)]
-    return SparseExactMatrix.from_columns(cols, dst.dim, field)
-
-
-# ---------------------------------------------------------------------------
-# word complexes and the Koszulity decision
-
-
-@dataclass
-class WordComplex:
-    """For a fixed tail rank k+1: blocks of words graded by head rank, with the
-    differential that prepends every generator one rank above the head."""
-
-    graph: LayeredGraph
-    k: int
-    field: object
-    blocks: dict[int, GradedComponent]
-    mats: dict[int, SparseExactMatrix]
-
-    def dims(self) -> dict[int, int]:
-        return {n: b.dim for n, b in self.blocks.items()}
-
-    def chain(self) -> tuple[list[int], list[SparseExactMatrix]]:
-        ns = sorted(self.blocks)
-        return [self.blocks[n].dim for n in ns], [self.mats[n] for n in ns[:-1]]
-
-
-def word_complex(g: LayeredGraph, k: int, field) -> WordComplex:
-    d = g.max_rank - 1
-    if not 0 <= k <= d:
-        raise GraphError(f"tail index {k} outside 0..{d}")
-    memo: dict = {}
-    blocks = {n: block_component(g, n - k + 1, n + 1, field, memo) for n in range(k, d + 1)}
-    mats: dict[int, SparseExactMatrix] = {}
-    for n in range(k, d):
-        coeffs = {y: field.one for y in g.at_rank(n + 2)}
-        f = _lmul_ambient(
-            g,
-            coeffs,
-            blocks[n].presentation.ambient_labels,
-            blocks[n + 1].presentation.ambient_labels,
-            field,
-        )
-        mats[n] = induced_map(f, blocks[n].presentation, blocks[n + 1].presentation)
-    return WordComplex(g, k, field, blocks, mats)
 
 
 @dataclass
@@ -274,6 +52,10 @@ class KoszulVerdict:
     checked: list[tuple[str, int, bool]]
 
 
+# ---------------------------------------------------------------------------
+# head blocks and their sums
+
+
 class HeadBlocks:
     """The head blocks B(h, m) of one graph over one field, each presented once.
 
@@ -289,7 +71,7 @@ class HeadBlocks:
     reduced echelon forms keep exactly the words that are no combination of
     later words modulo the relations.
 
-    A store serves one `koszul_decide` call and is dropped with it.
+    A store serves one public call and is dropped with it.
     """
 
     def __init__(self, g: LayeredGraph, field):
@@ -303,6 +85,10 @@ class HeadBlocks:
         key = (h, m)
         if key not in self._blocks:
             g, one = self.graph, self.field.one
+            if h == BOTTOM:
+                raise GraphError("the minimum carries no generator")
+            if not 1 <= m <= g.rank(h):
+                raise GraphError(f"degree {m} outside 1..{g.rank(h)} for head {h!r}")
             labels: list[tuple[str, ...]] = []
             offsets: dict[str, int] = {}
             rows: list[dict] = []
@@ -340,40 +126,88 @@ class HeadBlocks:
             ]
         return self._prepends[key]
 
-    def word_complex(self, x: str, k: int) -> tuple[list[list[tuple[str, ...]]], list[SparseExactMatrix]]:
-        """The tail-k word complex of the interval below x, from shared blocks.
 
-        Returns the basis labels of each space, for head degrees k..rank(x)-1,
-        and the differentials between consecutive spaces.  The space of head
-        degree n is the direct sum of B(h, n-k+1) over the vertices h of rank
-        n+1 below x, in sorted order; the differential prepends every
-        generator one rank above the head.
-        """
-        g = self.graph
-        r = g.rank(x)
-        heads = [g.sphere(x, r - n - 1) for n in range(k, r)]
-        labels: list[list[tuple[str, ...]]] = []
-        offsets: list[dict[str, int]] = []
-        for i, hs in enumerate(heads):
-            space: list[tuple[str, ...]] = []
-            offs: dict[str, int] = {}
-            for h in hs:
-                offs[h] = len(space)
-                space.extend(self.block(h, i + 1)[0].labels())
-            labels.append(space)
-            offsets.append(offs)
-        mats = []
-        for i in range(len(heads) - 1):
-            entries = {}
-            for y in heads[i + 1]:
-                oy = offsets[i + 1][y]
-                for h in g.lower_covers(y):
-                    oh = offsets[i][h]
-                    for q, col in enumerate(self.prepend(y, h, i + 1)):
-                        for j, v in col.items():
-                            entries[(oy + j, oh + q)] = v
-            mats.append(SparseExactMatrix(len(labels[i + 1]), len(labels[i]), entries, self.field))
-        return labels, mats
+def block_component(blocks: HeadBlocks, m: int, heads) -> tuple[dict[str, int], int]:
+    """The direct sum of B(h, m) over `heads`, in their order: each block's
+    offset and the total dimension.  Heads of rank below m carry no degree-m
+    word and are skipped."""
+    rank = blocks.graph.rank
+    offsets: dict[str, int] = {}
+    dim = 0
+    for h in heads:
+        if rank(h) >= m:
+            offsets[h] = dim
+            dim += blocks.block(h, m)[0].dim
+    return offsets, dim
+
+
+def graded_component(blocks: HeadBlocks, m: int) -> tuple[dict[str, int], int]:
+    """A_m for m >= 1, the sum of B(h, m) over all nonminimal vertices h."""
+    return block_component(blocks, m, blocks.graph.vertex_ids(skip_bottom=True))
+
+
+def graded_dims(g: LayeredGraph, field, up_to: int | None = None) -> list[int]:
+    """Dimensions of the graded components in degrees 1..up_to.
+
+    The default range ends one past the longest descending chain, so the last
+    listed dimension is always 0.
+    """
+    top = g.max_rank + 1 if up_to is None else up_to
+    blocks = HeadBlocks(g, field)
+    return [graded_component(blocks, m)[1] for m in range(1, top + 1)]
+
+
+def _prepend_columns(blocks: HeadBlocks, gens, m: int, src: dict, dst: dict):
+    """Left multiplication by each of `gens` between the block offsets `src`
+    (degree m) and `dst` (degree m+1): (offset of the generator's block,
+    source coordinate, image in that block) per basis vector of each source
+    block below a generator.  In degree 0 the source is the field itself."""
+    lower, one = blocks.graph.lower_covers, blocks.field.one
+    for y in gens:
+        oy = dst.get(y)
+        if oy is None:
+            continue
+        if m == 0:
+            yield oy, 0, {0: one}
+            continue
+        for h in lower(y):
+            oh = src.get(h)
+            if oh is not None:
+                for q, col in enumerate(blocks.prepend(y, h, m)):
+                    yield oy, oh + q, col
+
+
+def _left_multiplication(blocks: HeadBlocks, gens, m: int, src: tuple, dst: tuple) -> SparseExactMatrix:
+    """Left multiplication by the sum of `gens` between the (offsets, dim)
+    sums `src` of degree m and `dst` of degree m+1."""
+    entries = {}
+    for oy, j, col in _prepend_columns(blocks, gens, m, src[0], dst[0]):
+        for i, v in col.items():
+            entries[(oy + i, j)] = v
+    return SparseExactMatrix(dst[1], src[1], entries, blocks.field)
+
+
+# ---------------------------------------------------------------------------
+# word complexes and the Koszulity decision
+
+
+def word_complex(blocks: HeadBlocks, heads: list) -> tuple[list[list], list[SparseExactMatrix]]:
+    """The word complex whose space i is the sum of B(h, i+1) over heads[i].
+
+    The heads of each space sit one rank above those of the space before, and
+    the differential prepends every head of the next space.  Returns the basis
+    labels of each space and the differentials between consecutive spaces.
+    """
+    comps = [block_component(blocks, i + 1, hs) for i, hs in enumerate(heads)]
+    labels = [
+        [w for h in offsets for w in blocks.block(h, i + 1)[0].labels()]
+        for i, (offsets, _) in enumerate(comps)
+    ]
+    mats = [
+        _left_multiplication(blocks, heads[i + 1], i + 1, comps[i], comps[i + 1])
+        for i in range(len(comps) - 1)
+    ]
+    return labels, mats
 
 
 def koszul_decide(g: LayeredGraph, field) -> KoszulVerdict:
@@ -381,8 +215,10 @@ def koszul_decide(g: LayeredGraph, field) -> KoszulVerdict:
 
     Works bottom-up: for each vertex x of rank >= 2 the word complexes of the
     interval below x must have one-dimensional cohomology concentrated in head
-    degree equal to the tail index.  The first failure yields the witness.
-    Every complex is assembled from head blocks shared by the whole decision.
+    degree equal to the tail index.  The tail-k complex has the heads of rank
+    n+1 below x in head degree n = k..rank(x)-1.  The first failure yields the
+    witness.  Every complex is assembled from head blocks shared by the whole
+    decision.
     """
     ok, wit = g.is_uniform()
     if not ok:
@@ -398,7 +234,7 @@ def koszul_decide(g: LayeredGraph, field) -> KoszulVerdict:
         dtop = r - 1
         failure = None
         for k in range(dtop + 1):
-            labels, mats = blocks.word_complex(x, k)
+            labels, mats = word_complex(blocks, [g.sphere(x, r - n - 1) for n in range(k, r)])
             dims = [len(space) for space in labels]
             hs = cohomology_dims(dims, mats, field)
             if hs[0] != 1:
@@ -436,15 +272,17 @@ def koszul_decide(g: LayeredGraph, field) -> KoszulVerdict:
 def whole_graph_criterion(g: LayeredGraph, field) -> bool:
     """Whole-graph variant: off-diagonal word cohomology vanishes everywhere.
 
-    Coincides with the vertexwise decision when the graph has a unique maximal
-    vertex.  With several maxima the top head degree carries the underlying
-    space's own top cohomology and may be nonzero on Koszul inputs, so this is
-    evaluated only for reporting; verdicts never rely on it.
+    The tail-k complex has every vertex of rank n+1 as a head in head degree
+    n = k..max_rank-1.  This coincides with the vertexwise decision when the
+    graph has a unique maximal vertex.  With several maxima the top head
+    degree carries the space's own top cohomology and may be nonzero on
+    Koszul inputs, so this is only reported; verdicts never rely on it.
     """
-    d = g.max_rank - 1
-    for k in range(d + 1):
-        dims, mats = word_complex(g, k, field).chain()
-        if any(cohomology_dims(dims, mats, field)[1:]):
+    top = g.max_rank
+    blocks = HeadBlocks(g, field)
+    for k in range(top):
+        labels, mats = word_complex(blocks, [g.at_rank(n + 1) for n in range(k, top)])
+        if any(cohomology_dims([len(space) for space in labels], mats, field)[1:]):
             return False
     return True
 
@@ -469,36 +307,25 @@ def annihilator_check(g: LayeredGraph, field, x: str, n: int) -> bool:
     if n == r:
         return True
     top = g.max_rank
-    memo: dict = {}
-    comps = {m: graded_component(g, m, field, memo) for m in range(top + 2)}
-    now = {y: field.one for y in g.sphere(x, n)}
+    blocks = HeadBlocks(g, field)
+    # degree 0 is the field itself
+    comps = [({}, 1)] + [graded_component(blocks, m) for m in range(1, top + 2)]
+    now = g.sphere(x, n)
     nxt = [y for y in g.sphere(x, n + 1) if y != BOTTOM]
     nxt_set = set(nxt)
-    coeffs_next = {y: field.one for y in nxt}
     outside = [y for y in g.vertex_ids(skip_bottom=True) if y not in nxt_set]
     for m in range(top + 1):
-        src, dst = comps[m], comps[m + 1]
-        kmat = _lmul_induced(g, now, src, dst, field)
-        kdim = src.dim - mat_rank(kmat)
+        src = comps[m]
+        kmat = _left_multiplication(blocks, now, m, src, comps[m + 1])
+        kdim = src[1] - mat_rank(kmat)
         vecs: list[dict] = []
         if m >= 1:
             prev = comps[m - 1]
-            if coeffs_next:
-                f = _lmul_ambient(
-                    g, coeffs_next,
-                    prev.presentation.ambient_labels, src.presentation.ambient_labels,
-                    field,
-                )
-                for q in range(prev.dim):
-                    vecs.append(src.presentation.project(f.apply(prev.presentation.lift(q))))
-            covers = g.covers
-            word_index = {w: j for j, w in enumerate(src.presentation.ambient_labels)}
-            for w in prev.labels():
-                for y in outside:
-                    if w == () or (y, w[0]) in covers:
-                        vecs.append(src.presentation.project(
-                            {word_index[(y,) + w]: field.one}
-                        ))
+            vecs = [v for v in _left_multiplication(blocks, nxt, m - 1, prev, src).col_list() if v]
+            vecs += [
+                {oy + i: v for i, v in col.items()}
+                for oy, _, col in _prepend_columns(blocks, outside, m - 1, prev[0], src[0])
+            ]
         jdim = len(rref_rows(vecs, field))
         for v in vecs:
             if kmat.apply(v):
@@ -529,35 +356,47 @@ def sign_of_path(x: RegularCWComplex, chain) -> int:
     return sign
 
 
-def comparison_map(
-    x: RegularCWComplex,
-    field,
-    n: int,
-    k: int,
-    layer: ReducedLayer | None = None,
-    block: GradedComponent | None = None,
-) -> SparseExactMatrix:
-    """The signed path map from the reduced pair space (n, k) to the word block.
+def _word_coordinates(blocks: HeadBlocks, word: tuple[str, ...]) -> dict:
+    """A path word in the coordinates of the block of its head.
 
-    Each pair (upper, lower) goes to the class of its lexicographically
-    smallest connecting chain, weighted by that chain's sign; the choice of
-    chain does not matter in the quotient.
+    The tail's coordinates in its own block, shifted to the tail head's
+    offset, are the word's ambient coordinates, since prepending a letter
+    carries relations to relations.
+    """
+    if len(word) == 1:
+        return {0: blocks.field.one}
+    pres, offsets = blocks.block(word[0], len(word))
+    off = offsets[word[1]]
+    return pres.project({off + i: v for i, v in _word_coordinates(blocks, word[1:]).items()})
+
+
+def comparison_map(
+    x: RegularCWComplex, field, n: int, k: int,
+    layer: ReducedLayer | None = None, blocks: HeadBlocks | None = None,
+) -> SparseExactMatrix:
+    """The signed path map from the reduced pair space (n, k) to the word space.
+
+    The word space is the sum of B(beta, n-k+1) over the n-cells beta, the
+    vertices of rank n+1 of the bar poset.  Each pair (upper, lower) goes to
+    the class of its lexicographically smallest connecting chain, weighted by
+    that chain's sign; the choice of chain does not matter in the quotient.
+    `blocks` is the head-block store of the bar poset over `field`.
     """
     g = x.face_poset_bar()
     if layer is None:
         layer = reduced_layer(x, k, field)
-    if block is None:
-        block = block_component(g, n - k + 1, n + 1, field)
+    if blocks is None:
+        blocks = HeadBlocks(g, field)
+    offsets, dim = block_component(blocks, n - k + 1, g.at_rank(n + 1))
     lq = layer.quotients[n]
-    word_index = {w: i for i, w in enumerate(block.presentation.ambient_labels)}
     cols = []
     for q in range(lq.dim):
         beta, alpha = lq.ambient_labels[lq.nonpivots[q]]
         chain = g.first_maximal_chain(beta, alpha)
         sgn = field.of(sign_of_path(x, chain))
-        vec = block.presentation.project({word_index[chain]: sgn})
-        cols.append(vec)
-    return SparseExactMatrix.from_columns(cols, block.dim, field)
+        off = offsets[beta]
+        cols.append({off + i: sgn * v for i, v in _word_coordinates(blocks, chain).items()})
+    return SparseExactMatrix.from_columns(cols, dim, field)
 
 
 def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]:
@@ -566,17 +405,15 @@ def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]
     Returns (all bijective, rows of (n, k, pair dim, word dim, bijective)).
     """
     x.ensure_valid()
-    g = x.face_poset_bar()
+    blocks = HeadBlocks(x.face_poset_bar(), field)
     d = x.dim
     details = []
     all_ok = True
-    memo: dict = {}
     for layer in reduced_layers(x, field):
         k = layer.k
         for n in range(k, d + 1):
-            block = block_component(g, n - k + 1, n + 1, field, memo)
-            phi = comparison_map(x, field, n, k, layer=layer, block=block)
-            ldim, rdim = layer.quotients[n].dim, block.dim
+            phi = comparison_map(x, field, n, k, layer=layer, blocks=blocks)
+            ldim, rdim = layer.quotients[n].dim, phi.rows
             ok = ldim == rdim and mat_rank(phi) == ldim
             details.append((n, k, ldim, rdim, ok))
             all_ok = all_ok and ok

@@ -107,10 +107,6 @@ class LayeredGraph:
         self.rank(v)
         return self._lower[v]
 
-    def upper_covers(self, v: str) -> tuple[str, ...]:
-        self.rank(v)
-        return self._upper[v]
-
     def le(self, a: str, b: str) -> bool:
         self.rank(a), self.rank(b)
         return a == b or a in self._below[b]
@@ -133,15 +129,6 @@ class LayeredGraph:
         if want < 0:
             return ()
         return tuple(v for v in self.at_rank(want) if v in self._below[x])
-
-    def below(self, x: str) -> "LayeredGraph":
-        """The induced layered graph on [bottom, x]; ranks unchanged, built anew."""
-        self.rank(x)
-        keep = set(self._below[x]) | {x}
-        verts = {v: self.vertices[v] for v in keep}
-        covs = {(u, l) for (u, l) in self.covers if u in keep and l in keep and l != BOTTOM}
-        name = f"{self.name}[<={x}]" if self.name else f"[<={x}]"
-        return LayeredGraph(verts, covs, name=name)
 
     # -- structure predicates ------------------------------------------------
 

@@ -219,10 +219,6 @@ class SparseExactMatrix:
         return cls(rows, cols, {}, ring)
 
     @classmethod
-    def identity(cls, n: int, ring) -> "SparseExactMatrix":
-        return cls(n, n, {(i, i): ring.one for i in range(n)}, ring)
-
-    @classmethod
     def from_columns(cls, cols: list[dict], nrows: int, ring) -> "SparseExactMatrix":
         entries = {}
         for j, col in enumerate(cols):
@@ -237,9 +233,6 @@ class SparseExactMatrix:
             for j, v in row.items():
                 entries[(i, j)] = v
         return cls(len(rows), ncols, entries, ring)
-
-    def row(self, i: int) -> dict:
-        return {j: v for (r, j), v in self.entries.items() if r == i}
 
     def row_list(self) -> list[dict]:
         rows = [dict() for _ in range(self.rows)]

@@ -107,7 +107,7 @@ def dense_rref(rows: list[list], p: int = 0) -> list[tuple[int, dict]]:
 def reference_koszul_decide(g: LayeredGraph, field):
     """The per-interval Koszulity decision: a fresh interval subgraph and
     path-word word complexes for every vertex, with no blocks shared."""
-    from cwkoszul.dualalg import KoszulVerdict, KoszulWitness, word_complex
+    from cwkoszul.dualalg import KoszulVerdict, KoszulWitness
     from cwkoszul.layered import GraphError
     from cwkoszul.linalg import cochain_cohomology
 
@@ -121,11 +121,11 @@ def reference_koszul_decide(g: LayeredGraph, field):
         r = g.rank(x)
         if r < 2:
             continue
-        sub = g.below(x)
+        sub = below(g, x)
         dtop = r - 1
         failure = None
         for k in range(dtop + 1):
-            wc = word_complex(sub, k, field)
+            wc = path_word_complex(sub, k, field)
             dims, mats = wc.chain()
             homs = cochain_cohomology(dims, mats, field)
             if homs[0][0] != 1:
@@ -199,8 +199,9 @@ def _linked_sequence(g: LayeredGraph, a: str, a2: str, shared: str):
         raise GraphError(f"{a!r} and {a2!r} have different ranks")
     if a == a2:
         return [a], []
-    nbrs = g.lower_covers if shared == "lower" else g.upper_covers
-    side = g.upper_covers if shared == "lower" else g.lower_covers
+    up = lambda v: upper_covers(g, v)
+    nbrs = g.lower_covers if shared == "lower" else up
+    side = up if shared == "lower" else g.lower_covers
     prev: dict[str, tuple[str, str]] = {a: ("", "")}
     queue = deque([a])
     while queue:
@@ -277,10 +278,9 @@ def complement_star(x: RegularCWComplex, alpha: str) -> Subcomplex:
 
 def word_cohomology(g: LayeredGraph, k: int, field):
     """Cohomology of the tail-k word complex, listed for head degrees k..d."""
-    from cwkoszul.dualalg import word_complex
     from cwkoszul.linalg import cochain_cohomology
 
-    dims, mats = word_complex(g, k, field).chain()
+    dims, mats = path_word_complex(g, k, field).chain()
     return cochain_cohomology(dims, mats, field)
 
 
@@ -316,3 +316,349 @@ def scan_relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int
 
     dims, mats = scan_relative_complex(x, alpha, field)
     return [h for h, _ in cochain_cohomology(dims, mats, field)]
+
+
+def identity(n: int, ring):
+    """The n x n identity matrix."""
+    from cwkoszul.linalg import SparseExactMatrix
+
+    return SparseExactMatrix(n, n, {(i, i): ring.one for i in range(n)}, ring)
+
+
+def upper_covers(g: LayeredGraph, v: str) -> tuple[str, ...]:
+    """The vertices covering v, sorted."""
+    g.rank(v)
+    return g._upper[v]
+
+
+def below(g: LayeredGraph, x: str) -> LayeredGraph:
+    """The induced layered graph on [bottom, x]; ranks unchanged, built anew."""
+    from cwkoszul.layered import BOTTOM
+
+    g.rank(x)
+    keep = set(g.strictly_below(x)) | {x}
+    verts = {v: g.vertices[v] for v in keep}
+    covs = {(u, l) for (u, l) in g.covers if u in keep and l in keep and l != BOTTOM}
+    name = f"{g.name}[<={x}]" if g.name else f"[<={x}]"
+    return LayeredGraph(verts, covs, name=name)
+
+
+def integral_cellular_cohomology(x: RegularCWComplex) -> list[tuple[int, tuple[int, ...]]]:
+    """Cellular cohomology over Z: (free rank, torsion factors) per degree."""
+    from cwkoszul.bigraded import cellular_complex
+    from cwkoszul.linalg import ZZ, integral_cochain_cohomology
+
+    dims, mats = cellular_complex(x, ZZ)
+    return integral_cochain_cohomology(dims, mats)
+
+
+# ---------------------------------------------------------------------------
+# the path-word presentation: the reference the head blocks are tested against
+#
+# Each graded component is the span of its path words (descending cover
+# chains avoiding the minimum) modulo rows that sum, over a fixed prefix and
+# suffix, the admissible middle letters.  `memo` is a dict owned by one call
+# of a reference entry point, which lets its word lists be built once.
+
+
+def path_words(g: LayeredGraph, m: int, memo: dict | None = None) -> list[tuple[str, ...]]:
+    """All descending cover chains of m letters avoiding the minimum, sorted."""
+    memo = {} if memo is None else memo
+    key = ("words", m)
+    if key not in memo:
+        if m == 0:
+            memo[key] = [()]
+        elif m == 1:
+            memo[key] = sorted((v,) for v in g.vertex_ids(skip_bottom=True))
+        else:
+            memo[key] = sorted(
+                (u,) + w
+                for w in path_words(g, m - 1, memo)
+                for u in upper_covers(g, w[0])
+            )
+    return memo[key]
+
+
+def path_words_by_head(
+    g: LayeredGraph, m: int, head_rank: int, memo: dict | None = None
+) -> list[tuple[str, ...]]:
+    """The degree-m path words whose head sits at the given rank, sorted."""
+    memo = {} if memo is None else memo
+    key = ("by_head", m)
+    if key not in memo:
+        groups: dict[int, list[tuple[str, ...]]] = {}
+        for w in path_words(g, m, memo):
+            groups.setdefault(g.rank(w[0]), []).append(w)
+        memo[key] = groups
+    return memo[key].get(head_rank, [])
+
+
+def _relation_rows(
+    g: LayeredGraph, m: int, head_rank: int | None, memo: dict
+) -> list[list[tuple[str, ...]]]:
+    """Relation supports in the degree-m component (optionally one head rank).
+
+    One row per (prefix, suffix): the words obtained by inserting each
+    admissible letter between a prefix ending at b and a suffix two ranks
+    further down; their sum vanishes in the algebra.  Ambient spaces carry
+    path words only: any other word contains a two-letter factor that is
+    itself a relation, so it is zero before these rows apply.
+    """
+    rows: list[list[tuple[str, ...]]] = []
+    covers = g.covers
+    for i in range(1, m):
+        if head_rank is None:
+            prefixes = path_words(g, i, memo)
+        else:
+            prefixes = path_words_by_head(g, i, head_rank, memo)
+        for pi in prefixes:
+            b = pi[-1]
+            rb = g.rank(b)
+            if rb < 2:
+                continue
+            if i == m - 1:
+                rows.append([pi + (c,) for c in g.lower_covers(b)])
+            else:
+                for v in path_words_by_head(g, m - i - 1, rb - 2, memo):
+                    members = [
+                        pi + (c,) + v
+                        for c in g.lower_covers(b)
+                        if (c, v[0]) in covers
+                    ]
+                    if members:
+                        rows.append(members)
+    return rows
+
+
+@dataclass
+class GradedComponent:
+    """One graded component (or head-rank block) as a quotient of path words."""
+
+    graph: LayeredGraph
+    degree: int
+    presentation: object
+
+    @property
+    def dim(self) -> int:
+        return self.presentation.dim
+
+    def labels(self) -> list[tuple[str, ...]]:
+        return self.presentation.labels()
+
+
+def _component(words: list, rows: list, field):
+    from cwkoszul.linalg import SparseExactMatrix, quotient
+
+    index = {w: j for j, w in enumerate(words)}
+    rel_rows = [{index[w]: field.one for w in row} for row in rows]
+    rel = SparseExactMatrix.from_rows(rel_rows, len(words), field)
+    return quotient(list(words), rel, field)
+
+
+def path_graded_component(g: LayeredGraph, m: int, field, memo: dict | None = None) -> GradedComponent:
+    """The full degree-m component; its relation matrix is block diagonal by head."""
+    memo = {} if memo is None else memo
+    words = path_words(g, m, memo)
+    rows = _relation_rows(g, m, None, memo) if m >= 2 else []
+    return GradedComponent(g, m, _component(words, rows, field))
+
+
+def path_block_component(
+    g: LayeredGraph, m: int, head_rank: int, field, memo: dict | None = None
+) -> GradedComponent:
+    """The degree-m block of words whose head sits at the given rank."""
+    memo = {} if memo is None else memo
+    words = path_words_by_head(g, m, head_rank, memo)
+    rows = _relation_rows(g, m, head_rank, memo) if m >= 2 else []
+    return GradedComponent(g, m, _component(words, rows, field))
+
+
+def path_graded_dims(g: LayeredGraph, field, up_to: int | None = None) -> list[int]:
+    """Dimensions of the graded components in degrees 1..up_to, on path words."""
+    top = g.max_rank + 1 if up_to is None else up_to
+    memo: dict = {}
+    return [path_graded_component(g, m, field, memo).dim for m in range(1, top + 1)]
+
+
+def _lmul_ambient(g: LayeredGraph, coeffs: dict, src_words: list, dst_words: list, field):
+    """Prepend a linear combination of generators, on ambient path words."""
+    from cwkoszul.linalg import SparseExactMatrix
+
+    dst_index = {w: i for i, w in enumerate(dst_words)}
+    covers = g.covers
+    entries: dict[tuple[int, int], object] = {}
+    for j, w in enumerate(src_words):
+        for y, cv in coeffs.items():
+            if w == ():
+                tgt = (y,)
+            elif (y, w[0]) in covers:
+                tgt = (y,) + w
+            else:
+                continue
+            i = dst_index.get(tgt)
+            if i is not None:
+                entries[(i, j)] = cv
+    return SparseExactMatrix(len(dst_words), len(src_words), entries, field)
+
+
+def _lmul_induced(g: LayeredGraph, coeffs: dict, src: GradedComponent, dst: GradedComponent, field):
+    """Left multiplication on quotient coordinates (no relation re-checks;
+    any left multiplication preserves the relation ideal)."""
+    from cwkoszul.linalg import SparseExactMatrix
+
+    f = _lmul_ambient(g, coeffs, src.presentation.ambient_labels, dst.presentation.ambient_labels, field)
+    cols = [dst.presentation.project(f.apply(src.presentation.lift(q))) for q in range(src.dim)]
+    return SparseExactMatrix.from_columns(cols, dst.dim, field)
+
+
+@dataclass
+class WordComplex:
+    """For a fixed tail rank k+1: blocks of words graded by head rank, with the
+    differential that prepends every generator one rank above the head."""
+
+    graph: LayeredGraph
+    k: int
+    field: object
+    blocks: dict
+    mats: dict
+
+    def dims(self) -> dict[int, int]:
+        return {n: b.dim for n, b in self.blocks.items()}
+
+    def chain(self):
+        ns = sorted(self.blocks)
+        return [self.blocks[n].dim for n in ns], [self.mats[n] for n in ns[:-1]]
+
+
+def path_word_complex(g: LayeredGraph, k: int, field) -> WordComplex:
+    """The whole-graph tail-k word complex on path words, maps through
+    `induced_map` (which checks that relations go to relations)."""
+    from cwkoszul.layered import GraphError
+    from cwkoszul.linalg import induced_map
+
+    d = g.max_rank - 1
+    if not 0 <= k <= d:
+        raise GraphError(f"tail index {k} outside 0..{d}")
+    memo: dict = {}
+    blocks = {n: path_block_component(g, n - k + 1, n + 1, field, memo) for n in range(k, d + 1)}
+    mats = {}
+    for n in range(k, d):
+        coeffs = {y: field.one for y in g.at_rank(n + 2)}
+        f = _lmul_ambient(
+            g, coeffs,
+            blocks[n].presentation.ambient_labels, blocks[n + 1].presentation.ambient_labels,
+            field,
+        )
+        mats[n] = induced_map(f, blocks[n].presentation, blocks[n + 1].presentation)
+    return WordComplex(g, k, field, blocks, mats)
+
+
+def path_whole_graph_criterion(g: LayeredGraph, field) -> bool:
+    """`whole_graph_criterion` on path-word complexes."""
+    from cwkoszul.linalg import cohomology_dims
+
+    for k in range(g.max_rank):
+        dims, mats = path_word_complex(g, k, field).chain()
+        if any(cohomology_dims(dims, mats, field)[1:]):
+            return False
+    return True
+
+
+def path_annihilator_check(g: LayeredGraph, field, x: str, n: int, memo: dict | None = None) -> bool:
+    """`annihilator_check` on full path-word components; a `memo` shared by
+    calls on one graph over one field keeps their components."""
+    from cwkoszul.layered import BOTTOM, GraphError
+    from cwkoszul.linalg import rank, rref_rows
+
+    r = g.rank(x)
+    if x == BOTTOM:
+        raise GraphError("the minimum carries no generator")
+    if not 0 <= n <= r:
+        raise GraphError(f"depth {n} outside 0..{r}")
+    if n == r:
+        return True
+    top = g.max_rank
+    memo = {} if memo is None else memo
+    if "components" not in memo:
+        memo["components"] = {m: path_graded_component(g, m, field, memo) for m in range(top + 2)}
+    comps = memo["components"]
+    now = {y: field.one for y in g.sphere(x, n)}
+    nxt = [y for y in g.sphere(x, n + 1) if y != BOTTOM]
+    nxt_set = set(nxt)
+    coeffs_next = {y: field.one for y in nxt}
+    outside = [y for y in g.vertex_ids(skip_bottom=True) if y not in nxt_set]
+    for m in range(top + 1):
+        src, dst = comps[m], comps[m + 1]
+        kmat = _lmul_induced(g, now, src, dst, field)
+        kdim = src.dim - rank(kmat)
+        vecs: list[dict] = []
+        if m >= 1:
+            prev = comps[m - 1]
+            if coeffs_next:
+                f = _lmul_ambient(
+                    g, coeffs_next,
+                    prev.presentation.ambient_labels, src.presentation.ambient_labels,
+                    field,
+                )
+                for q in range(prev.dim):
+                    vecs.append(src.presentation.project(f.apply(prev.presentation.lift(q))))
+            covers = g.covers
+            word_index = {w: j for j, w in enumerate(src.presentation.ambient_labels)}
+            for w in prev.labels():
+                for y in outside:
+                    if w == () or (y, w[0]) in covers:
+                        vecs.append(src.presentation.project({word_index[(y,) + w]: field.one}))
+        jdim = len(rref_rows(vecs, field))
+        for v in vecs:
+            if kmat.apply(v):
+                raise AssertionError(
+                    "internal error: annihilator span escapes the kernel "
+                    f"at vertex {x!r}, depth {n}, degree {m}"
+                )
+        if jdim != kdim:
+            return False
+    return True
+
+
+def path_comparison_map(x: RegularCWComplex, field, n: int, k: int, layer=None, block=None):
+    """`comparison_map` into the path-word block of head rank n+1."""
+    from cwkoszul.bigraded import reduced_layer
+    from cwkoszul.dualalg import sign_of_path
+    from cwkoszul.linalg import SparseExactMatrix
+
+    g = x.face_poset_bar()
+    if layer is None:
+        layer = reduced_layer(x, k, field)
+    if block is None:
+        block = path_block_component(g, n - k + 1, n + 1, field)
+    lq = layer.quotients[n]
+    word_index = {w: i for i, w in enumerate(block.presentation.ambient_labels)}
+    cols = []
+    for q in range(lq.dim):
+        beta, alpha = lq.ambient_labels[lq.nonpivots[q]]
+        chain = g.first_maximal_chain(beta, alpha)
+        sgn = field.of(sign_of_path(x, chain))
+        cols.append(block.presentation.project({word_index[chain]: sgn}))
+    return SparseExactMatrix.from_columns(cols, block.dim, field)
+
+
+def path_comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]:
+    """`comparison_iso_check` on path-word blocks."""
+    from cwkoszul.bigraded import reduced_layers
+    from cwkoszul.linalg import rank
+
+    x.ensure_valid()
+    g = x.face_poset_bar()
+    details = []
+    all_ok = True
+    memo: dict = {}
+    for layer in reduced_layers(x, field):
+        k = layer.k
+        for n in range(k, x.dim + 1):
+            block = path_block_component(g, n - k + 1, n + 1, field, memo)
+            phi = path_comparison_map(x, field, n, k, layer=layer, block=block)
+            ldim, rdim = layer.quotients[n].dim, block.dim
+            ok = ldim == rdim and rank(phi) == ldim
+            details.append((n, k, ldim, rdim, ok))
+            all_ok = all_ok and ok
+    return all_ok, details

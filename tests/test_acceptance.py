@@ -18,15 +18,19 @@ from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.cli import main
 from cwkoszul.dualalg import (
     annihilator_check,
-    block_component,
     comparison_iso_check,
-    graded_component,
     koszul_decide,
-    word_complex,
 )
 from cwkoszul.linalg import GF, QQ, ZZ, cochain_cohomology
 
-from helpers import matmul, random_uniform_graphs, word_cohomology
+from helpers import (
+    matmul,
+    path_block_component,
+    path_graded_component,
+    path_word_complex,
+    random_uniform_graphs,
+    word_cohomology,
+)
 
 FIELDS = (QQ, GF(2), GF(3))
 
@@ -206,16 +210,16 @@ def test_criterion_9_property_suite():
     graphs += random_uniform_graphs(50, seed=20250809)
     for g in graphs:
         for k in range(g.max_rank):
-            wc = word_complex(g, k, QQ)
+            wc = path_word_complex(g, k, QQ)
             dims, mats = wc.chain()
             homs = cochain_cohomology(dims, mats, QQ)
             ok = ok and sum((-1) ** i * d for i, d in enumerate(dims)) == sum(
                 (-1) ** i * h for i, (h, _) in enumerate(homs)
             )
         for m in range(1, g.max_rank + 1):
-            total = graded_component(g, m, QQ).dim
+            total = path_graded_component(g, m, QQ).dim
             blocks = sum(
-                block_component(g, m, r, QQ).dim for r in range(1, g.max_rank + 1)
+                path_block_component(g, m, r, QQ).dim for r in range(1, g.max_rank + 1)
             )
             ok = ok and total == blocks
 

@@ -7,7 +7,6 @@ from cwkoszul.bigraded import (
     cellular_cohomology,
     cellular_complex,
     hx_table,
-    integral_cellular_cohomology,
     koszul_obstructions,
     pair_basis,
     reduced_layer,
@@ -27,6 +26,7 @@ from cwkoszul.linalg import (
 )
 
 from helpers import (
+    integral_cellular_cohomology,
     is_zero,
     matmul,
     scan_pair_basis,

@@ -94,6 +94,19 @@ def test_koszul_without_exit_status_returns_zero():
     assert main(["koszul", "catalog:example_singular", "--poset", "hat"]) == 0
 
 
+def test_parser_shared_between_calls_keeps_no_option(capsys):
+    # the argparse tree is built once per process; options of one call must
+    # not reach the next, whichever position they were given in
+    for json_first in (["--json", "koszul"], ["koszul", "--json"]):
+        argv = json_first + ["catalog:rp2_six", "--poset", "hat", "--field", "f2", "--exit-status"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and json.loads(out)["command"] == "koszul"
+        code, out, _ = run(capsys, "cohomology", "catalog:sphere2", "--field", "f2")
+        assert code == 0 and out.startswith("cellular cohomology of 'sphere2' over F2\n")
+        code, out, _ = run(capsys, "koszul", "catalog:rp2_six", "--poset", "hat", "--field", "f2")
+        assert code == 0 and out.startswith("dual algebra of the hat poset")
+
+
 def test_koszul_json_witness(capsys):
     code, out, _ = run(capsys, "--json", "koszul", "catalog:example_singular",
                        "--poset", "hat", "--field", "f2")

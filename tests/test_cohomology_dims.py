@@ -20,7 +20,7 @@ from cwkoszul.linalg import (
     rank,
 )
 
-from helpers import scan_relative_complex
+from helpers import identity, path_word_complex, scan_relative_complex
 
 FIELDS = (QQ, GF(2), GF(3))
 SMALL = [n for n in catalog_names() if n not in ("simplex5", "sphere4")]
@@ -110,13 +110,14 @@ def _catalog_complexes(x, ring):
         yield f"reduced layer {k}", reduced_layer(x, k, ring).chain()
     g = x.face_poset_bar()
     for k in range(g.max_rank):
-        yield f"word complex {k}", word_complex(g, k, ring).chain()
+        yield f"word complex {k}", path_word_complex(g, k, ring).chain()
     if x.is_pure():
         hat = x.face_poset_hat()
         blocks = HeadBlocks(hat, ring)
         for v in hat.vertex_ids():
-            for k in range(hat.rank(v)):
-                labels, mats = blocks.word_complex(v, k)
+            r = hat.rank(v)
+            for k in range(r):
+                labels, mats = word_complex(blocks, [hat.sphere(v, r - n - 1) for n in range(k, r)])
                 yield f"interval below {v}, tail {k}", ([len(s) for s in labels], mats)
 
 
@@ -132,7 +133,7 @@ def test_dims_equal_full_cohomology_on_catalog_complexes(ring):
 
 
 def test_dims_reject_nonzero_composite():
-    ident = SparseExactMatrix.identity(1, QQ)
+    ident = identity(1, QQ)
     with pytest.raises(ValueError, match="composition"):
         cohomology_dims([1, 1, 1], [ident, ident], QQ)
     twice = SparseExactMatrix.from_rows([{0: 1}, {0: 1}], 1, GF(3))
@@ -144,7 +145,7 @@ def test_dims_reject_nonzero_composite():
 
 
 def test_dims_reject_shape_mismatch():
-    ident = SparseExactMatrix.identity(1, QQ)
+    ident = identity(1, QQ)
     with pytest.raises(ValueError, match="shape"):
         cohomology_dims([2, 1], [ident], QQ)
     with pytest.raises(ValueError, match="one differential less"):
@@ -152,7 +153,7 @@ def test_dims_reject_shape_mismatch():
 
 
 def test_integral_rejects_nonzero_composite_and_shape_mismatch():
-    ident = SparseExactMatrix.identity(1, ZZ)
+    ident = identity(1, ZZ)
     with pytest.raises(ValueError, match="composition"):
         integral_cochain_cohomology([1, 1, 1], [ident, ident])
     with pytest.raises(ValueError, match="shape"):

@@ -6,27 +6,29 @@ from cwkoszul.bigraded import reduced_layer
 from cwkoszul.catalog import catalog
 from cwkoszul.cw import ComplexError
 from cwkoszul.dualalg import (
+    HeadBlocks,
     annihilator_check,
-    block_component,
     comparison_iso_check,
     comparison_map,
-    graded_component,
     graded_dims,
     koszul_decide,
-    path_words,
     whole_graph_criterion,
     sign_of_path,
-    word_complex,
 )
 from cwkoszul.layered import BOTTOM, GraphError
 from cwkoszul.linalg import GF, QQ
 
 from helpers import (
+    below,
     closed_cell,
     edge_poset,
     is_zero,
     matmul,
     nonuniform_poset,
+    path_block_component,
+    path_graded_component,
+    path_word_complex,
+    path_words,
     word_cohomology,
 )
 
@@ -49,7 +51,7 @@ def test_graded_dims_point_and_edge():
 
 def test_edge_degree_two_presentation():
     g = edge_poset()
-    comp = graded_component(g, 2, QQ)
+    comp = path_graded_component(g, 2, QQ)
     assert comp.presentation.ambient_labels == [("e", "a"), ("e", "b")]
     assert comp.dim == 1
     assert comp.labels() == [("e", "b")]
@@ -58,14 +60,14 @@ def test_edge_degree_two_presentation():
 def test_dims_vanish_above_max_rank():
     for name in ("simplex2", "sphere2"):
         g = catalog(name).face_poset_bar()
-        assert graded_component(g, g.max_rank + 1, QQ).dim == 0
+        assert path_graded_component(g, g.max_rank + 1, QQ).dim == 0
 
 
 def test_word_complex_differentials_square_to_zero():
     for name in ("simplex3", "example_singular"):
         g = catalog(name).face_poset_bar()
         for k in range(g.max_rank):
-            wc = word_complex(g, k, QQ)
+            wc = path_word_complex(g, k, QQ)
             ns = sorted(wc.mats)
             for n in ns[:-1]:
                 assert is_zero(matmul(wc.mats[n + 1], wc.mats[n]))
@@ -74,14 +76,14 @@ def test_word_complex_differentials_square_to_zero():
 def test_word_complex_top_tail():
     g = catalog("sphere2").face_poset_bar()
     d = g.max_rank - 1
-    wc = word_complex(g, d, QQ)
+    wc = path_word_complex(g, d, QQ)
     assert set(wc.blocks) == {d}
     assert wc.blocks[d].dim == len(g.at_rank(d + 1))
 
 
 def test_word_complex_bad_tail():
     with pytest.raises(GraphError, match="outside"):
-        word_complex(edge_poset(), 5, QQ)
+        path_word_complex(edge_poset(), 5, QQ)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -129,8 +131,8 @@ def test_witness_cocycle_is_a_nonzero_cocycle():
     g = catalog("example_singular").face_poset_hat()
     v = koszul_decide(g, QQ)
     w = v.witness
-    sub = g.below(w.vertex)
-    wc = word_complex(sub, w.k, QQ)
+    sub = below(g, w.vertex)
+    wc = path_word_complex(sub, w.k, QQ)
     labels = wc.blocks[w.n].labels()
     vec = {labels.index(word): c for word, c in w.cocycle}
     assert vec
@@ -174,9 +176,9 @@ def test_block_sum_identity():
     for name in ("simplex2", "sphere2", "example_singular"):
         g = catalog(name).face_poset_bar()
         for m in range(1, g.max_rank + 1):
-            comp = graded_component(g, m, QQ)
+            comp = path_graded_component(g, m, QQ)
             by_rank = sum(
-                block_component(g, m, r, QQ).dim for r in range(1, g.max_rank + 1)
+                path_block_component(g, m, r, QQ).dim for r in range(1, g.max_rank + 1)
             )
             assert comp.dim == by_rank, (name, m)
 
@@ -187,13 +189,13 @@ def test_subalgebra_dimension_identity():
     for x in g.vertex_ids():
         if g.rank(x) == 0:
             continue
-        sub = g.below(x)
+        sub = below(g, x)
         for m in range(1, g.max_rank + 1):
-            comp = graded_component(g, m, QQ)
+            comp = path_graded_component(g, m, QQ)
             inside = sum(
                 1 for w in comp.labels() if all(v == x or g.le(v, x) for v in w)
             )
-            assert inside == graded_component(sub, m, QQ).dim, (x, m)
+            assert inside == path_graded_component(sub, m, QQ).dim, (x, m)
 
 
 def test_annihilator_depth_zero_always_holds():
@@ -252,7 +254,7 @@ def test_signed_words_are_path_independent():
                 nb, ka = x.cell_dim(beta), x.cell_dim(alpha)
                 if nb == ka:
                     continue
-                block = block_component(g, nb - ka + 1, nb + 1, QQ)
+                block = path_block_component(g, nb - ka + 1, nb + 1, QQ)
                 idx = {w: i for i, w in enumerate(block.presentation.ambient_labels)}
                 chains = g.maximal_chains(beta, alpha)
                 images = {
@@ -272,10 +274,11 @@ def test_comparison_map_is_chain_map():
         for f in (QQ, GF(2)):
             for k in range(d + 1):
                 layer = reduced_layer(x, k, f)
-                wc = word_complex(g, k, f)
+                blocks = HeadBlocks(g, f)
+                wc = path_word_complex(g, k, f)
                 for n in range(k, d):
-                    phi_n = comparison_map(x, f, n, k, layer=layer, block=wc.blocks[n])
-                    phi_n1 = comparison_map(x, f, n + 1, k, layer=layer, block=wc.blocks[n + 1])
+                    phi_n = comparison_map(x, f, n, k, layer=layer, blocks=blocks)
+                    phi_n1 = comparison_map(x, f, n + 1, k, layer=layer, blocks=blocks)
                     assert matmul(phi_n1, layer.mats[n]) == matmul(wc.mats[n], phi_n)
 
 

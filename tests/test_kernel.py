@@ -16,7 +16,7 @@ from cwkoszul.linalg import (
     rref_rows,
 )
 
-from helpers import dense_rref
+from helpers import dense_rref, identity
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -127,4 +127,4 @@ def test_integers_are_refused():
     with pytest.raises(TypeError, match="not a field"):
         rref_rows([{0: 2}], ZZ)
     with pytest.raises(TypeError, match="not a field"):
-        cochain_cohomology([1, 1], [SparseExactMatrix.identity(1, ZZ)], ZZ)
+        cochain_cohomology([1, 1], [identity(1, ZZ)], ZZ)

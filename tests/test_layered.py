@@ -5,7 +5,7 @@ import pytest
 from cwkoszul.catalog import catalog
 from cwkoszul.layered import BOTTOM, GraphError, LayeredGraph, graph_from_dict
 
-from helpers import down_up_sequence, edge_poset, nonuniform_poset, up_down_sequence
+from helpers import below, down_up_sequence, edge_poset, nonuniform_poset, up_down_sequence
 
 
 def test_construction_rejects_bad_rank_drop():
@@ -25,25 +25,25 @@ def test_construction_rejects_explicit_bottom_cover():
 
 def test_below_minimum_is_single_vertex():
     g = edge_poset()
-    sub = g.below(BOTTOM)
+    sub = below(g, BOTTOM)
     assert set(sub.vertices) == {BOTTOM}
 
 
 def test_below_edge_of_hollow_triangle_has_four_elements():
     g = catalog("sphere1").face_poset_bar()
-    sub = g.below("01")
+    sub = below(g, "01")
     assert set(sub.vertices) == {BOTTOM, "0", "1", "01"}
     assert sub.rank("01") == 2
 
 
 def test_below_top_is_whole_graph():
     g = catalog("simplex2").face_poset_bar()
-    assert g.below("012") == g
+    assert below(g, "012") == g
 
 
 def test_below_unknown_vertex():
     with pytest.raises(GraphError, match="unknown"):
-        edge_poset().below("zz")
+        below(edge_poset(), "zz")
 
 
 def test_sphere_examples():
@@ -66,10 +66,10 @@ def test_uniform_iff_all_intervals_uniform():
     for name in ("sphere2", "example_singular"):
         g = catalog(name).face_poset_bar()
         assert g.is_uniform()[0]
-        assert all(g.below(x).is_uniform()[0] for x in g.vertex_ids())
+        assert all(below(g, x).is_uniform()[0] for x in g.vertex_ids())
     g = nonuniform_poset()
     assert not g.is_uniform()[0]
-    assert not all(g.below(x).is_uniform()[0] for x in g.vertex_ids())
+    assert not all(below(g, x).is_uniform()[0] for x in g.vertex_ids())
 
 
 def test_hat_poset_of_singular_solid_is_uniform():
@@ -107,7 +107,7 @@ def test_down_up_within_uniform_intervals():
     for name in ("sphere2", "simplex3", "example_singular"):
         g = catalog(name).face_poset_bar()
         for x in g.vertex_ids():
-            sub = g.below(x)
+            sub = below(g, x)
             for r in range(1, sub.max_rank + 1):
                 layer = sub.at_rank(r)
                 for a in layer:

@@ -27,7 +27,7 @@ from cwkoszul.linalg import (
     smith_normal_form,
 )
 
-from helpers import debug_triples, is_zero, kernel_basis, matmul
+from helpers import debug_triples, identity, is_zero, kernel_basis, matmul
 
 
 def dense(rows, ring):
@@ -67,7 +67,7 @@ def test_kernel_of_zero_map_is_full_basis():
     vecs = kernel_vectors(m)
     assert vecs == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
     kb = kernel_basis(m)
-    assert kb == SparseExactMatrix.identity(3, QQ)
+    assert kb == identity(3, QQ)
 
 
 def test_kernel_vectors_annihilate():
@@ -126,8 +126,8 @@ def test_project_lift_identity():
 def test_induced_map_identity_and_zero():
     rel = dense([[1, 1]], QQ)
     q = quotient(["u", "v"], rel, QQ)
-    ident = SparseExactMatrix.identity(2, QQ)
-    assert induced_map(ident, q, q) == SparseExactMatrix.identity(1, QQ)
+    ident = identity(2, QQ)
+    assert induced_map(ident, q, q) == identity(1, QQ)
     zero = SparseExactMatrix.zero(2, 2, QQ)
     assert is_zero(induced_map(zero, q, q))
 
@@ -157,7 +157,7 @@ def test_induced_composition(f, extra):
     fq = f.convert(QQ)
     mid_rows = [fq.apply(r) for r in src_rel.row_list()]
     mid = quotient(list(range(f.rows)), SparseExactMatrix.from_rows(mid_rows, f.rows, QQ), QQ)
-    g = SparseExactMatrix.identity(f.rows, QQ)
+    g = identity(f.rows, QQ)
     dst = mid
     left = induced_map(matmul(g, fq), src, dst)
     right = matmul(induced_map(g, mid, dst), induced_map(fq, src, mid))
@@ -169,13 +169,13 @@ def test_cochain_cohomology_single_space():
 
 
 def test_cochain_cohomology_identity_map():
-    ident = SparseExactMatrix.identity(1, QQ)
+    ident = identity(1, QQ)
     homs = cochain_cohomology([1, 1], [ident], QQ)
     assert [h for h, _ in homs] == [0, 0]
 
 
 def test_cochain_cohomology_rejects_nonzero_composition():
-    ident = SparseExactMatrix.identity(1, QQ)
+    ident = identity(1, QQ)
     with pytest.raises(ValueError, match="composition"):
         cochain_cohomology([1, 1, 1], [ident, ident], QQ)
 
@@ -234,9 +234,9 @@ def test_integral_quotient_rejects_torsion():
 def test_induced_map_integral_identity():
     rel = dense([[1, 1]], ZZ)
     q = IntegralQuotient(["u", "v"], rel)
-    ident = SparseExactMatrix.identity(2, ZZ)
+    ident = identity(2, ZZ)
     m = induced_map_integral(ident, q, q)
-    assert m == SparseExactMatrix.identity(1, ZZ)
+    assert m == identity(1, ZZ)
 
 
 def test_integral_cochain_cohomology_times_two():

@@ -1,19 +1,21 @@
 """Independent brute-force oracles for the quotient presentations.
 
-The production code presents graded components on path words only.  Here the
-same dimensions are recomputed from first principles: the full tensor power on
-all generators, with every two-sided padding of the quadratic relations rowed
-up, and nothing assumed about which words survive.
+The production code presents each graded component as a sum of head blocks,
+each a quotient of the blocks below it; the tests' reference presents it on
+path words.  Here the same dimensions are recomputed from first principles:
+the full tensor power on all generators, with every two-sided padding of the
+quadratic relations rowed up, and nothing assumed about which words survive.
+Both presentations must match these dimensions.
 """
 
 import itertools
 
 from cwkoszul.catalog import catalog
-from cwkoszul.dualalg import graded_component, koszul_decide, whole_graph_criterion
+from cwkoszul.dualalg import graded_dims, koszul_decide, whole_graph_criterion
 from cwkoszul.layered import LayeredGraph
 from cwkoszul.linalg import GF, QQ, SparseExactMatrix, rank
 
-from helpers import edge_poset, nonuniform_poset, random_uniform_graphs
+from helpers import edge_poset, nonuniform_poset, path_graded_component, random_uniform_graphs
 
 
 def brute_force_graded_dim(g: LayeredGraph, m: int, field) -> int:
@@ -53,17 +55,21 @@ def test_brute_force_matches_path_word_presentation():
     ]
     for g in graphs:
         for field in (QQ, GF(2)):
+            dims = [1] + graded_dims(g, field, up_to=3)
             for m in range(4):
                 expected = brute_force_graded_dim(g, m, field)
-                got = graded_component(g, m, field).dim
+                got = path_graded_component(g, m, field).dim
                 assert got == expected, (g.name, m, field.key)
+                assert dims[m] == expected, (g.name, m, field.key)
 
 
 def test_brute_force_on_random_uniform_graphs():
     for g in random_uniform_graphs(6, seed=99):
+        dims = [1] + graded_dims(g, QQ, up_to=3)
         for m in range(4):
             expected = brute_force_graded_dim(g, m, QQ)
-            assert graded_component(g, m, QQ).dim == expected, (g.name, m)
+            assert path_graded_component(g, m, QQ).dim == expected, (g.name, m)
+            assert dims[m] == expected, (g.name, m)
 
 
 def test_decision_stable_across_large_prime_field():

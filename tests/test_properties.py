@@ -6,18 +6,17 @@ import hypothesis.strategies as st
 
 from cwkoszul.bigraded import build_layer, reduced_layer
 from cwkoszul.catalog import catalog, catalog_names
-from cwkoszul.dualalg import (
-    block_component,
-    graded_component,
-    path_words,
-    word_complex,
-)
 from cwkoszul.layered import BOTTOM, graph_from_dict
 from cwkoszul.linalg import QQ, cochain_cohomology
 
 from helpers import (
+    below,
     down_up_sequence,
     matmul,
+    path_block_component,
+    path_graded_component,
+    path_word_complex,
+    path_words,
     random_layered_graph,
     random_uniform_graphs,
     up_down_sequence,
@@ -65,7 +64,7 @@ def test_random_graph_diamond_partition(g):
 @settings(max_examples=30, deadline=None)
 def test_uniform_iff_every_interval_uniform(g):
     whole = g.is_uniform()[0]
-    intervals = all(g.below(x).is_uniform()[0] for x in g.vertex_ids())
+    intervals = all(below(g, x).is_uniform()[0] for x in g.vertex_ids())
     assert whole == intervals
 
 
@@ -73,8 +72,8 @@ def test_uniform_iff_every_interval_uniform(g):
 @settings(max_examples=25, deadline=None)
 def test_word_components_block_diagonal(g):
     for m in range(1, g.max_rank + 1):
-        comp = graded_component(g, m, QQ)
-        blocks = [block_component(g, m, r, QQ) for r in range(1, g.max_rank + 1)]
+        comp = path_graded_component(g, m, QQ)
+        blocks = [path_block_component(g, m, r, QQ) for r in range(1, g.max_rank + 1)]
         assert comp.dim == sum(b.dim for b in blocks)
         assert sorted(comp.labels()) == sorted(w for b in blocks for w in b.labels())
 
@@ -85,7 +84,7 @@ def test_uniform_random_graphs_connectivity(seed):
     # by both shared-lower-cover and shared-upper-cover sequences
     for g in random_uniform_graphs(5, seed):
         for x in g.vertex_ids():
-            sub = g.below(x)
+            sub = below(g, x)
             for r in range(1, sub.max_rank + 1):
                 layer = sub.at_rank(r)
                 for a in layer:
@@ -96,7 +95,7 @@ def test_uniform_random_graphs_connectivity(seed):
 def test_uniform_random_graphs_word_complex_squares_to_zero():
     for g in random_uniform_graphs(10, seed=21):
         for k in range(g.max_rank):
-            wc = word_complex(g, k, QQ)
+            wc = path_word_complex(g, k, QQ)
             dims, mats = wc.chain()
             homs = cochain_cohomology(dims, mats, QQ)  # raises if d*d != 0
             euler_spaces = sum((-1) ** i * d for i, d in enumerate(dims))
