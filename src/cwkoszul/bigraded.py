@@ -167,20 +167,26 @@ def reduced_layers(x: RegularCWComplex, ring) -> Iterator[ReducedLayer]:
 # classical cellular and relative cohomology (computed directly on cells)
 
 
-def cellular_complex(x: RegularCWComplex, ring) -> tuple[list[int], list[SparseExactMatrix]]:
-    x.ensure_valid()
-    d = x.dim
-    dims = [len(x.cells(n)) for n in range(d + 1)]
+def _coboundaries(x: RegularCWComplex, cells, ring) -> tuple[list[int], list[SparseExactMatrix]]:
+    """Cochain dimensions and coboundaries on the n-cells `cells[n]`.
+
+    The cells must be closed under cofaces, as all of X and an open star are.
+    """
+    dims = [len(cs) for cs in cells]
     mats = []
-    for n in range(d):
-        src = x.cells(n)
-        tgt = {c: i for i, c in enumerate(x.cells(n + 1))}
+    for n in range(len(cells) - 1):
+        tgt = {c: i for i, c in enumerate(cells[n + 1])}
         entries = {}
-        for j, alpha in enumerate(src):
-            for gamma in x.cofaces(alpha):
-                entries[(tgt[gamma], j)] = x.incidence[(gamma, alpha)]
+        for j, beta in enumerate(cells[n]):
+            for gamma in x.cofaces(beta):
+                entries[(tgt[gamma], j)] = x.incidence[(gamma, beta)]
         mats.append(SparseExactMatrix(dims[n + 1], dims[n], entries, ring))
     return dims, mats
+
+
+def cellular_complex(x: RegularCWComplex, ring) -> tuple[list[int], list[SparseExactMatrix]]:
+    x.ensure_valid()
+    return _coboundaries(x, [x.cells(n) for n in range(x.dim + 1)], ring)
 
 
 def cellular_cohomology(x: RegularCWComplex, field) -> list[int]:
@@ -200,15 +206,7 @@ def relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int]:
     cells: list[list[str]] = [[] for _ in range(a)] + [[alpha]]
     for _ in range(a, d):
         cells.append(sorted({g for c in cells[-1] for g in x.cofaces(c)}))
-    dims = [len(cs) for cs in cells]
-    mats = []
-    for n in range(d):
-        tgt = {c: i for i, c in enumerate(cells[n + 1])}
-        entries = {}
-        for j, beta in enumerate(cells[n]):
-            for gamma in x.cofaces(beta):
-                entries[(tgt[gamma], j)] = x.incidence[(gamma, beta)]
-        mats.append(SparseExactMatrix(dims[n + 1], dims[n], entries, field))
+    dims, mats = _coboundaries(x, cells, field)
     return cohomology_dims(dims, mats, field)
 
 

@@ -4,7 +4,11 @@ A complex stores cell dimensions and the incidence map d(upper, lower) in
 {-1, +1}, defined exactly for codimension-1 faces.  Regularity itself is not
 certified; the validator checks the combinatorial consequences that matter
 here: vanishing boundary-of-boundary, thin face poset, sphere Euler
-characteristics of cell boundaries, and single diamond classes on intervals.
+characteristics of cell boundaries, and connected open intervals of rank gap
+>= 3 in the face poset.  The last check is the diamond condition without
+listing maximal chains: all maximal chains of every interval form one class
+under one-position exchanges iff every such open interval is connected through
+covers (strongly flag-connected iff strongly connected).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class RegularCWComplex:
                 raise ComplexError(f"cell id {cid!r} must be a nonempty string")
             if cid in (BOTTOM, TOP):
                 raise ComplexError(f"cell id {cid!r} is reserved")
-            if not isinstance(d, int) or d < 0:
+            if type(d) is not int or d < 0:
                 raise ComplexError(f"cell {cid!r} has invalid dimension {d!r}")
         for (u, l), s in incidence.items():
             if u not in dims or l not in dims:
@@ -36,7 +40,7 @@ class RegularCWComplex:
                 raise ComplexError(
                     f"incidence ({u!r}, {l!r}) joins dimensions {dims[u]} and {dims[l]}"
                 )
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise ComplexError(f"incidence ({u!r}, {l!r}) must be +1 or -1, got {s!r}")
         self.name = name
         self.dims = dict(dims)
@@ -176,11 +180,12 @@ class RegularCWComplex:
                 if not ok:
                     report.append(f"face poset is not thin at {witness[:2]}")
                 # an interval of rank <= 2 is one class: its maximal chains
-                # differ from each other in their one interior position
+                # differ in their one interior position; some longer interval
+                # splits iff some open interval of length >= 3 is disconnected
                 for b in bar.vertex_ids():
                     rb = bar.rank(b)
                     for a in sorted(bar.strictly_below(b)):
-                        if rb - bar.rank(a) > 2 and len(bar.diamond_classes(b, a)) != 1:
+                        if rb - bar.rank(a) > 2 and not bar.open_interval_connected(b, a):
                             report.append(
                                 f"interval [{a!r}, {b!r}] splits into several diamond classes"
                             )
@@ -298,7 +303,7 @@ def complex_from_dict(data: dict) -> RegularCWComplex:
         cid, d = item["id"], item["dim"]
         if not isinstance(cid, str) or not cid:
             raise ComplexError(f"cells[{i}]: id must be a nonempty string")
-        if not isinstance(d, int) or d < 0:
+        if type(d) is not int or d < 0:
             raise ComplexError(f"cells[{i}] ({cid!r}): dim must be an integer >= 0")
         if cid in dims:
             raise ComplexError(f"cells[{i}]: duplicate id {cid!r}")
@@ -312,7 +317,7 @@ def complex_from_dict(data: dict) -> RegularCWComplex:
         if dims[cid] == 0 and boundary:
             raise ComplexError(f"0-cell {cid!r} must have an empty boundary")
         for fid, s in boundary.items():
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise ComplexError(
                     f"cell {cid!r}: boundary[{fid!r}] must be +1 or -1, got {s!r}"
                 )

@@ -587,15 +587,18 @@ def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[i
     def row_negate(i):
         a[i] = [-x for x in a[i]]
 
-    t = 0
-    while t < m and t < n:
-        # locate a minimal-magnitude nonzero in the remaining block
+    def smallest(t):  # first minimal-magnitude nonzero of the block from (t, t), row-major
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 v = abs(a[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+        return best
+
+    t = 0
+    while t < m and t < n:
+        best = smallest(t)
         if best is None:
             break
         while True:
@@ -605,46 +608,22 @@ def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[i
             if bj != t:
                 col_swap(t, bj)
             piv = a[t][t]
-            dirty = False
             for i in range(t + 1, m):
                 if a[i][t]:
                     row_addmul(i, t, -(a[i][t] // piv))
             for j in range(t + 1, n):
                 if a[t][j]:
                     col_addmul(j, t, -(a[t][j] // piv))
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    dirty = True
-            if dirty:
-                best = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        v = abs(a[i][j])
-                        if v and (best is None or v < best[0]):
-                            best = (v, i, j)
+            if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
+                best = smallest(t)
                 continue
-            # pivot divides the rest of the block?
-            piv = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % piv != 0:
-                        offender = (i, j)
-                        break
-                if offender:
-                    break
+            # pivot divides the rest of the block?  else add the first offender's column
+            offender = next((j for i in range(t + 1, m) for j in range(t + 1, n)
+                             if a[i][j] % piv != 0), None)
             if offender is None:
                 break
-            col_addmul(t, offender[1], 1)
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
+            col_addmul(t, offender, 1)
+            best = smallest(t)
         if a[t][t] < 0:
             row_negate(t)
         t += 1

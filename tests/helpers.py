@@ -49,6 +49,45 @@ def two_disjoint_triangles() -> RegularCWComplex:
     return _simplicial("two_triangles", ["abc", "def"])
 
 
+def _filled_3_cycle(name: str, signs: dict[str, int]) -> RegularCWComplex:
+    """The tetrahedra named in `signs` and their faces, plus a 4-cell W bounded by them."""
+    from cwkoszul.catalog import _simplicial
+
+    x = _simplicial(name, list(signs))
+    incidence = dict(x.incidence)
+    incidence.update({("W", t): s for t, s in signs.items()})
+    return RegularCWComplex(name, {**x.dims, "W": 4}, incidence)
+
+
+def _boundary_of_4_simplex(verts: str) -> dict[str, int]:
+    """The fundamental cycle of the boundary of the 4-simplex on `verts`."""
+    return {verts[:i] + verts[i + 1:]: (-1) ** i for i in range(5)}
+
+
+def glued_spheres_complex() -> RegularCWComplex:
+    """A 4-cell W bounded by two 3-spheres glued along the circle 0-1-2.
+
+    One sphere is the boundary of the 4-simplex on 01234, the other the join
+    of the circles {01, 12, 02} and {56, 67, 57}.  The face poset is thin
+    and the boundary has Euler characteristic 0, as S^3 does, but the open
+    intervals (01, W), (02, W) and (12, W) are disconnected.
+    """
+    circle_a = {"01": 1, "12": 1, "02": -1}
+    circle_b = {"56": 1, "67": 1, "57": -1}
+    signs = _boundary_of_4_simplex("01234")
+    signs.update({e + f: s * t for e, s in circle_a.items() for f, t in circle_b.items()})
+    return _filled_3_cycle("glued_spheres", signs)
+
+
+def disjoint_spheres_complex() -> RegularCWComplex:
+    """A 4-cell W bounded by two disjoint boundaries of 4-simplices.
+
+    Every check before the diamond condition passes; [0bar, W] splits.
+    """
+    signs = {**_boundary_of_4_simplex("01234"), **_boundary_of_4_simplex("56789")}
+    return _filled_3_cycle("disjoint_spheres", signs)
+
+
 def random_layered_graph(rng: random.Random) -> LayeredGraph:
     """A small random layered graph of rank 2..4 (not necessarily uniform)."""
     top = rng.randint(2, 4)
@@ -341,6 +380,44 @@ def below(g: LayeredGraph, x: str) -> LayeredGraph:
     covs = {(u, l) for (u, l) in g.covers if u in keep and l in keep and l != BOTTOM}
     name = f"{g.name}[<={x}]" if g.name else f"[<={x}]"
     return LayeredGraph(verts, covs, name=name)
+
+
+def diamond_classes(g: LayeredGraph, b: str, a: str) -> list[list[tuple[str, ...]]]:
+    """Partition of g.maximal_chains(b, a) under one-position exchanges.
+
+    Two chains are directly related when they differ in at most one
+    position; classes are the transitive closure, each sorted, listed by
+    smallest member.  The listing reference for `open_interval_connected`.
+    """
+    chains = g.maximal_chains(b, a)
+    index = {ch: i for i, ch in enumerate(chains)}
+    parent = list(range(len(chains)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    if chains:
+        length = len(chains[0])
+        for pos in range(1, length - 1):
+            buckets: dict[tuple, int] = {}
+            for ch, i in index.items():
+                key = ch[:pos] + ch[pos + 1:]
+                if key in buckets:
+                    union(buckets[key], i)
+                else:
+                    buckets[key] = i
+    groups: dict[int, list[tuple[str, ...]]] = {}
+    for ch, i in index.items():
+        groups.setdefault(find(i), []).append(ch)
+    return sorted(sorted(g) for g in groups.values())
 
 
 def integral_cellular_cohomology(x: RegularCWComplex) -> list[tuple[int, tuple[int, ...]]]:

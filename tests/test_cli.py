@@ -56,6 +56,34 @@ def test_validate_schema_error(tmp_path, capsys):
     assert "+1 or -1" in err
 
 
+_EDGE_VERTICES = [{"id": "v", "dim": 0}, {"id": "w", "dim": 0}]
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+@pytest.mark.parametrize("edge, message", [
+    ({"id": "e", "dim": True, "boundary": {"v": -1, "w": 1}}, "dim must be an integer >= 0"),
+    ({"id": "e", "dim": 1, "boundary": {"v": -1, "w": True}}, "must be +1 or -1, got True"),
+])
+def test_json_booleans_are_not_integers(tmp_path, capsys, command, edge, message):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"name": "b", "cells": _EDGE_VERTICES + [edge]}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_graph_boolean_rank_exits_two(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "name": "b",
+        "vertices": [{"id": "a", "rank": True}, {"id": "x", "rank": 2}],
+        "covers": [["x", "a"]],
+    }))
+    code, out, err = run(capsys, "koszul-graph", str(path), "--field", "q")
+    assert code == 2 and out == ""
+    assert "rank must be an integer >= 1" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "cohomology", "nope.json", "--field", "q")
     assert code == 2

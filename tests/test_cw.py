@@ -3,16 +3,20 @@
 import pytest
 
 from cwkoszul.bigraded import cellular_cohomology
-from cwkoszul.catalog import catalog, catalog_names
+from cwkoszul.catalog import _simplicial, catalog, catalog_names
 from cwkoszul.cw import ComplexError, RegularCWComplex, complex_from_dict
-from cwkoszul.layered import BOTTOM
+from cwkoszul.layered import BOTTOM, GraphError, LayeredGraph
 from cwkoszul.linalg import QQ
 
+import helpers
 from helpers import (
     Subcomplex,
     closed_cell,
     complement_star,
     dangling_square_complex,
+    diamond_classes,
+    disjoint_spheres_complex,
+    glued_spheres_complex,
     random_uniform_graphs,
     segment_plus_point,
     two_disjoint_triangles,
@@ -55,6 +59,15 @@ def test_validator_rejects_structural_errors_at_init():
         RegularCWComplex("bad", {"v": 0, "w": 0, "e": 1}, {("e", "v"): 2, ("e", "w"): 1})
     with pytest.raises(ComplexError, match="reserved"):
         RegularCWComplex("bad", {BOTTOM: 0}, {})
+
+
+def test_booleans_are_not_integers_at_init():
+    with pytest.raises(ComplexError, match="invalid dimension True"):
+        RegularCWComplex("bad", {"v": 0, "w": 0, "e": True}, {("e", "v"): -1, ("e", "w"): 1})
+    with pytest.raises(ComplexError, match="\\+1 or -1, got True"):
+        RegularCWComplex("bad", {"v": 0, "w": 0, "e": 1}, {("e", "v"): -1, ("e", "w"): True})
+    with pytest.raises(GraphError, match="invalid rank True"):
+        LayeredGraph({"a": True, "x": 2}, {("x", "a")})
 
 
 def test_face_poset_bar_point():
@@ -184,7 +197,7 @@ def test_diamond_classes_single_on_cw_intervals():
         g = catalog(name).face_poset_bar()
         for b in g.vertex_ids():
             for a in sorted(g.strictly_below(b)):
-                assert len(g.diamond_classes(b, a)) == 1, (name, b, a)
+                assert len(diamond_classes(g, b, a)) == 1, (name, b, a)
 
 
 def test_intervals_of_rank_at_most_two_have_one_diamond_class():
@@ -197,7 +210,45 @@ def test_intervals_of_rank_at_most_two_have_one_diamond_class():
         for b in g.vertex_ids():
             for a in g.strictly_below(b):
                 if g.rank(b) - g.rank(a) <= 2:
-                    assert len(g.diamond_classes(b, a)) == 1, (g.name, a, b)
+                    assert len(diamond_classes(g, b, a)) == 1, (g.name, a, b)
+
+
+def _split_intervals(g):
+    return [(a, b) for b in g.vertex_ids() for a in sorted(g.strictly_below(b))
+            if len(diamond_classes(g, b, a)) != 1]
+
+
+def test_glued_spheres_report_the_disconnected_open_intervals():
+    # the listing splits 7 intervals here, connectivity reports 3 of them;
+    # each reported one splits and each split one contains a reported one
+    x = glued_spheres_complex()
+    assert x.validate() == [
+        f"interval [{a!r}, 'W'] splits into several diamond classes"
+        for a in ("01", "02", "12")
+    ]
+    g = x._face_poset_bar_unchecked()
+    assert g.is_thin()[0] and x.euler_characteristic(x._strict_faces["W"]) == 0
+    reported = [("01", "W"), ("02", "W"), ("12", "W")]
+    split = _split_intervals(g)
+    assert sorted(split) == sorted(reported + [(v, "W") for v in (BOTTOM, "0", "1", "2")])
+    for a, b in split:
+        assert any(g.le(a, c) and g.le(d, b) for c, d in reported), (a, b)
+
+
+def test_disjoint_spheres_split_below_the_filling_cell():
+    x = disjoint_spheres_complex()
+    assert x.validate() == [f"interval [{BOTTOM!r}, 'W'] splits into several diamond classes"]
+    assert _split_intervals(x._face_poset_bar_unchecked()) == [(BOTTOM, "W")]
+
+
+def test_validation_lists_no_maximal_chains(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("validation listed maximal chains")
+
+    x = _simplicial("simplex7", ["01234567"])
+    monkeypatch.setattr(LayeredGraph, "maximal_chains", refuse)
+    monkeypatch.setattr(helpers, "diamond_classes", refuse)
+    assert x.validate() == []
 
 
 def test_validation_keeps_its_face_poset():

@@ -5,7 +5,14 @@ import pytest
 from cwkoszul.catalog import catalog
 from cwkoszul.layered import BOTTOM, GraphError, LayeredGraph, graph_from_dict
 
-from helpers import below, down_up_sequence, edge_poset, nonuniform_poset, up_down_sequence
+from helpers import (
+    below,
+    diamond_classes,
+    down_up_sequence,
+    edge_poset,
+    nonuniform_poset,
+    up_down_sequence,
+)
 
 
 def test_construction_rejects_bad_rank_drop():
@@ -143,10 +150,23 @@ def test_first_maximal_chain_is_first_listed():
 
 def test_diamond_classes():
     g = catalog("simplex2").face_poset_bar()
-    assert len(g.diamond_classes("01", "0")) == 1  # single chain
-    assert len(g.diamond_classes("012", BOTTOM)) == 1
+    assert len(diamond_classes(g, "01", "0")) == 1  # single chain
+    assert len(diamond_classes(g, "012", BOTTOM)) == 1
     ng = nonuniform_poset()
-    assert len(ng.diamond_classes("x", BOTTOM)) == 2
+    assert len(diamond_classes(ng, "x", BOTTOM)) == 2
+
+
+def test_open_interval_connected():
+    g = catalog("simplex3").face_poset_bar()
+    assert g.open_interval_connected("0123", BOTTOM)
+    assert g.open_interval_connected("01", "0")  # empty
+    # length 2: the edges 01 and 02 are incomparable, yet [0, 012] is one class
+    assert not g.open_interval_connected("012", "0")
+    assert len(diamond_classes(g, "012", "0")) == 1
+    ng = nonuniform_poset()
+    assert not ng.open_interval_connected("x", BOTTOM)
+    with pytest.raises(GraphError, match="not below"):
+        g.open_interval_connected("0", "012")
 
 
 def test_ranked_invariant_chain_lengths():

@@ -1,7 +1,9 @@
 """Structural properties checked on random graphs and catalog complexes."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from cwkoszul.bigraded import build_layer, reduced_layer
@@ -11,6 +13,7 @@ from cwkoszul.linalg import QQ, cochain_cohomology
 
 from helpers import (
     below,
+    diamond_classes,
     down_up_sequence,
     matmul,
     path_block_component,
@@ -28,8 +31,6 @@ SMALL_CATALOG = ("point", "simplex2", "sphere1", "sphere2", "rp2_six",
 
 @st.composite
 def layered_graphs(draw):
-    import random
-
     seed = draw(st.integers(0, 10**6))
     return random_layered_graph(random.Random(seed))
 
@@ -56,8 +57,24 @@ def test_random_graph_serialization_round_trip(g):
 def test_random_graph_diamond_partition(g):
     for x in g.vertex_ids():
         chains = g.maximal_chains(x, BOTTOM)
-        classes = g.diamond_classes(x, BOTTOM)
+        classes = diamond_classes(g, x, BOTTOM)
         assert sorted(c for cls in classes for c in cls) == sorted(chains)
+
+
+@given(st.one_of(layered_graphs(),
+                 st.integers(0, 10**6).map(lambda seed: random_uniform_graphs(1, seed)[0])))
+@example(random_layered_graph(random.Random(5)))  # 3 disconnected, 6 split
+@settings(max_examples=200, deadline=None)
+def test_open_interval_connectivity_against_diamond_classes(g):
+    long = [(a, b) for b in g.vertex_ids() for a in g.strictly_below(b)
+            if g.rank(b) - g.rank(a) >= 3]
+    disconnected = {(a, b) for a, b in long if not g.open_interval_connected(b, a)}
+    split = {(a, b) for a, b in long if len(diamond_classes(g, b, a)) > 1}
+    # each disconnected one splits; some splits iff some is disconnected
+    assert disconnected <= split
+    assert bool(disconnected) == bool(split)
+    for a, b in split:
+        assert any(g.le(a, c) and g.le(d, b) for c, d in disconnected), (g.name, a, b)
 
 
 @given(layered_graphs())
