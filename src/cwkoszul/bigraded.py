@@ -8,12 +8,14 @@ image leaves a complex of quotients whose cohomology generalizes ordinary
 cellular cohomology (the k = 0 row reproduces it) and whose vanishing below
 the top dimension is exactly what the Koszulity decision needs.
 
-Pair bases are read off the closure of each upper cell.  `reduced_layers`
-builds the pair layer of each column once and lends its bases to the next
-column as the targets of the vertical differential; the table and the
-comparison check both walk it.  Relative cohomology lives on the star of a
-cell, found by walking up through cofaces.  Over a field every entry is a
-dimension read from ranks; over Z it comes from one Smith form per map.
+A field and Z take one path.  `reduced_layers` is the only producer of
+reduced columns: it builds the pair layer of each column once, over the ring
+of the call, and lends its bases to the next column as the targets of the
+vertical differential; `linalg.quotient` and `linalg.induced_map` then
+reduce each column.  Pair bases are read off the closure of each upper cell.
+Relative cohomology lives on the star of a cell, found by walking up through
+cofaces.  Over a field every entry is a dimension read from ranks; over Z it
+comes from one Smith form per map.
 """
 
 from __future__ import annotations
@@ -23,13 +25,10 @@ from dataclasses import dataclass
 
 from .cw import ComplexError, RegularCWComplex
 from .linalg import (
-    ZZ,
-    IntegralQuotient,
     SparseExactMatrix,
     cohomology_dims,
+    cohomology_groups,
     induced_map,
-    induced_map_integral,
-    integral_cochain_cohomology,
     quotient,
 )
 
@@ -50,7 +49,7 @@ def pair_basis(x: RegularCWComplex, n: int, k: int) -> list[tuple[str, str]]:
 
 @dataclass
 class BigradedLayer:
-    """Pair spaces of one column k with both differentials, over Z."""
+    """Pair spaces of one column k with both differentials, over one ring."""
 
     complex: RegularCWComplex
     k: int
@@ -58,15 +57,14 @@ class BigradedLayer:
     d_up: dict[int, SparseExactMatrix]
     d_down: dict[int, SparseExactMatrix]
 
-    def dims(self) -> dict[int, int]:
-        return {n: len(b) for n, b in self.bases.items()}
 
+def build_layer(
+    x: RegularCWComplex, k: int, ring, below: BigradedLayer | None
+) -> BigradedLayer:
+    """Assemble bases and differentials of column k, with entries in `ring`.
 
-def build_layer(x: RegularCWComplex, k: int, below: BigradedLayer | None = None) -> BigradedLayer:
-    """Assemble bases and differentials of column k; entries are integers.
-
-    `below`, the layer of column k-1 when the caller holds it, supplies the
-    target bases of the vertical differential, which are listed otherwise.
+    `below` is the layer of column k-1 (None for k = 0); its bases are the
+    targets of the vertical differential.
     """
     x.ensure_valid()
     d = x.dim
@@ -82,18 +80,18 @@ def build_layer(x: RegularCWComplex, k: int, below: BigradedLayer | None = None)
         for j, (beta, alpha) in enumerate(bases[n]):
             for gamma in x.cofaces(beta):
                 entries[(tgt[(gamma, alpha)], j)] = x.incidence[(gamma, beta)]
-        d_up[n] = SparseExactMatrix(len(bases.get(n + 1, [])), len(bases[n]), entries, ZZ)
+        d_up[n] = SparseExactMatrix(len(bases.get(n + 1, [])), len(bases[n]), entries, ring)
 
     d_down: dict[int, SparseExactMatrix] = {}
     if k >= 1:
         for n in range(k, d + 1):
-            below_basis = below.bases[n] if below is not None else pair_basis(x, n, k - 1)
+            below_basis = below.bases[n]
             tgt = {pair: i for i, pair in enumerate(below_basis)}
             entries = {}
             for j, (beta, alpha) in enumerate(bases[n]):
                 for gamma in x.faces(alpha):
                     entries[(tgt[(beta, gamma)], j)] = x.incidence[(alpha, gamma)]
-            d_down[n] = SparseExactMatrix(len(below_basis), len(bases[n]), entries, ZZ)
+            d_down[n] = SparseExactMatrix(len(below_basis), len(bases[n]), entries, ring)
 
     return BigradedLayer(x, k, bases, d_up, d_down)
 
@@ -108,9 +106,6 @@ class ReducedLayer:
     quotients: dict[int, object]
     mats: dict[int, SparseExactMatrix]
 
-    def dims(self) -> dict[int, int]:
-        return {n: q.dim for n, q in self.quotients.items()}
-
     def chain(self) -> tuple[list[int], list[SparseExactMatrix]]:
         ns = sorted(self.quotients)
         return [self.quotients[n].dim for n in ns], [self.mats[n] for n in ns[:-1]]
@@ -120,18 +115,15 @@ def reduced_layer(
     x: RegularCWComplex,
     k: int,
     ring,
-    layer: BigradedLayer | None = None,
-    above: BigradedLayer | None = None,
+    layer: BigradedLayer,
+    above: BigradedLayer | None,
 ) -> ReducedLayer:
     """Quotient of column k by the vertical image of column k+1.
 
-    `layer` and `above` are the pair layers of columns k and k+1 (None past
-    the top) when the caller has built them; both are built here otherwise.
+    `layer` and `above` are the pair layers of columns k and k+1 over
+    `ring`; `above` is None past the top.
     """
     d = x.dim
-    if layer is None:
-        layer = build_layer(x, k)
-        above = build_layer(x, k + 1, layer) if k < d else None
     quotients: dict[int, object] = {}
     for n in range(k, d + 1):
         labels = layer.bases[n]
@@ -139,26 +131,17 @@ def reduced_layer(
             # one relation per column of the vertical differential
             rel = above.d_down[n].transpose()
         else:
-            rel = SparseExactMatrix.zero(0, len(labels), ZZ)
-        if ring is ZZ:
-            quotients[n] = IntegralQuotient(labels, rel)
-        else:
-            quotients[n] = quotient(labels, rel.convert(ring), ring)
-    mats: dict[int, SparseExactMatrix] = {}
-    for n in range(k, d):
-        f = layer.d_up[n]
-        if ring is ZZ:
-            mats[n] = induced_map_integral(f, quotients[n], quotients[n + 1])
-        else:
-            mats[n] = induced_map(f.convert(ring), quotients[n], quotients[n + 1])
+            rel = SparseExactMatrix.zero(0, len(labels), ring)
+        quotients[n] = quotient(labels, rel, ring)
+    mats = {n: induced_map(layer.d_up[n], quotients[n], quotients[n + 1]) for n in range(k, d)}
     return ReducedLayer(x, k, ring, quotients, mats)
 
 
 def reduced_layers(x: RegularCWComplex, ring) -> Iterator[ReducedLayer]:
     """The reduced columns k = 0..dim in turn, each pair layer built once."""
-    layer = build_layer(x, 0)
+    layer = build_layer(x, 0, ring, None)
     for k in range(x.dim + 1):
-        above = build_layer(x, k + 1, layer) if k < x.dim else None
+        above = build_layer(x, k + 1, ring, layer) if k < x.dim else None
         yield reduced_layer(x, k, ring, layer, above)
         layer = above
 
@@ -232,12 +215,7 @@ def hx_table(x: RegularCWComplex, ring) -> PairCohomologyTable:
     d = x.dim
     entries: dict[tuple[int, int], object] = {}
     for layer in reduced_layers(x, ring):
-        dims, mats = layer.chain()
-        if ring is ZZ:
-            homs = integral_cochain_cohomology(dims, mats)
-        else:
-            homs = cohomology_dims(dims, mats, ring)
-        for i, val in enumerate(homs):
+        for i, val in enumerate(cohomology_groups(*layer.chain(), ring)):
             entries[(layer.k + i, layer.k)] = val
     return PairCohomologyTable(ring.key, d, entries)
 

@@ -488,10 +488,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HypothesisFailure as exc:
+    except (HypothesisFailure, TorsionError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 3
-    except (ComplexError, GraphError, TorsionError) as exc:
+    except (ComplexError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

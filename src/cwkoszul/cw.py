@@ -13,7 +13,7 @@ covers (strongly flag-connected iff strongly connected).
 
 from __future__ import annotations
 
-from .layered import BOTTOM, TOP, GraphError, LayeredGraph
+from .layered import BOTTOM, TOP, LayeredGraph, linked_classes
 
 
 class ComplexError(ValueError):
@@ -100,11 +100,6 @@ class RegularCWComplex:
         self.cell_dim(c)
         return self._cofaces[c]
 
-    def le(self, a: str, b: str) -> bool:
-        """a is a face of b (or equal)."""
-        self.cell_dim(a), self.cell_dim(b)
-        return a == b or a in self._strict_faces[b]
-
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
 
@@ -171,26 +166,23 @@ class RegularCWComplex:
                     f"expected {1 + (-1) ** (n - 1)}"
                 )
         if not report:
-            try:
-                bar = self._face_poset_bar_unchecked()
-            except GraphError as exc:
-                report.append(f"face poset is not a layered graph: {exc}")
-            else:
-                ok, witness = bar.is_thin()
-                if not ok:
-                    report.append(f"face poset is not thin at {witness[:2]}")
-                # an interval of rank <= 2 is one class: its maximal chains
-                # differ in their one interior position; some longer interval
-                # splits iff some open interval of length >= 3 is disconnected
-                for b in bar.vertex_ids():
-                    rb = bar.rank(b)
-                    for a in sorted(bar.strictly_below(b)):
-                        if rb - bar.rank(a) > 2 and not bar.open_interval_connected(b, a):
-                            report.append(
-                                f"interval [{a!r}, {b!r}] splits into several diamond classes"
-                            )
-                if not report:
-                    self._bar = bar
+            # the checks above make the bar poset a thin layered graph: every
+            # cell of dimension >= 1 has a lower cover, incidences drop the
+            # dimension by one, and every rank-2 interval (below a 1-cell or
+            # between cells) has two intermediates.  An interval of rank <= 2
+            # is one class: its maximal chains differ in their one interior
+            # position; some longer interval splits iff some open interval of
+            # length >= 3 is disconnected
+            bar = self._face_poset_bar_unchecked()
+            for b in bar.vertex_ids():
+                rb = bar.rank(b)
+                for a in sorted(bar.strictly_below(b)):
+                    if rb - bar.rank(a) > 2 and not bar.open_interval_connected(b, a):
+                        report.append(
+                            f"interval [{a!r}, {b!r}] splits into several diamond classes"
+                        )
+            if not report:
+                self._bar = bar
         self._report = report
         return report
 
@@ -235,24 +227,7 @@ class RegularCWComplex:
         """Top cells form one class under sharing a codimension-1 face."""
         if not self.is_pure():
             raise ComplexError(f"complex {self.name!r} is not pure")
-        tops = list(self.cells(self.dim))
-        if self.dim == 0:
-            return len(tops) == 1
-        parent = {c: c for c in tops}
-
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        for f in self.cells(self.dim - 1):
-            owners = self._cofaces[f]
-            for other in owners[1:]:
-                ra, rb = find(owners[0]), find(other)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        return len({find(c) for c in tops}) == 1
+        return len(linked_classes(self.cells(self.dim), self.faces)) == 1
 
     # -- serialization ---------------------------------------------------------------
 

@@ -32,7 +32,7 @@ from .linalg import (
     rank as mat_rank,
     rref_rows,
 )
-from .bigraded import ReducedLayer, reduced_layer, reduced_layers
+from .bigraded import ReducedLayer, reduced_layers
 
 
 @dataclass
@@ -371,8 +371,7 @@ def _word_coordinates(blocks: HeadBlocks, word: tuple[str, ...]) -> dict:
 
 
 def comparison_map(
-    x: RegularCWComplex, field, n: int, k: int,
-    layer: ReducedLayer | None = None, blocks: HeadBlocks | None = None,
+    x: RegularCWComplex, field, n: int, k: int, layer: ReducedLayer, blocks: HeadBlocks
 ) -> SparseExactMatrix:
     """The signed path map from the reduced pair space (n, k) to the word space.
 
@@ -380,13 +379,10 @@ def comparison_map(
     vertices of rank n+1 of the bar poset.  Each pair (upper, lower) goes to
     the class of its lexicographically smallest connecting chain, weighted by
     that chain's sign; the choice of chain does not matter in the quotient.
-    `blocks` is the head-block store of the bar poset over `field`.
+    `layer` is the reduced column k over `field`, and `blocks` the
+    head-block store of the bar poset over `field`.
     """
     g = x.face_poset_bar()
-    if layer is None:
-        layer = reduced_layer(x, k, field)
-    if blocks is None:
-        blocks = HeadBlocks(g, field)
     offsets, dim = block_component(blocks, n - k + 1, g.at_rank(n + 1))
     lq = layer.quotients[n]
     cols = []
@@ -412,7 +408,7 @@ def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]
     for layer in reduced_layers(x, field):
         k = layer.k
         for n in range(k, d + 1):
-            phi = comparison_map(x, field, n, k, layer=layer, blocks=blocks)
+            phi = comparison_map(x, field, n, k, layer, blocks)
             ldim, rdim = layer.quotients[n].dim, phi.rows
             ok = ldim == rdim and mat_rank(phi) == ldim
             details.append((n, k, ldim, rdim, ok))

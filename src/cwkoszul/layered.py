@@ -18,6 +18,35 @@ class GraphError(ValueError):
     pass
 
 
+def linked_classes(items, links) -> list[list[str]]:
+    """Partition of the sorted `items` under 'share an element of links(item)'.
+
+    Two items are linked when their link sets meet; the classes are the
+    transitive closure, each in item order, listed by smallest member.
+    """
+    parent = {v: v for v in items}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    owner: dict[str, str] = {}
+    for v in items:
+        for c in links(v):
+            if c in owner:
+                ra, rb = find(owner[c]), find(v)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+            else:
+                owner[c] = v
+    groups: dict[str, list[str]] = {}
+    for v in items:
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
 class LayeredGraph:
     """Immutable ranked poset: ranks, cover relations, cached reachability.
 
@@ -132,31 +161,6 @@ class LayeredGraph:
 
     # -- structure predicates ------------------------------------------------
 
-    def _cover_classes(self, a: str) -> list[list[str]]:
-        """Partition of the lower covers of `a` under 'shares a lower cover'."""
-        items = list(self._lower[a])
-        parent = {v: v for v in items}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        owner: dict[str, str] = {}
-        for b in items:
-            for c in self._lower[b]:
-                if c in owner:
-                    ra, rb = find(owner[c]), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-                else:
-                    owner[c] = b
-        groups: dict[str, list[str]] = {}
-        for v in items:
-            groups.setdefault(find(v), []).append(v)
-        return sorted(groups.values())
-
     def is_uniform(self) -> tuple[bool, tuple[str, list[list[str]]] | None]:
         """True iff every vertex of rank >= 2 has a single cover class.
 
@@ -165,21 +169,9 @@ class LayeredGraph:
         for v in self.vertex_ids():
             if self.vertices[v] < 2:
                 continue
-            classes = self._cover_classes(v)
+            classes = linked_classes(self._lower[v], self.lower_covers)
             if len(classes) > 1:
                 return False, (v, classes)
-        return True, None
-
-    def is_thin(self) -> tuple[bool, tuple[str, str, list[str]] | None]:
-        """True iff every rank-2 interval [b, a] has exactly four elements.
-
-        Witness on failure: (a, b, interval elements).
-        """
-        for a in self.vertex_ids():
-            for b in self.sphere(a, 2):
-                mids = [z for z in self._lower[a] if b in self._below[z]]
-                if len(mids) != 2:
-                    return False, (a, b, sorted([a, b] + mids))
         return True, None
 
     # -- chains ---------------------------------------------------------------

@@ -10,10 +10,18 @@ division is inexact).  The reduced row echelon form of a row space is
 unique, so ranks, kernels, quotient bases and representatives depend only on
 the spans involved, never on row order: they are reproducible across runs.
 
+A presented quotient comes from one constructor, `quotient(labels,
+relations, ring)`: over a field the RREF of the relations picks the
+quotient basis (`QuotientPresentation`); over Z the column transform of a
+Smith normal form does (`IntegralQuotient`, which refuses a quotient with
+torsion).  Both offer the same interface, so one `induced_map` serves them.
+
 Cohomology is read from ranks: `cohomology_dims` checks the shapes and
 d o d = 0 and takes one rank per differential.  Cocycles are built only
 where a caller needs them, one degree at a time, by
-`cocycle_representatives`; `cochain_cohomology` returns both.
+`cocycle_representatives`; `cochain_cohomology` returns both.  Over Z,
+`integral_cochain_cohomology` reads free ranks and torsion from one Smith
+form per differential; `cohomology_groups` picks the reading of the ring.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ class Rationals:
 
 
 class Integers:
-    """The ring Z, values are int.  No division; used for SNF paths."""
+    """The ring Z, values are int.  No division: eliminations go through Smith forms."""
 
     key = "Z"
     char = 0
@@ -267,6 +275,9 @@ class SparseExactMatrix:
         )
 
     def convert(self, ring) -> "SparseExactMatrix":
+        """The same entries over `ring`; a matrix already over it is returned as is."""
+        if ring is self.ring:
+            return self
         return SparseExactMatrix(self.rows, self.cols, dict(self.entries), ring)
 
     def to_dense(self) -> list[list]:
@@ -352,8 +363,7 @@ def reduce_mod_rows(vec: dict, rref, ring) -> dict:
 def rank(m: SparseExactMatrix, ring=None) -> int:
     """Rank over a field, eliminating the rows or the columns, whichever are fewer."""
     ring = ring or m.ring
-    if ring is not m.ring:
-        m = m.convert(ring)
+    m = m.convert(ring)
     if not m.entries:
         return 0
     return len(rref_rows(m._cached_columns() if m.cols < m.rows else m.row_list(), ring))
@@ -362,8 +372,7 @@ def rank(m: SparseExactMatrix, ring=None) -> int:
 def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
     """Basis of {x : m x = 0}, one vector per free column, in reduced form."""
     ring = ring or m.ring
-    if ring is not m.ring:
-        m = m.convert(ring)
+    m = m.convert(ring)
     red = rref_rows(m.row_list(), ring)
     p = ring.char
     pivot_set = {c for c, _ in red}
@@ -378,8 +387,7 @@ def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
 def image_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
     """Basis of the column space, in reduced echelon form."""
     ring = ring or m.ring
-    if ring is not m.ring:
-        m = m.convert(ring)
+    m = m.convert(ring)
     red = rref_rows(m._cached_columns(), ring)
     return [row for _, row in red]
 
@@ -409,6 +417,11 @@ class QuotientPresentation:
         self._nonpivot_pos = {j: q for q, j in enumerate(self.nonpivots)}
         self.dim = len(self.nonpivots)
 
+    @property
+    def relation_rows(self) -> list[dict]:
+        """A basis of the relation span: the reduced relations."""
+        return [row for _, row in self.rref]
+
     def labels(self) -> list:
         return [self.ambient_labels[j] for j in self.nonpivots]
 
@@ -429,25 +442,99 @@ class QuotientPresentation:
         return f"QuotientPresentation(ambient={len(self.ambient_labels)}, dim={self.dim})"
 
 
-def quotient(ambient_labels: list, relations: SparseExactMatrix, ring) -> QuotientPresentation:
+class TorsionError(ValueError):
+    """A relation lattice whose quotient has torsion, so no free coordinates."""
+
+
+class IntegralQuotient:
+    """Z^ambient modulo the row lattice of an integer relation matrix.
+
+    Requires the quotient to be free (all invariant factors 1); the column
+    transform of the Smith normal form (`_snf_reduce`) supplies explicit
+    coordinates on the quotient.  The interface is that of
+    `QuotientPresentation`, with the lattice in place of the span.
+    """
+
+    ring = ZZ
+
+    def __init__(self, ambient_labels: list, relations: SparseExactMatrix):
+        self.ambient_labels = list(ambient_labels)
+        self.relations = relations
+        n = len(ambient_labels)
+        if relations.cols != n:
+            raise ValueError("relation width does not match ambient basis")
+        dense = relations.to_dense()
+        q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        qinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        if dense:
+            factors = _snf_reduce(dense, q, qinv)
+        else:
+            factors = []
+        if any(d != 1 for d in factors):
+            raise TorsionError(
+                f"integral quotient has torsion (invariant factors {factors}); "
+                "no free coordinate system exists"
+            )
+        self._rank = len(factors)
+        self._q = q
+        self._qinv = qinv
+        self.dim = n - self._rank
+
+    @property
+    def relation_rows(self) -> list[dict]:
+        """Generators of the relation lattice: the nonzero relation rows."""
+        return [row for row in self.relations.row_list() if row]
+
+    def project(self, vec: dict) -> dict:
+        """Coordinates of an ambient integer vector in the free quotient."""
+        s, q = self._rank, self._q
+        out = {}
+        for t in range(s, len(self.ambient_labels)):
+            acc = 0
+            for a, v in vec.items():
+                acc += v * q[a][t]
+            if acc:
+                out[t - s] = acc
+        return out
+
+    def lift(self, idx: int) -> dict:
+        row = self._qinv[self._rank + idx]
+        return {a: v for a, v in enumerate(row) if v}
+
+    def in_relation_span(self, vec: dict) -> bool:
+        return not self.project(vec)
+
+    def labels(self) -> list:
+        # quotient coordinates are SNF-derived; no ambient labels survive
+        return list(range(self.dim))
+
+    def __repr__(self):
+        return f"IntegralQuotient(ambient={len(self.ambient_labels)}, dim={self.dim})"
+
+
+def quotient(ambient_labels: list, relations: SparseExactMatrix, ring):
+    """ring^ambient modulo the relation rows, which are over the same ring.
+
+    A `QuotientPresentation` over a field, an `IntegralQuotient` over Z.
+    """
+    if ring is ZZ:
+        return IntegralQuotient(ambient_labels, relations)
     return QuotientPresentation(ambient_labels, relations, ring)
 
 
-def induced_map(
-    f: SparseExactMatrix, src: QuotientPresentation, dst: QuotientPresentation
-) -> SparseExactMatrix:
+def induced_map(f: SparseExactMatrix, src, dst) -> SparseExactMatrix:
     """The map induced by f on quotient coordinates: project o f o lift.
 
-    Raises if f does not carry src's relation span into dst's relation span;
+    `src` and `dst` come from `quotient` over the ring of f.  Raises if f
+    does not carry src's relations into dst's relation span (lattice over Z);
     that always signals a construction bug upstream.
     """
     if f.cols != len(src.ambient_labels) or f.rows != len(dst.ambient_labels):
         raise ValueError("ambient shape mismatch in induced_map")
-    for pcol, row in src.rref:
+    for i, row in enumerate(src.relation_rows):
         if not dst.in_relation_span(f.apply(row)):
             raise ValueError(
-                f"induced_map: image of relation with pivot {pcol} "
-                "is not in the target relation span"
+                f"induced_map: image of relation row {i} is not in the target relation span"
             )
     cols = [dst.project(f.apply(src.lift(q))) for q in range(src.dim)]
     return SparseExactMatrix.from_columns(cols, dst.dim, src.ring)
@@ -632,83 +719,10 @@ def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[i
 
 def smith_normal_form(m: SparseExactMatrix) -> SmithForm:
     """Invariant factors of an integer matrix (transforms not tracked)."""
-    dense = [[ZZ.of(v) for v in row] for row in m.convert(ZZ).to_dense()]
+    dense = m.convert(ZZ).to_dense()
     if not dense:
         return SmithForm(())
     return SmithForm(tuple(_snf_reduce(dense, None, None)))
-
-
-class TorsionError(ValueError):
-    """A relation lattice whose quotient has torsion, so no free coordinates."""
-
-
-class IntegralQuotient:
-    """Z^ambient modulo the row lattice of an integer relation matrix.
-
-    Requires the quotient to be free (all invariant factors 1); the column
-    transform of the SNF supplies explicit coordinates on the quotient.
-    """
-
-    def __init__(self, ambient_labels: list, relations: SparseExactMatrix):
-        self.ambient_labels = list(ambient_labels)
-        self.relations = relations.convert(ZZ)
-        n = len(ambient_labels)
-        if relations.cols != n:
-            raise ValueError("relation width does not match ambient basis")
-        dense = [[ZZ.of(v) for v in row] for row in self.relations.to_dense()]
-        q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        qinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if dense:
-            factors = _snf_reduce(dense, q, qinv)
-        else:
-            factors = []
-        if any(d != 1 for d in factors):
-            raise TorsionError(
-                f"integral quotient has torsion (invariant factors {factors}); "
-                "no free coordinate system exists"
-            )
-        self._rank = len(factors)
-        self._q = q
-        self._qinv = qinv
-        self.dim = n - self._rank
-
-    def project(self, vec: dict) -> dict:
-        """Coordinates of an ambient integer vector in the free quotient."""
-        s, q = self._rank, self._q
-        out = {}
-        for t in range(s, len(self.ambient_labels)):
-            acc = 0
-            for a, v in vec.items():
-                acc += v * q[a][t]
-            if acc:
-                out[t - s] = acc
-        return out
-
-    def lift(self, idx: int) -> dict:
-        row = self._qinv[self._rank + idx]
-        return {a: v for a, v in enumerate(row) if v}
-
-    def in_relation_lattice(self, vec: dict) -> bool:
-        return not self.project(vec)
-
-    def labels(self) -> list:
-        # quotient coordinates are SNF-derived; no ambient labels survive
-        return list(range(self.dim))
-
-    def __repr__(self):
-        return f"IntegralQuotient(ambient={len(self.ambient_labels)}, dim={self.dim})"
-
-
-def induced_map_integral(
-    f: SparseExactMatrix, src: IntegralQuotient, dst: IntegralQuotient
-) -> SparseExactMatrix:
-    """Induced integer map on free quotient coordinates."""
-    f = f.convert(ZZ)
-    for row in src.relations.row_list():
-        if row and not dst.in_relation_lattice(f.apply(row)):
-            raise ValueError("induced_map_integral: relation lattice not preserved")
-    cols = [dst.project(f.apply(src.lift(q))) for q in range(src.dim)]
-    return SparseExactMatrix.from_columns(cols, dst.dim, ZZ)
 
 
 def integral_cochain_cohomology(
@@ -720,9 +734,8 @@ def integral_cochain_cohomology(
     invariant factors is the rank over Q, and the factors of the (i-1)-st
     differential exceeding 1 are the torsion of H^i.
     """
-    zmats = [m.convert(ZZ) for m in mats]
-    _check_complex(dims, zmats)
-    snfs = [smith_normal_form(m) for m in zmats]
+    _check_complex(dims, mats)
+    snfs = [smith_normal_form(m) for m in mats]
     out = []
     for i, d in enumerate(dims):
         ker = d - snfs[i].rank if i < len(snfs) else d
@@ -733,3 +746,10 @@ def integral_cochain_cohomology(
             prev, tors = 0, ()
         out.append((ker - prev, tors))
     return out
+
+
+def cohomology_groups(dims: list[int], mats: list[SparseExactMatrix], ring) -> list:
+    """Per degree, the dimension over a field or (free rank, torsion) over Z."""
+    if ring is ZZ:
+        return integral_cochain_cohomology(dims, mats)
+    return cohomology_dims(dims, mats, ring)

@@ -312,7 +312,7 @@ def closed_cell(x: RegularCWComplex, alpha: str) -> Subcomplex:
 def complement_star(x: RegularCWComplex, alpha: str) -> Subcomplex:
     """All cells whose closure avoids alpha."""
     x.cell_dim(alpha)
-    return Subcomplex(x, frozenset(c for c in x.dims if not x.le(alpha, c)))
+    return Subcomplex(x, frozenset(c for c in x.dims if not cell_le(x, alpha, c)))
 
 
 def word_cohomology(g: LayeredGraph, k: int, field):
@@ -323,19 +323,97 @@ def word_cohomology(g: LayeredGraph, k: int, field):
     return cochain_cohomology(dims, mats, field)
 
 
+def cell_le(x: RegularCWComplex, a: str, b: str) -> bool:
+    """a is a face of b (or equal)."""
+    x.cell_dim(a), x.cell_dim(b)
+    return a == b or a in x._strict_faces[b]
+
+
+def is_thin(g: LayeredGraph) -> tuple[bool, tuple[str, str, list[str]] | None]:
+    """True iff every rank-2 interval [b, a] has exactly four elements.
+
+    Witness on failure: (a, b, interval elements).
+    """
+    for a in g.vertex_ids():
+        for b in g.sphere(a, 2):
+            mids = [z for z in g.lower_covers(a) if b in g.strictly_below(z)]
+            if len(mids) != 2:
+                return False, (a, b, sorted([a, b] + mids))
+    return True, None
+
+
 def scan_pair_basis(x: RegularCWComplex, n: int, k: int) -> list[tuple[str, str]]:
-    """Pairs (upper n-cell, lower k-cell face) by testing every k-cell with `le`."""
+    """Pairs (upper n-cell, lower k-cell face) by testing every k-cell with `cell_le`."""
     if k > n:
         return []
-    return [(beta, alpha) for beta in x.cells(n) for alpha in x.cells(k) if x.le(alpha, beta)]
+    return [(beta, alpha) for beta in x.cells(n) for alpha in x.cells(k) if cell_le(x, alpha, beta)]
+
+
+def pair_dims(layer) -> dict[int, int]:
+    """Dimensions of the pair spaces of a `BigradedLayer`, by n."""
+    return {n: len(b) for n, b in layer.bases.items()}
+
+
+def reduced_dims(layer) -> dict[int, int]:
+    """Dimensions of the quotients of a `ReducedLayer`, by n."""
+    return {n: q.dim for n, q in layer.quotients.items()}
+
+
+def pair_layers(x: RegularCWComplex, ring) -> dict:
+    """The pair layers of all columns over `ring`, each lending its bases to
+    the next as `reduced_layers` chains them, by k."""
+    from cwkoszul.bigraded import build_layer
+
+    layers: dict = {}
+    below = None
+    for k in range(x.dim + 1):
+        below = layers[k] = build_layer(x, k, ring, below)
+    return layers
+
+
+def reference_layer(x: RegularCWComplex, k: int, ring):
+    """The pair layer of column k built alone: the bases of column k and the
+    targets of its vertical differential are listed by `scan_pair_basis`."""
+    from cwkoszul.bigraded import BigradedLayer
+    from cwkoszul.linalg import SparseExactMatrix
+
+    d = x.dim
+    bases = {n: scan_pair_basis(x, n, k) for n in range(k, d + 1)}
+    d_up, d_down = {}, {}
+    for n in range(k, d + 1):
+        tgt = {pair: i for i, pair in enumerate(bases.get(n + 1, []))}
+        entries = {
+            (tgt[(gamma, alpha)], j): x.incidence[(gamma, beta)]
+            for j, (beta, alpha) in enumerate(bases[n])
+            for gamma in x.cofaces(beta)
+        }
+        d_up[n] = SparseExactMatrix(len(tgt), len(bases[n]), entries, ring)
+        if k >= 1:
+            below_basis = scan_pair_basis(x, n, k - 1)
+            tgt = {pair: i for i, pair in enumerate(below_basis)}
+            entries = {
+                (tgt[(beta, gamma)], j): x.incidence[(alpha, gamma)]
+                for j, (beta, alpha) in enumerate(bases[n])
+                for gamma in x.faces(alpha)
+            }
+            d_down[n] = SparseExactMatrix(len(below_basis), len(bases[n]), entries, ring)
+    return BigradedLayer(x, k, bases, d_up, d_down)
+
+
+def reference_reduced_layer(x: RegularCWComplex, k: int, ring):
+    """Reduced column k from the pair layers of columns k and k+1 built alone."""
+    from cwkoszul.bigraded import reduced_layer
+
+    above = reference_layer(x, k + 1, ring) if k < x.dim else None
+    return reduced_layer(x, k, ring, reference_layer(x, k, ring), above)
 
 
 def scan_relative_complex(x: RegularCWComplex, alpha: str, field):
     """The cochain complex of (X, Y_alpha) on the star of alpha, found by
-    testing every cell with `le`: (dims, differentials)."""
+    testing every cell with `cell_le`: (dims, differentials)."""
     from cwkoszul.linalg import SparseExactMatrix
 
-    cells = [[c for c in x.cells(n) if x.le(alpha, c)] for n in range(x.dim + 1)]
+    cells = [[c for c in x.cells(n) if cell_le(x, alpha, c)] for n in range(x.dim + 1)]
     dims = [len(cs) for cs in cells]
     mats = []
     for n in range(x.dim):
@@ -697,17 +775,12 @@ def path_annihilator_check(g: LayeredGraph, field, x: str, n: int, memo: dict | 
     return True
 
 
-def path_comparison_map(x: RegularCWComplex, field, n: int, k: int, layer=None, block=None):
+def path_comparison_map(x: RegularCWComplex, field, n: int, k: int, layer, block):
     """`comparison_map` into the path-word block of head rank n+1."""
-    from cwkoszul.bigraded import reduced_layer
     from cwkoszul.dualalg import sign_of_path
     from cwkoszul.linalg import SparseExactMatrix
 
     g = x.face_poset_bar()
-    if layer is None:
-        layer = reduced_layer(x, k, field)
-    if block is None:
-        block = path_block_component(g, n - k + 1, n + 1, field)
     lq = layer.quotients[n]
     word_index = {w: i for i, w in enumerate(block.presentation.ambient_labels)}
     cols = []
@@ -733,7 +806,7 @@ def path_comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tu
         k = layer.k
         for n in range(k, x.dim + 1):
             block = path_block_component(g, n - k + 1, n + 1, field, memo)
-            phi = path_comparison_map(x, field, n, k, layer=layer, block=block)
+            phi = path_comparison_map(x, field, n, k, layer, block)
             ldim, rdim = layer.quotients[n].dim, block.dim
             ok = ldim == rdim and rank(phi) == ldim
             details.append((n, k, ldim, rdim, ok))

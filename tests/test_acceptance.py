@@ -12,7 +12,7 @@ from cwkoszul.bigraded import (
     hx_table,
     koszul_obstructions,
     pair_basis,
-    reduced_layer,
+    reduced_layers,
 )
 from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.cli import main
@@ -25,6 +25,7 @@ from cwkoszul.linalg import GF, QQ, ZZ, cochain_cohomology
 
 from helpers import (
     matmul,
+    pair_layers,
     path_block_component,
     path_graded_component,
     path_word_complex,
@@ -181,17 +182,15 @@ def test_criterion_9_property_suite():
         ok = ok and x.validate() == []
 
     # the two pair differentials commute; reduction bookkeeping; Euler identity
-    from cwkoszul.bigraded import build_layer
-
     for x in catalog_complexes:
-        layers = {k: build_layer(x, k) for k in range(x.dim + 1)}
+        layers = pair_layers(x, ZZ)
         for k in range(1, x.dim + 1):
             for n in sorted(layers[k].bases)[:-1]:
                 left = matmul(layers[k - 1].d_up[n], layers[k].d_down[n])
                 right = matmul(layers[k].d_down[n + 1], layers[k].d_up[n])
                 ok = ok and left == right
         for field in (QQ, GF(2)):
-            reduced = {k: reduced_layer(x, k, field) for k in range(x.dim + 1)}
+            reduced = list(reduced_layers(x, field))
             for k in range(1, x.dim + 1):
                 for n in range(k, x.dim + 1):
                     lhs = reduced[k].quotients[n].dim

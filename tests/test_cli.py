@@ -302,11 +302,14 @@ def test_bad_prime_selector_exits_two(capsys):
     assert "Traceback" not in err
 
 
-def test_torsion_refusal_exits_two(monkeypatch, capsys):
+def test_torsion_refusal_exits_three(monkeypatch, capsys):
+    # a quotient with torsion has no free coordinates: the method does not
+    # apply, which is a failed hypothesis, not an input error
     from cwkoszul.linalg import TorsionError
 
     monkeypatch.setattr("cwkoszul.cli.hx_table",
                         _raise(TorsionError("integral quotient has torsion")))
     code, _, err = run(capsys, "hx", "catalog:simplex3", "--integral")
-    assert code == 2
+    assert code == 3
+    assert err.startswith("hypothesis failure:")
     assert "torsion" in err and "Traceback" not in err

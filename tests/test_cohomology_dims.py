@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cwkoszul.bigraded import cellular_complex, reduced_layer
+from cwkoszul.bigraded import cellular_complex, reduced_layers
 from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.dualalg import HeadBlocks, word_complex
 from cwkoszul.linalg import (
@@ -106,8 +106,8 @@ def _catalog_complexes(x, ring):
     yield "cellular", cellular_complex(x, ring)
     for alpha in x.cells():
         yield f"relative {alpha}", scan_relative_complex(x, alpha, ring)
-    for k in range(x.dim + 1):
-        yield f"reduced layer {k}", reduced_layer(x, k, ring).chain()
+    for layer in reduced_layers(x, ring):
+        yield f"reduced layer {layer.k}", layer.chain()
     g = x.face_poset_bar()
     for k in range(g.max_rank):
         yield f"word complex {k}", path_word_complex(g, k, ring).chain()

@@ -1,5 +1,7 @@
 """Regular CW complexes: validation, face posets, subcomplexes, catalog."""
 
+import random
+
 import pytest
 
 from cwkoszul.bigraded import cellular_cohomology
@@ -17,6 +19,7 @@ from helpers import (
     diamond_classes,
     disjoint_spheres_complex,
     glued_spheres_complex,
+    is_thin,
     random_uniform_graphs,
     segment_plus_point,
     two_disjoint_triangles,
@@ -137,7 +140,7 @@ def test_subcomplex_must_be_downward_closed():
 def test_bar_posets_thin_and_spheres_uniform():
     for name in catalog_names():
         g = catalog(name).face_poset_bar()
-        assert g.is_thin()[0], name
+        assert is_thin(g)[0], name
     for name in ("sphere1", "sphere2", "sphere3"):
         assert catalog(name).face_poset_bar().is_uniform()[0]
 
@@ -227,7 +230,7 @@ def test_glued_spheres_report_the_disconnected_open_intervals():
         for a in ("01", "02", "12")
     ]
     g = x._face_poset_bar_unchecked()
-    assert g.is_thin()[0] and x.euler_characteristic(x._strict_faces["W"]) == 0
+    assert is_thin(g)[0] and x.euler_characteristic(x._strict_faces["W"]) == 0
     reported = [("01", "W"), ("02", "W"), ("12", "W")]
     split = _split_intervals(g)
     assert sorted(split) == sorted(reported + [(v, "W") for v in (BOTTOM, "0", "1", "2")])
@@ -260,3 +263,62 @@ def test_validation_keeps_its_face_poset():
     assert bar == x._face_poset_bar_unchecked()
     bad = dangling_square_complex()
     assert bad.validate() and bad._bar is None
+
+
+def _mutant(x, rng):
+    """A copy of x with one or two incidences dropped or flipped, or cells added.
+
+    An added cell has random faces, or is glued: its boundary is the sum of
+    those of two cells sharing no face, a cycle, so boundary of boundary
+    still vanishes and only the later checks can object.
+    """
+    dims, incidence = dict(x.dims), dict(x.incidence)
+    for step in range(rng.randint(1, 2)):
+        kind = rng.choice(("drop", "flip", "add", "glue"))
+        if kind == "glue":
+            cells = x.cells(rng.randint(0, x.dim))
+            a, b = rng.sample(cells, 2) if len(cells) > 1 else (None, None)
+            if a and not set(x.faces(a)) & set(x.faces(b)):
+                cid = f"new{step}"
+                dims[cid] = x.dims[a]
+                for c in (a, b):
+                    incidence.update({(cid, f): x.incidence[(c, f)] for f in x.faces(c)})
+        elif kind == "add" or not incidence:
+            d = rng.randint(0, x.dim + 1)
+            lower = sorted(c for c, e in dims.items() if e == d - 1)
+            cid = f"new{step}"
+            dims[cid] = d
+            for f in rng.sample(lower, min(len(lower), rng.randint(1, 4))) if d else ():
+                incidence[(cid, f)] = rng.choice((1, -1))
+        else:
+            key = rng.choice(sorted(incidence))
+            if kind == "drop":
+                del incidence[key]
+            else:
+                incidence[key] = -incidence[key]
+    return RegularCWComplex(f"{x.name}-mutant", dims, incidence)
+
+
+def test_validate_reports_every_mutant_without_a_thin_bar_poset():
+    # validate() builds the bar poset only after its earlier checks pass and
+    # asks neither for a layered graph nor for thinness: those checks imply
+    # both.  Every mutant whose bar poset is not a thin layered graph must
+    # therefore be reported, and no clean report may come without one.
+    rng = random.Random(20081)
+    names = ("simplex2", "simplex3", "sphere2", "rp2_six", "example_singular",
+             "three_triangles_shared_edge")
+    not_thin = 0
+    for _ in range(400):
+        x = _mutant(catalog(rng.choice(names)), rng)
+        try:
+            bar = LayeredGraph({c: d + 1 for c, d in x.dims.items()}, set(x.incidence))
+            thin = is_thin(bar)[0]
+        except GraphError:
+            thin = False
+        report = x.validate()
+        if not thin:
+            not_thin += 1
+            assert report, x.to_dict()
+        elif not report:
+            assert x.face_poset_bar() == bar
+    assert not_thin >= 100

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cwkoszul.bigraded import reduced_layer
+from cwkoszul.bigraded import reduced_layers
 from cwkoszul.catalog import catalog
 from cwkoszul.cw import ComplexError
 from cwkoszul.dualalg import (
@@ -272,8 +272,7 @@ def test_comparison_map_is_chain_map():
         g = x.face_poset_bar()
         d = x.dim
         for f in (QQ, GF(2)):
-            for k in range(d + 1):
-                layer = reduced_layer(x, k, f)
+            for k, layer in enumerate(reduced_layers(x, f)):
                 blocks = HeadBlocks(g, f)
                 wc = path_word_complex(g, k, f)
                 for n in range(k, d):

@@ -10,6 +10,7 @@ from helpers import (
     diamond_classes,
     down_up_sequence,
     edge_poset,
+    is_thin,
     nonuniform_poset,
     up_down_sequence,
 )
@@ -85,11 +86,11 @@ def test_hat_poset_of_singular_solid_is_uniform():
 
 
 def test_is_thin():
-    assert catalog("sphere1").face_poset_bar().is_thin() == (True, None)
+    assert is_thin(catalog("sphere1").face_poset_bar()) == (True, None)
     single = LayeredGraph({}, set())
-    assert single.is_thin() == (True, None)
+    assert is_thin(single) == (True, None)
     hat3 = catalog("three_triangles_shared_edge").face_poset_hat()
-    ok, witness = hat3.is_thin()
+    ok, witness = is_thin(hat3)
     assert not ok
     assert witness[0] == "1bar" and witness[1] == "ab"
 

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from cwkoszul.bigraded import build_layer, reduced_layer
+from cwkoszul.bigraded import reduced_layers
 from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.layered import BOTTOM, graph_from_dict
-from cwkoszul.linalg import QQ, cochain_cohomology
+from cwkoszul.linalg import QQ, ZZ, cochain_cohomology
 
 from helpers import (
     below,
     diamond_classes,
     down_up_sequence,
+    is_thin,
     matmul,
+    pair_layers,
     path_block_component,
     path_graded_component,
     path_word_complex,
@@ -123,7 +125,7 @@ def test_uniform_random_graphs_word_complex_squares_to_zero():
 @pytest.mark.parametrize("name", SMALL_CATALOG)
 def test_layer_differentials_interchange(name):
     x = catalog(name)
-    layers = {k: build_layer(x, k) for k in range(x.dim + 1)}
+    layers = pair_layers(x, ZZ)
     for k in range(1, x.dim + 1):
         for n in sorted(layers[k].bases)[:-1]:
             left = matmul(layers[k - 1].d_up[n], layers[k].d_down[n])
@@ -134,8 +136,7 @@ def test_layer_differentials_interchange(name):
 @pytest.mark.parametrize("name", SMALL_CATALOG)
 def test_reduced_layer_euler_identity(name):
     x = catalog(name)
-    for k in range(x.dim + 1):
-        layer = reduced_layer(x, k, QQ)
+    for layer in reduced_layers(x, QQ):
         dims, mats = layer.chain()
         homs = cochain_cohomology(dims, mats, QQ)
         assert sum((-1) ** i * d for i, d in enumerate(dims)) == sum(
@@ -163,4 +164,4 @@ def _flags_below(x, c, steps):
 
 def test_catalog_posets_thin():
     for name in catalog_names():
-        assert catalog(name).face_poset_bar().is_thin()[0], name
+        assert is_thin(catalog(name).face_poset_bar())[0], name
