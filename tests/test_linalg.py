@@ -131,6 +131,13 @@ def test_induced_map_identity_and_zero():
         assert is_zero(induced_map(zero, q, q)), ring
 
 
+def test_induced_map_integral_identity():
+    rel = dense([[1, 1]], ZZ)
+    q = quotient(["u", "v"], rel, ZZ)
+    ident = identity(2, ZZ)
+    assert induced_map(ident, q, q) == identity(1, ZZ)
+
+
 def test_induced_map_rejects_unpreserved_relations():
     # over Z the relations are a lattice; the check is the same
     for ring in (QQ, ZZ):
