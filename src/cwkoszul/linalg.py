@@ -12,16 +12,19 @@ the spans involved, never on row order: they are reproducible across runs.
 
 A presented quotient comes from one constructor, `quotient(labels,
 relations, ring)`: over a field the RREF of the relations picks the
-quotient basis (`QuotientPresentation`); over Z the column transform of a
-Smith normal form does (`IntegralQuotient`, which refuses a quotient with
-torsion).  Both offer the same interface, so one `induced_map` serves them.
+quotient basis (`QuotientPresentation`); over Z a row elimination on pivots
+of magnitude 1 does, with a dense Smith normal form only on the core of
+rows left without a unit entry (`IntegralQuotient`, which refuses a
+quotient with torsion).  Both offer the same interface, so one
+`induced_map` serves them.
 
 Cohomology is read from ranks: `cohomology_dims` checks the shapes and
 d o d = 0 and takes one rank per differential.  Cocycles are built only
 where a caller needs them, one degree at a time, by
 `cocycle_representatives`; `cochain_cohomology` returns both.  Over Z,
 `integral_cochain_cohomology` reads free ranks and torsion from one Smith
-form per differential; `cohomology_groups` picks the reading of the ring.
+form per differential, found the same way; `cohomology_groups` picks the
+reading of the ring.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class Rationals:
 
 
 class Integers:
-    """The ring Z, values are int.  No division: eliminations go through Smith forms."""
+    """The ring Z, values are int.  No division: eliminations pivot on units and Smith forms."""
 
     key = "Z"
     char = 0
@@ -280,12 +283,6 @@ class SparseExactMatrix:
             return self
         return SparseExactMatrix(self.rows, self.cols, dict(self.entries), ring)
 
-    def to_dense(self) -> list[list]:
-        out = [[self.ring.zero] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseExactMatrix)
@@ -296,6 +293,25 @@ class SparseExactMatrix:
 
     def __repr__(self):
         return f"SparseExactMatrix({self.rows}x{self.cols}, {len(self.entries)} nz, {self.ring!r})"
+
+
+def _install_pivot(tails: dict, users: dict, pc: int, row: dict, p: int) -> None:
+    """Make `row` (its pivot 1 at column pc removed) the pivot row of pc.
+
+    Column pc is cleared from exactly the earlier tails that the column
+    index `users` lists for it, and the index follows the changed tails.
+    """
+    for j in row:
+        users.setdefault(j, set()).add(pc)
+    for q in users.pop(pc, ()):
+        tail = tails[q]
+        _subtract(tail, tail.pop(pc), row, p)
+        for j in row:
+            if j in tail:
+                users[j].add(q)
+            else:
+                users[j].discard(q)
+    tails[pc] = row
 
 
 def rref_rows(rows: list[dict], ring) -> list[tuple[int, dict]]:
@@ -327,17 +343,7 @@ def rref_rows(rows: list[dict], ring) -> list[tuple[int, dict]]:
         pv = row.pop(pc)
         if pv != 1:
             row = _divide(row, pv, p)
-        for j in row:
-            users.setdefault(j, set()).add(pc)
-        for q in users.pop(pc, ()):
-            tail = tails[q]
-            _subtract(tail, tail.pop(pc), row, p)
-            for j in row:
-                if j in tail:
-                    users[j].add(q)
-                else:
-                    users[j].discard(q)
-        tails[pc] = row
+        _install_pivot(tails, users, pc, row, p)
     if p:
         return [(c, {c: 1, **tails[c]}) for c in sorted(tails)]
     return [
@@ -449,10 +455,15 @@ class TorsionError(ValueError):
 class IntegralQuotient:
     """Z^ambient modulo the row lattice of an integer relation matrix.
 
-    Requires the quotient to be free (all invariant factors 1); the column
-    transform of the Smith normal form (`_snf_reduce`) supplies explicit
-    coordinates on the quotient.  The interface is that of
-    `QuotientPresentation`, with the lattice in place of the span.
+    `_unit_elimination` turns the relations into pivot rows, one per pivot
+    column with a 1 there, and a core of rows without a unit entry, which
+    vanishes on every pivot column; Z^ambient / lattice is then
+    Z^(nonpivot columns) / core.  Nonpivot columns no core row touches are
+    free coordinates; the column transform q of the Smith form of the core
+    (`_snf_reduce` on the core columns only) gives the rest.  The quotient
+    must be free: all invariant factors 1, else `TorsionError`.  The
+    interface is that of `QuotientPresentation`, with the lattice in place of
+    the span.
     """
 
     ring = ZZ
@@ -463,22 +474,30 @@ class IntegralQuotient:
         n = len(ambient_labels)
         if relations.cols != n:
             raise ValueError("relation width does not match ambient basis")
-        dense = relations.to_dense()
-        q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        qinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if dense:
-            factors = _snf_reduce(dense, q, qinv)
-        else:
-            factors = []
+        tails, core = _unit_elimination(relations.row_list())
+        cols, dense = _dense_core(core)
+        m = len(cols)
+        q = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        qinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        factors = [1] * len(tails)
+        if core:
+            factors += _snf_reduce(dense, q, qinv)
         if any(d != 1 for d in factors):
             raise TorsionError(
                 f"integral quotient has torsion (invariant factors {factors}); "
                 "no free coordinate system exists"
             )
-        self._rank = len(factors)
-        self._q = q
-        self._qinv = qinv
-        self.dim = n - self._rank
+        self._tails = tails
+        core_cols = set(cols)
+        self._free = [j for j in range(n) if j not in tails and j not in core_cols]
+        self._free_pos = {j: i for i, j in enumerate(self._free)}
+        r, f = len(factors) - len(tails), len(self._free)
+        # core column -> its quotient coordinates, the rows of q past the core rank
+        self._core_coords = {
+            c: {f + t - r: q[a][t] for t in range(r, m) if q[a][t]} for a, c in enumerate(cols)
+        }
+        self._core_lifts = [{cols[b]: v for b, v in enumerate(qinv[t]) if v} for t in range(r, m)]
+        self.dim = n - len(factors)
 
     @property
     def relation_rows(self) -> list[dict]:
@@ -486,26 +505,34 @@ class IntegralQuotient:
         return [row for row in self.relations.row_list() if row]
 
     def project(self, vec: dict) -> dict:
-        """Coordinates of an ambient integer vector in the free quotient."""
-        s, q = self._rank, self._q
-        out = {}
-        for t in range(s, len(self.ambient_labels)):
-            acc = 0
-            for a, v in vec.items():
-                acc += v * q[a][t]
-            if acc:
-                out[t - s] = acc
+        """Coordinates of an ambient integer vector in the free quotient.
+
+        The pivot rows clear the pivot columns; a free column keeps its
+        value, a core column goes through the core's transform.
+        """
+        tails, free_pos, core_coords = self._tails, self._free_pos, self._core_coords
+        red = dict(vec)
+        for c in [c for c in red if c in tails]:
+            _subtract(red, red.pop(c), tails[c], 0)
+        out: dict = {}
+        for c, v in red.items():
+            i = free_pos.get(c)
+            if i is None:
+                _subtract(out, -v, core_coords[c], 0)
+            else:
+                out[i] = v
         return out
 
     def lift(self, idx: int) -> dict:
-        row = self._qinv[self._rank + idx]
-        return {a: v for a, v in enumerate(row) if v}
+        if idx < len(self._free):
+            return {self._free[idx]: 1}
+        return dict(self._core_lifts[idx - len(self._free)])
 
     def in_relation_span(self, vec: dict) -> bool:
         return not self.project(vec)
 
     def labels(self) -> list:
-        # quotient coordinates are SNF-derived; no ambient labels survive
+        # quotient coordinates mix free columns and SNF-derived ones
         return list(range(self.dim))
 
     def __repr__(self):
@@ -641,6 +668,48 @@ class SmithForm:
         return len(self.factors)
 
 
+def _unit_elimination(rows: list[dict]) -> tuple[dict[int, dict], list[dict]]:
+    """Row-only Gauss-Jordan over Z on pivots of magnitude 1; consumes `rows`.
+
+    Returns (tails, core).  `tails` maps each pivot column to its pivot row,
+    normalised to a 1 at the pivot and stored without it; no pivot column
+    occurs in any other returned row.  `core` holds the nonzero rows left
+    with no entry of magnitude 1.  Only unimodular row operations are used,
+    so pivot rows and core span the lattice of `rows`.
+
+    Each row is reduced at the pivot columns it holds and pivots on its
+    smallest column with a unit entry, installed as in `rref_rows`.  A row
+    without one waits; the waiting rows are reduced again after every pass
+    that added a pivot, until a pass adds none.
+    """
+    tails: dict[int, dict] = {}
+    users: dict[int, set] = {}
+    pending = rows
+    while True:
+        core, known = [], len(tails)
+        for row in pending:
+            for c in [c for c in row if c in tails]:
+                _subtract(row, row.pop(c), tails[c], 0)
+            if not row:
+                continue
+            pc = min((c for c, v in row.items() if v == 1 or v == -1), default=None)
+            if pc is None:
+                core.append(row)
+                continue
+            if row.pop(pc) == -1:
+                row = {j: -v for j, v in row.items()}
+            _install_pivot(tails, users, pc, row, 0)
+        if len(tails) == known:
+            return tails, core
+        pending = core
+
+
+def _dense_core(core: list[dict]) -> tuple[list[int], list[list[int]]]:
+    """The columns the core rows touch, and the rows as a dense matrix on them."""
+    cols = sorted({c for row in core for c in row})
+    return cols, [[row.get(c, 0) for c in cols] for row in core]
+
+
 def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[int]] | None):
     """In-place SNF of dense integer matrix a; tracks column ops in q, qinv."""
     m = len(a)
@@ -681,6 +750,8 @@ def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[i
                 v = abs(a[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:  # nothing is smaller
+                        return best
         return best
 
     t = 0
@@ -704,6 +775,8 @@ def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[i
             if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
                 best = smallest(t)
                 continue
+            if abs(piv) == 1:  # a unit divides the rest of the block
+                break
             # pivot divides the rest of the block?  else add the first offender's column
             offender = next((j for i in range(t + 1, m) for j in range(t + 1, n)
                              if a[i][j] % piv != 0), None)
@@ -718,11 +791,18 @@ def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[i
 
 
 def smith_normal_form(m: SparseExactMatrix) -> SmithForm:
-    """Invariant factors of an integer matrix (transforms not tracked)."""
-    dense = m.convert(ZZ).to_dense()
-    if not dense:
-        return SmithForm(())
-    return SmithForm(tuple(_snf_reduce(dense, None, None)))
+    """Invariant factors of an integer matrix (transforms not tracked).
+
+    Each unit pivot of `_unit_elimination` gives a factor 1: column
+    operations clear the rest of its pivot row and touch no other row.  The
+    dense `_snf_reduce` runs only on the core left over, restricted to the
+    columns its rows touch, and gives the remaining factors.
+    """
+    tails, core = _unit_elimination(m.convert(ZZ).row_list())
+    factors = [1] * len(tails)
+    if core:
+        factors += _snf_reduce(_dense_core(core)[1], None, None)
+    return SmithForm(tuple(factors))
 
 
 def integral_cochain_cohomology(

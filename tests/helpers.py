@@ -507,6 +507,92 @@ def integral_cellular_cohomology(x: RegularCWComplex) -> list[tuple[int, tuple[i
     return integral_cochain_cohomology(dims, mats)
 
 
+def grid_torus(a: int, b: int) -> RegularCWComplex:
+    """The triangulated a x b grid with both directions wrapped: a torus (a, b >= 3)."""
+    from cwkoszul.catalog import _simplicial
+
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+    def vert(i, j):
+        return letters[(i % a) * b + j % b]
+
+    facets = []
+    for i in range(a):
+        for j in range(b):
+            p, q, r, s = vert(i, j), vert(i + 1, j), vert(i, j + 1), vert(i + 1, j + 1)
+            facets += [p + q + s, p + r + s]
+    return _simplicial(f"torus{a}x{b}", facets)
+
+
+# ---------------------------------------------------------------------------
+# the dense Smith normal form: the reference for the integral path
+#
+# Both run `_snf_reduce` on the whole relation matrix, and the quotient
+# tracks two ambient-sized square transforms, as the integral path did
+# before it eliminated unit pivots sparsely.
+
+
+def to_dense(m) -> list[list]:
+    """The entries of a sparse matrix as a list of rows."""
+    out = [[m.ring.zero] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        out[i][j] = v
+    return out
+
+
+def dense_smith_factors(m) -> tuple[int, ...]:
+    """Invariant factors of an integer matrix from one dense Smith form."""
+    from cwkoszul.linalg import ZZ, _snf_reduce
+
+    dense = to_dense(m.convert(ZZ))
+    return tuple(_snf_reduce(dense, None, None)) if dense else ()
+
+
+class dense_integral_quotient:
+    """Z^ambient modulo the row lattice of `relations`, by a dense Smith form.
+
+    The column transform q of the Smith form supplies the coordinates:
+    `project` multiplies by the columns of q past the rank, `lift` reads the
+    rows of its inverse.  Raises `TorsionError` unless every factor is 1.
+    """
+
+    def __init__(self, ambient_labels: list, relations):
+        from cwkoszul.linalg import TorsionError, _snf_reduce
+
+        self.ambient_labels = list(ambient_labels)
+        n = len(ambient_labels)
+        if relations.cols != n:
+            raise ValueError("relation width does not match ambient basis")
+        dense = to_dense(relations)
+        q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        qinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        factors = _snf_reduce(dense, q, qinv) if dense else []
+        if any(d != 1 for d in factors):
+            raise TorsionError(
+                f"integral quotient has torsion (invariant factors {factors}); "
+                "no free coordinate system exists"
+            )
+        self._rank = len(factors)
+        self._q = q
+        self._qinv = qinv
+        self.dim = n - self._rank
+
+    def project(self, vec: dict) -> dict:
+        s, q = self._rank, self._q
+        out = {}
+        for t in range(s, len(self.ambient_labels)):
+            acc = sum(v * q[a][t] for a, v in vec.items())
+            if acc:
+                out[t - s] = acc
+        return out
+
+    def lift(self, idx: int) -> dict:
+        return {a: v for a, v in enumerate(self._qinv[self._rank + idx]) if v}
+
+    def in_relation_lattice(self, vec: dict) -> bool:
+        return not self.project(vec)
+
+
 # ---------------------------------------------------------------------------
 # the path-word presentation: the reference the head blocks are tested against
 #

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cwkoszul import linalg
 from cwkoszul.bigraded import (
     cellular_cohomology,
     cellular_complex,
@@ -24,6 +25,7 @@ from cwkoszul.linalg import (
 )
 
 from helpers import (
+    grid_torus,
     integral_cellular_cohomology,
     is_zero,
     matmul,
@@ -296,7 +298,7 @@ def test_obstructions_singular_solid():
 def test_universal_coefficients_consistency():
     # dim over F_p = integral free rank + torsion hit by p in this degree and
     # the next one up the column; ties the Z and F_p pipelines together
-    for name in ("simplex2", "sphere2", "rp2_six", "example_singular"):
+    for name in catalog_names():  # catalog() validates every entry
         x = catalog(name)
         ztable = hx_table(x, ZZ)
         for p in (2, 3):
@@ -306,6 +308,29 @@ def test_universal_coefficients_consistency():
                 above = ztable.entries.get((n + 1, k), (0, ()))
                 t_above = sum(1 for t in above[1] if t % p == 0)
                 assert ftable.entry(n, k) == free + t_here + t_above, (name, p, n, k)
+
+
+def test_integral_tables_run_the_dense_smith_form_only_on_a_core(monkeypatch):
+    snf_reduce = linalg._snf_reduce
+
+    def refuse(*args):
+        raise AssertionError("dense Smith form ran")
+
+    # unit pivots leave no core on these: the dense Smith form never runs
+    monkeypatch.setattr(linalg, "_snf_reduce", refuse)
+    for x in (catalog("sphere3"), grid_torus(4, 5)):
+        assert hx_table(x, ZZ).entry(x.dim, 0) == (1, ()), x.name
+
+    # on rp2_six it runs on the one-row core that the Z/2 leaves
+    shapes = []
+
+    def record(a, q, qinv):
+        shapes.append((len(a), len(a[0])))
+        return snf_reduce(a, q, qinv)
+
+    monkeypatch.setattr(linalg, "_snf_reduce", record)
+    assert hx_table(catalog("rp2_six"), ZZ).entry(2, 0) == (0, (2,))
+    assert shapes and all(rows == 1 for rows, _ in shapes)
 
 
 def test_obstructions_require_hypotheses():

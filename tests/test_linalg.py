@@ -10,8 +10,10 @@ from cwkoszul.linalg import (
     GF,
     QQ,
     ZZ,
+    IntegralQuotient,
     SmithForm,
     SparseExactMatrix,
+    TorsionError,
     cochain_cohomology,
     field_from_spec,
     image_vectors,
@@ -25,7 +27,15 @@ from cwkoszul.linalg import (
     smith_normal_form,
 )
 
-from helpers import debug_triples, identity, is_zero, kernel_basis, matmul
+from helpers import (
+    debug_triples,
+    dense_integral_quotient,
+    dense_smith_factors,
+    identity,
+    is_zero,
+    kernel_basis,
+    matmul,
+)
 
 
 def dense(rows, ring):
@@ -239,6 +249,74 @@ def test_integral_quotient_rejects_torsion():
     rel = dense([[2]], ZZ)
     with pytest.raises(ValueError, match="torsion"):
         quotient(["u"], rel, ZZ)
+
+
+# sparse integer relation matrices of every kind the unit-pivot elimination
+# meets: +-1 only, no unit entry at all (all core), mixed, torsion by a scaled
+# row, zero, and empty
+ENTRIES = {
+    "units": st.sampled_from([0, 0, 0, 1, -1]),
+    "core": st.sampled_from([0, 0, 0, 2, -2, 3, -4, 6]),
+    "mixed": st.sampled_from([0, 0, 0, 1, -1, 1, 2, -2, 3]),
+    "zero": st.just(0),
+}
+
+
+@st.composite
+def integer_relations(draw):
+    kind = draw(st.sampled_from(sorted(ENTRIES) + ["torsion"]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = ENTRIES["units" if kind == "torsion" else kind]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if kind == "torsion" and rows:
+        i, f = draw(st.integers(0, m - 1)), draw(st.sampled_from([2, 3, -2]))
+        rows[i] = [f * v for v in rows[i]]
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return SparseExactMatrix(m, n, entries, ZZ)
+
+
+def _quotient_or_error(cls, rel):
+    try:
+        return cls(list(range(rel.cols)), rel), None
+    except TorsionError as exc:
+        return None, str(exc)
+
+
+def test_smith_core_without_units():
+    # no entry of magnitude 1: everything is core, and gcd(2, 3) = 1 still shows
+    rel = dense([[2, 3]], ZZ)
+    assert smith_normal_form(rel).factors == (1,)
+    q = quotient(["u", "v"], rel, ZZ)
+    assert q.dim == 1 and q.in_relation_span({0: 2, 1: 3})
+    assert q.project(q.lift(0)) == {0: 1}
+
+
+@given(integer_relations())
+@settings(max_examples=200, deadline=None)
+def test_smith_matches_dense_reference(rel):
+    assert smith_normal_form(rel).factors == dense_smith_factors(rel)
+
+
+@given(integer_relations(), st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_integral_quotient_matches_dense_reference(rel, raw):
+    q, err = _quotient_or_error(IntegralQuotient, rel)
+    ref, ref_err = _quotient_or_error(dense_integral_quotient, rel)
+    assert err == ref_err
+    if q is None:
+        return
+    assert q.dim == ref.dim
+    for row in q.relation_rows:
+        assert q.project(row) == {}
+    for i in range(q.dim):
+        assert q.project(q.lift(i)) == {i: 1}
+    # v - lift(project(v)) lies in the relation lattice
+    v = {j: x for j, x in enumerate(raw[:rel.cols]) if x}
+    diff = dict(v)
+    for i, c in q.project(v).items():
+        for j, x in q.lift(i).items():
+            diff[j] = diff.get(j, 0) - c * x
+    assert ref.in_relation_lattice({j: x for j, x in diff.items() if x})
 
 
 def test_integral_cochain_cohomology_times_two():
