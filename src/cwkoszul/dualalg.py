@@ -30,7 +30,7 @@ from .linalg import (
     cohomology_dims,
     quotient,
     rank as mat_rank,
-    rref_rows,
+    span_rank,
 )
 from .bigraded import ReducedLayer, reduced_layers
 
@@ -326,7 +326,7 @@ def annihilator_check(g: LayeredGraph, field, x: str, n: int) -> bool:
                 {oy + i: v for i, v in col.items()}
                 for oy, _, col in _prepend_columns(blocks, outside, m - 1, prev[0], src[0])
             ]
-        jdim = len(rref_rows(vecs, field))
+        jdim = span_rank(vecs, field)
         for v in vecs:
             if kmat.apply(v):
                 raise AssertionError(

@@ -1,12 +1,15 @@
 """Exact sparse linear algebra over Q, prime fields and Z.
 
-Matrices store only nonzero entries; scalars are `fractions.Fraction` over Q,
-canonical residues (ints in [0, p)) over F_p, and Python ints over Z.
+Matrices store only nonzero entries.  Scalars are Python ints over Z,
+canonical residues (ints in [0, p)) over F_p, and over Q an int for every
+integral value and a `fractions.Fraction` for any other (`Rationals`).
 
-Every elimination goes through one kernel, `rref_rows`: incremental
-Gauss-Jordan on dict rows with the field arithmetic inline (`% p` over F_p;
-over Q integral entries stay ints and a Fraction appears only where a
-division is inexact).  The reduced row echelon form of a row space is
+Every elimination goes through one kernel, `_eliminate`: incremental
+Gauss-Jordan on dict rows with the field arithmetic inline (`% p` over F_p,
+plain int arithmetic over Q on integral values).  Ranks, kernels, images and
+quotient presentations read its pivot rows as they are; the public
+`rref_rows` returns them with Fraction values over Q, as do the cohomology
+representatives built on it.  The reduced row echelon form of a row space is
 unique, so ranks, kernels, quotient bases and representatives depend only on
 the spans involved, never on row order: they are reproducible across runs.
 
@@ -34,15 +37,26 @@ from fractions import Fraction
 
 
 class Rationals:
-    """The field Q, values are Fraction."""
+    """The field Q; a value is an int when it is integral, else a Fraction.
+
+    `of` gives this canonical form, and the kernel's arithmetic keeps it: a
+    matrix over Q built from integral entries holds ints, eliminations on it
+    stay on ints, and a Fraction appears only where a division is inexact.
+    `rref_rows` and the representatives of `cocycle_representatives` return
+    Fractions: that is the public form.
+    """
 
     key = "Q"
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, x):
-        return x if type(x) is Fraction else Fraction(x)
+        if type(x) is int:
+            return x
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def __repr__(self):
         return "QQ"
@@ -164,7 +178,11 @@ def _field_char(ring) -> int:
 
 
 def _subtract(dst: dict, coeff, src: dict, p: int) -> None:
-    """dst -= coeff * src in place, dropping zeros; residues mod p when p > 0."""
+    """dst -= coeff * src in place, dropping zeros; residues mod p when p > 0.
+
+    Over Q an integral result is stored as an int, so ints stay ints and a
+    Fraction that becomes integral turns back into one.
+    """
     get = dst.get
     if p:
         for j, v in src.items():
@@ -177,7 +195,7 @@ def _subtract(dst: dict, coeff, src: dict, p: int) -> None:
         for j, v in src.items():
             w = get(j, 0) - coeff * v
             if w:
-                dst[j] = w
+                dst[j] = w if type(w) is int or w.denominator != 1 else w.numerator
             else:
                 dst.pop(j, None)
 
@@ -314,27 +332,28 @@ def _install_pivot(tails: dict, users: dict, pc: int, row: dict, p: int) -> None
     tails[pc] = row
 
 
-def rref_rows(rows: list[dict], ring) -> list[tuple[int, dict]]:
-    """Reduced row echelon form of sparse row vectors over a field.
+def _eliminate(rows: list[dict], p: int) -> dict[int, dict]:
+    """The reduced row echelon form of sparse rows over F_p (p > 0) or Q (p = 0).
 
-    Returns [(pivot_col, row)] sorted by pivot column; each row has a 1 at its
-    pivot, which is its smallest column, and zeros at every other pivot
-    column.  This form is unique for a row space, so the result does not
-    depend on the order of the rows, on zero rows or on repeated rows.
+    Returns {pivot column: pivot row without its pivot 1}.  Each row has the
+    pivot as its smallest column and zeros at every other pivot column.
+    This form is unique for a row space, so the result does not depend on the
+    order of the rows, on zero rows or on repeated rows.  The rows are read,
+    not changed; over Q their values in the form of `Rationals` keep the
+    arithmetic on ints.
 
     Incremental Gauss-Jordan: each incoming row is reduced only at the pivot
     columns it holds, its smallest remaining column becomes a new pivot, and
     that column is cleared from exactly the earlier pivot rows that a column
     index lists for it.
     """
-    p = _field_char(ring)
     tails: dict[int, dict] = {}  # pivot column -> its row without the pivot 1
     users: dict[int, set] = {}  # nonpivot column -> pivot columns whose tails hold it
     for src in rows:
         if p:
             row = {c: w for c, v in src.items() if (w := v % p)}
         else:
-            row = {c: (v.numerator if v.denominator == 1 else v) for c, v in src.items() if v}
+            row = {c: v for c, v in src.items() if v}
         for c in [c for c in row if c in tails]:
             _subtract(row, row.pop(c), tails[c], p)
         if not row:
@@ -344,12 +363,35 @@ def rref_rows(rows: list[dict], ring) -> list[tuple[int, dict]]:
         if pv != 1:
             row = _divide(row, pv, p)
         _install_pivot(tails, users, pc, row, p)
+    return tails
+
+
+def _full_rows(tails: dict[int, dict]) -> list[tuple[int, dict]]:
+    """(pivot column, row with its pivot 1) per pivot, by pivot column."""
+    return [(c, {c: 1, **tails[c]}) for c in sorted(tails)]
+
+
+def _reduce(vec: dict, tails: dict[int, dict], p: int) -> dict:
+    """vec reduced by fully reduced pivot rows, given by their tails: no pivot column is left."""
+    out = dict(vec)
+    for c in [c for c in out if c in tails]:
+        _subtract(out, out.pop(c), tails[c], p)
+    return out
+
+
+def rref_rows(rows: list[dict], ring) -> list[tuple[int, dict]]:
+    """Reduced row echelon form of sparse row vectors over a field.
+
+    Returns [(pivot_col, row)] sorted by pivot column; each row has a 1 at its
+    pivot, which is its smallest column, and zeros at every other pivot
+    column (see `_eliminate`).  Values are residues over F_p and Fractions
+    over Q.
+    """
+    p = _field_char(ring)
+    rref = _full_rows(_eliminate(rows, p))
     if p:
-        return [(c, {c: 1, **tails[c]}) for c in sorted(tails)]
-    return [
-        (c, {c: QQ.one, **{j: QQ.of(v) for j, v in tails[c].items()}})
-        for c in sorted(tails)
-    ]
+        return rref
+    return [(c, {j: Fraction(v) for j, v in row.items()}) for c, row in rref]
 
 
 def reduce_mod_rows(vec: dict, rref, ring) -> dict:
@@ -366,27 +408,30 @@ def reduce_mod_rows(vec: dict, rref, ring) -> dict:
     return out
 
 
+def span_rank(vecs: list[dict], ring) -> int:
+    """Dimension of the span of sparse vectors over a field."""
+    return len(_eliminate(vecs, _field_char(ring)))
+
+
 def rank(m: SparseExactMatrix, ring=None) -> int:
     """Rank over a field, eliminating the rows or the columns, whichever are fewer."""
     ring = ring or m.ring
     m = m.convert(ring)
     if not m.entries:
         return 0
-    return len(rref_rows(m._cached_columns() if m.cols < m.rows else m.row_list(), ring))
+    return span_rank(m._cached_columns() if m.cols < m.rows else m.row_list(), ring)
 
 
 def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
     """Basis of {x : m x = 0}, one vector per free column, in reduced form."""
     ring = ring or m.ring
     m = m.convert(ring)
-    red = rref_rows(m.row_list(), ring)
-    p = ring.char
-    pivot_set = {c for c, _ in red}
-    vecs = {j: {j: ring.one} for j in range(m.cols) if j not in pivot_set}
-    for c, row in red:
-        for j, coeff in row.items():
-            if j != c:
-                vecs[j][c] = -coeff % p if p else -coeff
+    p = _field_char(ring)
+    tails = _eliminate(m.row_list(), p)
+    vecs = {j: {j: ring.one} for j in range(m.cols) if j not in tails}
+    for c in sorted(tails):
+        for j, coeff in tails[c].items():
+            vecs[j][c] = -coeff % p if p else -coeff
     return list(vecs.values())
 
 
@@ -394,8 +439,7 @@ def image_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
     """Basis of the column space, in reduced echelon form."""
     ring = ring or m.ring
     m = m.convert(ring)
-    red = rref_rows(m._cached_columns(), ring)
-    return [row for _, row in red]
+    return [row for _, row in _full_rows(_eliminate(m._cached_columns(), _field_char(ring)))]
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +461,22 @@ class QuotientPresentation:
         self.ambient_labels = list(ambient_labels)
         self.relations = relations
         self.ring = ring
-        self.rref = rref_rows(relations.row_list(), ring)
-        self._pivot_rows = dict(self.rref)
-        self.nonpivots = [j for j in range(len(ambient_labels)) if j not in self._pivot_rows]
+        self._p = _field_char(ring)
+        self._tails = _eliminate(relations.row_list(), self._p)
+        self.nonpivots = [j for j in range(len(ambient_labels)) if j not in self._tails]
         self._nonpivot_pos = {j: q for q, j in enumerate(self.nonpivots)}
         self.dim = len(self.nonpivots)
 
     @property
     def relation_rows(self) -> list[dict]:
         """A basis of the relation span: the reduced relations."""
-        return [row for _, row in self.rref]
+        return [row for _, row in _full_rows(self._tails)]
 
     def labels(self) -> list:
         return [self.ambient_labels[j] for j in self.nonpivots]
 
     def reduce(self, vec: dict) -> dict:
-        return reduce_mod_rows(vec, self._pivot_rows, self.ring)
+        return _reduce(vec, self._tails, self._p)
 
     def in_relation_span(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -510,12 +554,9 @@ class IntegralQuotient:
         The pivot rows clear the pivot columns; a free column keeps its
         value, a core column goes through the core's transform.
         """
-        tails, free_pos, core_coords = self._tails, self._free_pos, self._core_coords
-        red = dict(vec)
-        for c in [c for c in red if c in tails]:
-            _subtract(red, red.pop(c), tails[c], 0)
+        free_pos, core_coords = self._free_pos, self._core_coords
         out: dict = {}
-        for c, v in red.items():
+        for c, v in _reduce(vec, self._tails, 0).items():
             i = free_pos.get(c)
             if i is None:
                 _subtract(out, -v, core_coords[c], 0)
@@ -612,8 +653,9 @@ def cocycle_representatives(mats: list[SparseExactMatrix], i: int, dim: int, rin
 
     `dim` is the dimension of C_i.  The representatives are the echelon
     kernel vectors of mats[i] reduced modulo the image of mats[i-1], brought
-    to reduced echelon form.  The complex is taken as checked by
-    `cohomology_dims`.
+    to reduced echelon form by `rref_rows`, so over Q their values are
+    Fractions, as a reported witness carries them.  The complex is taken as
+    checked by `cohomology_dims`.
     """
     if i < len(mats):
         kern = kernel_vectors(mats[i], ring)
@@ -678,7 +720,7 @@ def _unit_elimination(rows: list[dict]) -> tuple[dict[int, dict], list[dict]]:
     so pivot rows and core span the lattice of `rows`.
 
     Each row is reduced at the pivot columns it holds and pivots on its
-    smallest column with a unit entry, installed as in `rref_rows`.  A row
+    smallest column with a unit entry, installed as in `_eliminate`.  A row
     without one waits; the waiting rows are reduced again after every pass
     that added a pivot, until a pass adds none.
     """

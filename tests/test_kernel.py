@@ -1,4 +1,5 @@
-"""The elimination kernel against a dense textbook Gauss-Jordan, and its invariances."""
+"""The elimination kernel against a dense textbook Gauss-Jordan, its invariances,
+and the int form of values over Q."""
 
 from fractions import Fraction
 
@@ -6,14 +7,21 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from cwkoszul.bigraded import hx_table, koszul_obstructions
+from cwkoszul.catalog import catalog
+from cwkoszul.dualalg import koszul_decide
 from cwkoszul.linalg import (
     GF,
     QQ,
     ZZ,
+    QuotientPresentation,
     SparseExactMatrix,
     cochain_cohomology,
+    kernel_vectors,
+    rank,
     reduce_mod_rows,
     rref_rows,
+    span_rank,
 )
 
 from helpers import dense_rref, identity, to_dense
@@ -128,3 +136,99 @@ def test_integers_are_refused():
         rref_rows([{0: 2}], ZZ)
     with pytest.raises(TypeError, match="not a field"):
         cochain_cohomology([1, 1], [identity(1, ZZ)], ZZ)
+
+
+# ---------------------------------------------------------------------------
+# the representation of Q: an int for every integral value
+
+
+def _canonical(v) -> bool:
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def test_qq_of_gives_an_int_exactly_for_integral_values():
+    for x, want in ((3, 3), (0, 0), (Fraction(4, 2), 2), (Fraction(-3), -3), (Fraction(6, 3), 2)):
+        v = QQ.of(x)
+        assert type(v) is int and v == want
+    for x in (Fraction(1, 2), Fraction(-4, 6), Fraction(7, 3)):
+        v = QQ.of(x)
+        assert type(v) is Fraction and v == x
+    assert type(QQ.zero) is int and type(QQ.one) is int
+
+
+# ints, integral Fractions such as Fraction(4, 2), and proper fractions
+mixed = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(lambda k: Fraction(2 * k, 2), st.integers(-3, 3)),
+    rationals,
+)
+
+
+@st.composite
+def mixed_rows(draw, max_rows=6, max_cols=6):
+    m, n = draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(mixed, min_size=n, max_size=n), min_size=m, max_size=m))
+    return n, [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+@given(data=mixed_rows(), raw=st.lists(mixed, min_size=6, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_q_kernel_matches_dense_fraction_reference(data, raw):
+    """rank, kernel_vectors and QuotientPresentation over Q agree with the
+    dense Fraction Gauss-Jordan, and return every integral value as an int."""
+    n, rows = data
+    ref = dense_rref([[row.get(j, 0) for j in range(n)] for row in rows])
+    free = [j for j in range(n) if j not in dict(ref)]
+    m = SparseExactMatrix.from_rows(rows, n, QQ)
+    assert rank(m) == span_rank(rows, QQ) == len(ref)
+
+    kern = kernel_vectors(m)
+    assert kern == [{j: 1, **{c: -row[j] for c, row in ref if j in row}} for j in free]
+    for v in kern:
+        assert all(_canonical(x) for x in v.values())
+        assert not m.apply(v)
+
+    pres = QuotientPresentation(list(range(n)), m, QQ)
+    assert pres.dim == len(free)
+    vec = {j: QQ.of(v) for j, v in enumerate(raw[:n]) if v}
+    expected = {j: Fraction(v) for j, v in vec.items()}
+    for c, row in ref:
+        coeff = expected.pop(c, 0)
+        for j, w in row.items():
+            if j != c:
+                expected[j] = expected.get(j, 0) - coeff * w
+    got = pres.project(vec)
+    assert got == {free.index(j): v for j, v in expected.items() if v}
+    assert all(_canonical(x) for x in got.values())
+
+
+def test_q_decisions_on_integral_input_build_no_fraction(monkeypatch):
+    """On the integral input sphere3 every value over Q stays an int: the hat
+    decision, the bigraded table and both obstruction routes build no Fraction."""
+    x = catalog("sphere3")
+    g = x.face_poset_hat()
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results bypass __new__ there
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            built.append(args)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    assert Fraction(1, 2) and built == [(1, 2)]
+    built.clear()
+
+    verdict = koszul_decide(g, QQ)
+    hx_table(x, QQ)
+    report = koszul_obstructions(x, QQ)
+    assert verdict.koszul and report.empty
+    assert built == []
