@@ -25,13 +25,14 @@ from .bigraded import (
 from .catalog import catalog, catalog_names
 from .cw import ComplexError, RegularCWComplex, complex_from_dict
 from .dualalg import (
+    HeadBlocks,
     annihilator_check,
     comparison_iso_check,
     graded_dims,
     koszul_decide,
     whole_graph_criterion,
 )
-from .layered import BOTTOM, GraphError, LayeredGraph, graph_from_dict
+from .layered import BOTTOM, TOP, GraphError, LayeredGraph, graph_from_dict
 from .linalg import ZZ, TorsionError, field_from_spec
 
 
@@ -254,13 +255,15 @@ def _cmd_rdims(args):
 
 
 def _run_koszul(g: LayeredGraph, field, check_remark: bool):
+    # the decision and the whole-graph criterion present each head block once
+    blocks = HeadBlocks(g, field)
     try:
-        verdict = koszul_decide(g, field)
+        verdict = koszul_decide(g, field, blocks)
     except GraphError as exc:
         raise HypothesisFailure(str(exc)) from None
     extra = {}
     if check_remark:
-        whole = whole_graph_criterion(g, field)
+        whole = whole_graph_criterion(g, field, blocks)
         extra = {"whole_graph_criterion": whole, "agrees": whole == verdict.koszul}
     return verdict, extra
 
@@ -300,6 +303,14 @@ def _cmd_koszul(args):
     field = _field(args.field)
     g = _poset_of(x, args.poset)
     verdict, extra = _run_koszul(g, field, args.check_remark39)
+    # every bar interval and every hat interval below the maximum is the face
+    # poset of a regular CW cell with a minimum, hence Koszul (Serconek-Wilson;
+    # Piontkovski): a witness there is a fault, never a verdict
+    if not verdict.koszul and (args.poset == "bar" or verdict.witness.vertex != TOP):
+        raise AssertionError(
+            f"internal error: the interval below {verdict.witness.vertex!r} of the "
+            f"{args.poset} poset of a valid complex fails Koszulity"
+        )
     result = _verdict_result(verdict, extra)
     lines = [f"dual algebra of the {args.poset} poset of {x.name!r}"]
     lines += _verdict_lines(verdict, extra)

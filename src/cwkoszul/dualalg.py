@@ -15,6 +15,12 @@ h, so no path word is ever listed.  Every entry point works on these blocks:
 made of `HeadBlocks.prepend` maps at block offsets (the annihilator test and
 the differential of `word_complex`, whose cohomology decides Koszulity), and
 the comparison map projects each chain onto block coordinates.
+
+A vertex's word complexes depend only on its lower interval.  The decision
+certifies which lower intervals are Boolean lattices (`boolean_lower_intervals`
+compares atom sets and counts elements and covers) and decides one of them per
+rank; the others of that rank share its passing verdict.  In the face poset of
+a simplicial complex every interval below the maximum is Boolean.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ class HeadBlocks:
     reduced echelon forms keep exactly the words that are no combination of
     later words modulo the relations.
 
-    A store serves one public call and is dropped with it.
+    A store serves one public call, or one `koszul` command that shares it
+    between the decision and the whole-graph criterion, and is dropped with it.
     """
 
     def __init__(self, g: LayeredGraph, field):
@@ -210,66 +217,125 @@ def word_complex(blocks: HeadBlocks, heads: list) -> tuple[list[list], list[Spar
     return labels, mats
 
 
-def koszul_decide(g: LayeredGraph, field) -> KoszulVerdict:
+def boolean_lower_intervals(g: LayeredGraph) -> set[str]:
+    """The vertices x of rank >= 2 whose lower interval [0bar, x] is a
+    Boolean lattice.
+
+    Bottom-up over the ranks, every vertex y gets its atom set, the union of
+    those of its lower covers (an atom's is itself).  [0bar, x] of rank r is
+    certified when |atoms(x)| = r, the interval has 2^r elements, every y in
+    it has |atoms(y)| = rank(y) with pairwise distinct atom sets, and it has
+    r * 2^(r-1) covers.  The atom map then sends the interval bijectively
+    onto the subsets of atoms(x), and each cover to a cover; there are as
+    many covers as the subset lattice has, so it is a cover-preserving
+    bijection both ways, an isomorphism.
+    """
+    rank = g.vertices
+    atoms = {BOTTOM: 0}
+    atoms.update((a, 1 << i) for i, a in enumerate(g.at_rank(1)))
+    out: set[str] = set()
+    for r in range(2, g.max_rank + 1):
+        size = 1 << r
+        for x in g.at_rank(r):
+            mask = 0
+            for c in g.lower_covers(x):
+                mask |= atoms[c]
+            atoms[x] = mask
+            interval = g.strictly_below(x) | {x}
+            if (
+                mask.bit_count() == r
+                and len(interval) == size
+                and all(atoms[y].bit_count() == rank[y] for y in interval)
+                and len({atoms[y] for y in interval}) == size
+                and sum(len(g.lower_covers(y)) for y in interval) == r * size // 2
+            ):
+                out.add(x)
+    return out
+
+
+def _interval_failure(blocks: HeadBlocks, x: str) -> KoszulWitness | None:
+    """Decide the word complexes of the interval below x, of rank >= 2.
+
+    The tail-k complex has the heads of rank n+1 below x in head degree
+    n = k..rank(x)-1; each must have one-dimensional cohomology concentrated
+    in head degree k.  Returns the first failure as a witness, or None.
+    """
+    g, field = blocks.graph, blocks.field
+    r = g.rank(x)
+    dtop = r - 1
+    for k in range(dtop + 1):
+        labels, mats = word_complex(blocks, [g.sphere(x, r - n - 1) for n in range(k, r)])
+        dims = [len(space) for space in labels]
+        hs = cohomology_dims(dims, mats, field)
+        if hs[0] != 1:
+            raise AssertionError(
+                f"internal error: head-degree-{k} cohomology of the interval below "
+                f"{x!r} has dimension {hs[0]}, expected 1"
+            )
+        if k < dtop and hs[dtop - k] != 0:
+            raise AssertionError(
+                f"internal error: top cohomology below {x!r} (k={k}) is nonzero"
+            )
+        if k < dtop - 1 and hs[dtop - 1 - k] != 0:
+            raise AssertionError(
+                f"internal error: subtop cohomology below {x!r} (k={k}) is nonzero"
+            )
+        for i in range(1, dtop - k + 1):
+            if hs[i] != 0:
+                reps = cocycle_representatives(mats, i, dims[i], field)
+                if len(reps) != hs[i]:
+                    raise AssertionError(
+                        f"internal error: {len(reps)} representatives below {x!r} "
+                        f"(n={k + i}, k={k}) for a cohomology of dimension {hs[i]}"
+                    )
+                cocycle = sorted((labels[i][q], c) for q, c in reps[0].items())
+                return KoszulWitness(x, k + i, k, cocycle)
+    return None
+
+
+def koszul_decide(g: LayeredGraph, field, blocks: HeadBlocks | None = None) -> KoszulVerdict:
     """Decide Koszulity of the dual algebra of a uniform layered graph.
 
     Works bottom-up: for each vertex x of rank >= 2 the word complexes of the
     interval below x must have one-dimensional cohomology concentrated in head
-    degree equal to the tail index.  The tail-k complex has the heads of rank
-    n+1 below x in head degree n = k..rank(x)-1.  The first failure yields the
-    witness.  Every complex is assembled from head blocks shared by the whole
-    decision.
+    degree equal to the tail index.  The first failure yields the witness.
+    Every complex is assembled from head blocks shared by the whole decision,
+    or with the caller when it passes `blocks`, a store of g over `field`.
+
+    A vertex's verdict depends only on its interval up to isomorphism, and
+    all Boolean lattices of one rank are isomorphic.  So among the vertices
+    whose interval `boolean_lower_intervals` certifies, the first of each
+    rank is decided and, once it passes, every later one of that rank passes
+    with it.  A failure is always found directly, so witnesses and `checked`
+    lists are those of deciding every vertex.
     """
     ok, wit = g.is_uniform()
     if not ok:
         raise GraphError(
             f"graph {g.name!r} is not uniform at vertex {wit[0]!r}; classes {wit[1]}"
         )
-    blocks = HeadBlocks(g, field)
+    if blocks is None:
+        blocks = HeadBlocks(g, field)
+    boolean = boolean_lower_intervals(g)
+    passed: set[int] = set()  # ranks whose first Boolean vertex passed
     checked: list[tuple[str, int, bool]] = []
     for x in g.vertex_ids():
         r = g.rank(x)
         if r < 2:
             continue
-        dtop = r - 1
-        failure = None
-        for k in range(dtop + 1):
-            labels, mats = word_complex(blocks, [g.sphere(x, r - n - 1) for n in range(k, r)])
-            dims = [len(space) for space in labels]
-            hs = cohomology_dims(dims, mats, field)
-            if hs[0] != 1:
-                raise AssertionError(
-                    f"internal error: head-degree-{k} cohomology of the interval below "
-                    f"{x!r} has dimension {hs[0]}, expected 1"
-                )
-            if k < dtop and hs[dtop - k] != 0:
-                raise AssertionError(
-                    f"internal error: top cohomology below {x!r} (k={k}) is nonzero"
-                )
-            if k < dtop - 1 and hs[dtop - 1 - k] != 0:
-                raise AssertionError(
-                    f"internal error: subtop cohomology below {x!r} (k={k}) is nonzero"
-                )
-            for i in range(1, dtop - k + 1):
-                if hs[i] != 0:
-                    reps = cocycle_representatives(mats, i, dims[i], field)
-                    if len(reps) != hs[i]:
-                        raise AssertionError(
-                            f"internal error: {len(reps)} representatives below {x!r} "
-                            f"(n={k + i}, k={k}) for a cohomology of dimension {hs[i]}"
-                        )
-                    cocycle = sorted((labels[i][q], c) for q, c in reps[0].items())
-                    failure = KoszulWitness(x, k + i, k, cocycle)
-                    break
-            if failure:
-                break
+        if x in boolean and r in passed:
+            checked.append((x, r, True))
+            continue
+        failure = _interval_failure(blocks, x)
         checked.append((x, r, failure is None))
         if failure:
             return KoszulVerdict(False, field.key, g.name, failure, checked)
+        if x in boolean:
+            passed.add(r)
     return KoszulVerdict(True, field.key, g.name, None, checked)
 
 
-def whole_graph_criterion(g: LayeredGraph, field) -> bool:
+def whole_graph_criterion(g: LayeredGraph, field, blocks: HeadBlocks | None = None) -> bool:
     """Whole-graph variant: off-diagonal word cohomology vanishes everywhere.
 
     The tail-k complex has every vertex of rank n+1 as a head in head degree
@@ -277,9 +343,12 @@ def whole_graph_criterion(g: LayeredGraph, field) -> bool:
     graph has a unique maximal vertex.  With several maxima the top head
     degree carries the space's own top cohomology and may be nonzero on
     Koszul inputs, so this is only reported; verdicts never rely on it.
+    `blocks`, when given, is a store of g over `field` shared with the
+    decision.
     """
     top = g.max_rank
-    blocks = HeadBlocks(g, field)
+    if blocks is None:
+        blocks = HeadBlocks(g, field)
     for k in range(top):
         labels, mats = word_complex(blocks, [g.at_rank(n + 1) for n in range(k, top)])
         if any(cohomology_dims([len(space) for space in labels], mats, field)[1:]):

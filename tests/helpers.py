@@ -79,6 +79,29 @@ def glued_spheres_complex() -> RegularCWComplex:
     return _filled_3_cycle("glued_spheres", signs)
 
 
+def doubled_tetrahedron_complex() -> RegularCWComplex:
+    """A 3-cell g bounded by two copies of the boundary of the tetrahedron 1234.
+
+    The copies share the vertices and the edges 12 and 34 only; their other
+    edges and their triangles carry the suffix a or b.  Boundary of boundary
+    vanishes and the boundary of g has Euler characteristic 2, as S^2 does,
+    but [12, g] and [34, g] have four intermediate cells each.
+    """
+    from cwkoszul.catalog import _simplicial
+
+    t = _simplicial("tetrahedron", ["1234"])
+    shared = {"1", "2", "3", "4", "12", "34"}
+    dims = {"g": 3}
+    incidence = {}
+    for suffix in "ab":
+        def name(c):
+            return "g" if t.dims[c] == 3 else c if c in shared else c + suffix
+
+        dims.update((name(c), d) for c, d in t.dims.items() if d < 3)
+        incidence.update(((name(u), name(l)), s) for (u, l), s in t.incidence.items())
+    return RegularCWComplex("doubled_tetrahedron", dims, incidence)
+
+
 def disjoint_spheres_complex() -> RegularCWComplex:
     """A 4-cell W bounded by two disjoint boundaries of 4-simplices.
 

@@ -294,6 +294,24 @@ def test_internal_value_error_exits_four(monkeypatch, capsys):
     assert "Traceback" in err and "composition" in err
 
 
+@pytest.mark.parametrize("poset", ["hat", "bar"])
+def test_witness_below_the_maximum_exits_four(monkeypatch, capsys, poset):
+    # every interval below the maximum comes from a regular CW cell and is
+    # Koszul: a witness there is an internal fault, never NOT KOSZUL (exit 1)
+    from cwkoszul.dualalg import KoszulVerdict, KoszulWitness
+
+    def decide(g, field, blocks=None):
+        witness = KoszulWitness("012", 2, 1, [(("012", "01"), 1)])
+        return KoszulVerdict(False, field.key, g.name, witness, [("012", 3, False)])
+
+    monkeypatch.setattr("cwkoszul.cli.koszul_decide", decide)
+    code, out, err = run(capsys, "koszul", "catalog:simplex3", "--poset", poset,
+                         "--field", "q", "--exit-status")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "below '012'" in err
+
+
 def test_bad_prime_selector_exits_two(capsys):
     code, _, err = run(capsys, "koszul", "catalog:simplex3", "--field", "fp:8",
                        "--exit-status")

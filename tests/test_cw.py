@@ -18,6 +18,7 @@ from helpers import (
     dangling_square_complex,
     diamond_classes,
     disjoint_spheres_complex,
+    doubled_tetrahedron_complex,
     glued_spheres_complex,
     is_thin,
     random_uniform_graphs,
@@ -242,6 +243,15 @@ def test_disjoint_spheres_split_below_the_filling_cell():
     x = disjoint_spheres_complex()
     assert x.validate() == [f"interval [{BOTTOM!r}, 'W'] splits into several diamond classes"]
     assert _split_intervals(x._face_poset_bar_unchecked()) == [(BOTTOM, "W")]
+
+
+def test_doubled_tetrahedron_fails_only_the_rank_2_intermediate_check():
+    # boundary of boundary and the Euler characteristics hold; only the count
+    # of cells between an edge and the 3-cell sees the two extra triangles
+    x = doubled_tetrahedron_complex()
+    assert x.validate() == [
+        f"interval [{a!r}, 'g'] has 4 intermediate cells, expected 2" for a in ("12", "34")
+    ]
 
 
 def test_validation_lists_no_maximal_chains(monkeypatch):

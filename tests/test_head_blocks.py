@@ -1,19 +1,22 @@
 """Shared head blocks: every entry point on them equals the path-word reference."""
 
+from itertools import combinations
+
 import pytest
 
-from cwkoszul import dualalg
+from cwkoszul import cli, dualalg
 from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.dualalg import (
     HeadBlocks,
     annihilator_check,
+    boolean_lower_intervals,
     comparison_iso_check,
     graded_dims,
     koszul_decide,
     whole_graph_criterion,
     word_complex,
 )
-from cwkoszul.layered import BOTTOM, GraphError
+from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph
 from cwkoszul.linalg import GF, QQ
 
 from helpers import (
@@ -43,6 +46,31 @@ def _posets(names):
     return out
 
 
+def _graph(name, covers):
+    """A layered graph whose vertex ids start with their rank."""
+    return LayeredGraph({v: int(v[0]) for cover in covers for v in cover}, set(covers), name=name)
+
+
+def _subset_covers(atoms, drop=()):
+    """The covers between subsets of `atoms` of size >= 1, except those in
+    `drop`; a subset's id is its size followed by its atoms."""
+    name = lambda s: f"{len(s)}{''.join(s)}"
+    return [
+        (name(s), name(f))
+        for r in range(2, len(atoms) + 1)
+        for s in combinations(atoms, r)
+        for f in combinations(s, r - 1)
+        if (name(s), name(f)) not in drop
+    ]
+
+
+# 3abc's interval is Boolean; 3y's has Boolean counts (8 elements, 3 atoms,
+# 12 covers) but 2ab and 2ab' share their atom set, so it is no Boolean lattice
+COUNTERFEIT = _graph("counterfeit", _subset_covers("abc") + [("2ab'", "1a"), ("2ab'", "1b")]
+                     + [("3y", e) for e in ("2ab", "2ab'", "2bc")])
+# every condition but the cover count holds: 3abc misses its cover 2ac
+B4_MINUS_ONE_COVER = _graph("b4_minus_one_cover", _subset_covers("abcd", {("3abc", "2ac")}))
+
 SMALL = [n for n in catalog_names() if n not in SLOW]
 SMALL_POSETS = _posets(SMALL)
 RANDOM = random_uniform_graphs(30, 2024)
@@ -66,7 +94,7 @@ def test_assembled_complex_equals_interval_word_complex(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.key)
 def test_decision_matches_per_interval_reference(field):
-    for g in SMALL_POSETS + RANDOM:
+    for g in SMALL_POSETS + RANDOM + [COUNTERFEIT, B4_MINUS_ONE_COVER]:
         got, want = koszul_decide(g, field), reference_koszul_decide(g, field)
         assert got.koszul == want.koszul, g.name
         assert got.witness == want.witness, g.name
@@ -81,7 +109,8 @@ def test_decision_matches_reference_on_large_catalog_entries():
         ), g.name
 
 
-def test_each_block_presented_once_per_decision(monkeypatch):
+def _presented_blocks(monkeypatch):
+    """The ambient dimension of every block presented from now on."""
     presented = []
 
     def counting_quotient(labels, rel, field):
@@ -90,6 +119,11 @@ def test_each_block_presented_once_per_decision(monkeypatch):
 
     quotient = dualalg.quotient
     monkeypatch.setattr(dualalg, "quotient", counting_quotient)
+    return presented
+
+
+def test_each_block_presented_once_per_decision(monkeypatch):
+    presented = _presented_blocks(monkeypatch)
     g = catalog("simplex4").face_poset_hat()
     assert koszul_decide(g, QQ).koszul
     # a Koszul decision visits every block B(h, m), 1 <= m <= rank(h), once
@@ -97,6 +131,69 @@ def test_each_block_presented_once_per_decision(monkeypatch):
     presented.clear()
     koszul_decide(g, QQ)  # a second decision shares nothing with the first
     assert len(presented) == sum(g.rank(v) for v in g.vertex_ids(skip_bottom=True))
+
+
+def _decided_vertices(monkeypatch):
+    """The vertex of every word complex assembled from now on, in call order."""
+    decided = []
+
+    def recording_word_complex(blocks, heads):
+        decided.append(heads[-1][0])  # the last space has the single head x
+        return word_complex(blocks, heads)
+
+    monkeypatch.setattr(dualalg, "word_complex", recording_word_complex)
+    return decided
+
+
+def test_boolean_certificate():
+    for name in ("simplex4", "sphere3", "rp2_six"):
+        x = catalog(name)
+        bar = x.face_poset_bar()
+        cells = {v for v in bar.vertex_ids() if bar.rank(v) >= 2}
+        # closed simplices are Boolean; so is the whole hat poset of a sphere
+        assert boolean_lower_intervals(bar) == cells, name
+        top = {TOP} if name == "sphere3" else set()
+        assert boolean_lower_intervals(x.face_poset_hat()) == cells | top, name
+    # a square 2-cell has four atoms below a rank-3 vertex
+    edges = ["2ab", "2bc", "2cd", "2ad"]
+    square = _graph("square", [(e, "1" + v) for e in edges for v in e[1:]]
+                    + [("3s", e) for e in edges])
+    assert boolean_lower_intervals(square) == set(edges)
+    assert boolean_lower_intervals(COUNTERFEIT) == {"2ab", "2ab'", "2ac", "2bc", "3abc"}
+    assert "4abcd" not in boolean_lower_intervals(B4_MINUS_ONE_COVER)
+
+
+@pytest.mark.parametrize("name", ["simplex4", "sphere3"])
+def test_one_boolean_interval_decided_per_rank(monkeypatch, name):
+    g = catalog(name).face_poset_hat()
+    decided = _decided_vertices(monkeypatch)
+    verdict = koszul_decide(g, GF(2))
+    assert verdict.koszul
+    assert [v for v, _, _ in verdict.checked] == [v for v in g.vertex_ids() if g.rank(v) >= 2]
+    # one vertex per rank >= 2, the maximum among them, each with all its tails
+    once = sorted(set(decided), key=g.rank)
+    assert [g.rank(v) for v in once] == list(range(2, g.max_rank + 1))
+    assert TOP in once
+    assert all(decided.count(v) == g.rank(v) for v in once)
+
+
+def test_counterfeit_boolean_interval_is_decided_directly(monkeypatch):
+    decided = _decided_vertices(monkeypatch)
+    assert koszul_decide(COUNTERFEIT, QQ).koszul
+    # 2ab stands for every rank-2 interval and 3abc for the Boolean rank-3 one
+    assert sorted(set(decided)) == ["2ab", "3abc", "3y"]
+
+
+def test_check_remark39_shares_the_decision_blocks(monkeypatch, capsys):
+    presented = _presented_blocks(monkeypatch)
+    argv = ["koszul", "catalog:sphere4", "--poset", "hat", "--field", "f2"]
+    counts = []
+    for extra in ([], ["--check-remark39"]):
+        presented.clear()
+        assert cli.main(argv + extra) == 0
+        counts.append(len(presented))
+    capsys.readouterr()
+    assert counts == [192, 192]
 
 
 def test_block_guard():
