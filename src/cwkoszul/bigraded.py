@@ -47,6 +47,11 @@ def pair_basis(x: RegularCWComplex, n: int, k: int) -> list[tuple[str, str]]:
     ]
 
 
+def _units(ring) -> dict[int, object]:
+    """The incidence numbers +1 and -1 in the canonical form of `ring`."""
+    return {1: ring.of(1), -1: ring.of(-1)}
+
+
 @dataclass
 class BigradedLayer:
     """Pair spaces of one column k with both differentials, over one ring."""
@@ -72,26 +77,29 @@ def build_layer(
         raise ComplexError(f"column {k} outside 0..{d}")
     bases = {n: pair_basis(x, n, k) for n in range(k, d + 1)}
     index = {n: {pair: i for i, pair in enumerate(bases[n])} for n in bases}
+    unit, inc = _units(ring), x.incidence
 
     d_up: dict[int, SparseExactMatrix] = {}
+    cofaces = x._cofaces
     for n in range(k, d + 1):
-        entries: dict[tuple[int, int], int] = {}
+        entries: dict[tuple[int, int], object] = {}
         tgt = index.get(n + 1, {})
         for j, (beta, alpha) in enumerate(bases[n]):
-            for gamma in x.cofaces(beta):
-                entries[(tgt[(gamma, alpha)], j)] = x.incidence[(gamma, beta)]
-        d_up[n] = SparseExactMatrix(len(bases.get(n + 1, [])), len(bases[n]), entries, ring)
+            for gamma in cofaces[beta]:
+                entries[(tgt[(gamma, alpha)], j)] = unit[inc[(gamma, beta)]]
+        d_up[n] = SparseExactMatrix._canonical(len(tgt), len(bases[n]), entries, ring)
 
     d_down: dict[int, SparseExactMatrix] = {}
     if k >= 1:
+        faces = x._faces
         for n in range(k, d + 1):
             below_basis = below.bases[n]
             tgt = {pair: i for i, pair in enumerate(below_basis)}
             entries = {}
             for j, (beta, alpha) in enumerate(bases[n]):
-                for gamma in x.faces(alpha):
-                    entries[(tgt[(beta, gamma)], j)] = x.incidence[(alpha, gamma)]
-            d_down[n] = SparseExactMatrix(len(below_basis), len(bases[n]), entries, ring)
+                for gamma in faces[alpha]:
+                    entries[(tgt[(beta, gamma)], j)] = unit[inc[(alpha, gamma)]]
+            d_down[n] = SparseExactMatrix._canonical(len(below_basis), len(bases[n]), entries, ring)
 
     return BigradedLayer(x, k, bases, d_up, d_down)
 
@@ -156,14 +164,15 @@ def _coboundaries(x: RegularCWComplex, cells, ring) -> tuple[list[int], list[Spa
     The cells must be closed under cofaces, as all of X and an open star are.
     """
     dims = [len(cs) for cs in cells]
+    unit, inc, cofaces = _units(ring), x.incidence, x._cofaces
     mats = []
     for n in range(len(cells) - 1):
         tgt = {c: i for i, c in enumerate(cells[n + 1])}
         entries = {}
         for j, beta in enumerate(cells[n]):
-            for gamma in x.cofaces(beta):
-                entries[(tgt[gamma], j)] = x.incidence[(gamma, beta)]
-        mats.append(SparseExactMatrix(dims[n + 1], dims[n], entries, ring))
+            for gamma in cofaces[beta]:
+                entries[(tgt[gamma], j)] = unit[inc[(gamma, beta)]]
+        mats.append(SparseExactMatrix._canonical(dims[n + 1], dims[n], entries, ring))
     return dims, mats
 
 

@@ -1,14 +1,19 @@
 """Finite regular CW complexes given combinatorially by signed incidence numbers.
 
 A complex stores cell dimensions and the incidence map d(upper, lower) in
-{-1, +1}, defined exactly for codimension-1 faces.  Regularity itself is not
-certified; the validator checks the combinatorial consequences that matter
-here: vanishing boundary-of-boundary, thin face poset, sphere Euler
-characteristics of cell boundaries, and connected open intervals of rank gap
->= 3 in the face poset.  The last check is the diamond condition without
-listing maximal chains: all maximal chains of every interval form one class
-under one-position exchanges iff every such open interval is connected through
-covers (strongly flag-connected iff strongly connected).
+{-1, +1}, defined exactly for codimension-1 faces, together with the faces,
+cofaces and strict lower closure of every cell.  A cell dimension is below
+the number of cells, since every dimension up to it needs a cell.
+
+Regularity itself is not certified; the validator checks the combinatorial
+consequences that matter here: vanishing boundary-of-boundary, thin face
+poset, sphere Euler characteristics of cell boundaries, and connected open
+intervals of rank gap >= 3 in the face poset.  The last check is the diamond
+condition without listing maximal chains: all maximal chains of every interval
+form one class under one-position exchanges iff every such open interval is
+connected through covers (strongly flag-connected iff strongly connected).
+Every check reads the complex's own closures, so validation builds no face
+poset; `face_poset_bar` builds it on first use.
 """
 
 from __future__ import annotations
@@ -18,6 +23,21 @@ from .layered import BOTTOM, TOP, LayeredGraph, linked_classes
 
 class ComplexError(ValueError):
     pass
+
+
+def _connected(inside, faces, cofaces) -> bool:
+    """True iff a search through faces and cofaces inside `inside` reaches all of it."""
+    if not inside:
+        return True
+    start = min(inside)
+    stack, seen = [start], {start}
+    while stack:
+        z = stack.pop()
+        for w in faces[z] + cofaces[z]:
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(inside)
 
 
 class RegularCWComplex:
@@ -42,6 +62,12 @@ class RegularCWComplex:
                 )
             if type(s) is not int or s not in (1, -1):
                 raise ComplexError(f"incidence ({u!r}, {l!r}) must be +1 or -1, got {s!r}")
+        for cid, d in dims.items():
+            if d >= len(dims):
+                raise ComplexError(
+                    f"cell {cid!r} has dimension {d}, but {len(dims)} cells "
+                    f"cannot fill every dimension 0..{d}"
+                )
         self.name = name
         self.dims = dict(dims)
         self.incidence = dict(incidence)
@@ -69,6 +95,7 @@ class RegularCWComplex:
                     acc.update(closure[f])
                 closure[c] = frozenset(acc)
         self._strict_faces = closure
+        self._sign = {c: -1 if d & 1 else 1 for c, d in dims.items()}
         self._report: list[str] | None = None
         self._bar: LayeredGraph | None = None
         self._hat: LayeredGraph | None = None
@@ -106,83 +133,134 @@ class RegularCWComplex:
     def euler_characteristic(self, cells=None) -> int:
         if cells is None:
             cells = self.dims
-        return sum((-1) ** self.dims[c] for c in cells)
+        sign = self._sign
+        return sum(sign[c] for c in cells)
 
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Combinatorial admissibility report; empty means no violations found."""
+        """Combinatorial admissibility report; empty means no violations found.
+
+        The checks run in order on the complex itself: a codimension-1 face
+        for every cell of dimension >= 1, two opposite endpoints per 1-cell,
+        vanishing boundary of boundary, two intermediate cells in every rank-2
+        interval between cells, and sphere Euler characteristics of cell
+        boundaries.  One pass over the faces of faces of each cell serves the
+        boundary-of-boundary and the rank-2 checks; the report still lists
+        every line of the first before any line of the second.
+
+        Only when all of them pass is the diamond condition checked.  The
+        checks above make the bar poset (the cells with an added minimum
+        0bar, rank = dimension + 1) a thin layered graph: every cell of
+        dimension >= 1 has a lower cover, incidences drop the dimension by
+        one, and every rank-2 interval (below a 1-cell or between cells) has
+        two intermediates.  An interval of rank <= 2 is one class: its
+        maximal chains differ in their one interior position.  On every
+        interval [a, b] of length (rank gap) >= 3 the diamond condition, that
+        the maximal chains form one class under one-position exchanges,
+        stands for the connectivity of the open interval (a, b) through
+        covers: strongly flag-connected iff strongly connected
+        (McMullen-Schulte, *Abstract Regular Polytopes*, 2002, 2B).
+
+        - (=>) Let [a, b] have length >= 3.  The interior of a chain is
+          connected through covers.  Two chains that differ by one exchange
+          still share an interior element.  So if all chains form one class,
+          the open interval (a, b) is connected.
+        - (<=) Induct on length.  Intervals of length <= 2 are always one
+          class.  If every open subinterval of length >= 3 is connected, all
+          chains through one element z form one class: by induction [a, z]
+          and [z, b] are each one class.  A cover path in (a, b) then links
+          any two elements z and z'.
+
+        So a ranked poset, thin or not, has a split interval iff it has a
+        disconnected open interval of length >= 3; each of the latter splits,
+        and each split interval contains one.  Interval by interval the two
+        differ: a 4-cell W bounded by two 3-spheres glued along a circle
+        0-1-2 splits 7 intervals, but only (01, W), (02, W), (12, W) are
+        disconnected.
+
+        The open interval (a, b) is read off the closures: the strict faces
+        of b above a, all strict faces of b for a = 0bar.  A search from its
+        smallest element through faces and cofaces inside it must reach all
+        of it.  Cells b go by dimension and then by id, and each a in string
+        order among the strict faces of b and 0bar.
+        """
         if self._report is not None:
             return self._report
         report: list[str] = []
-        for c in self.cells():
-            d = self.dims[c]
-            if d >= 1 and not self._faces[c]:
+        dims, faces, inc, strict = self.dims, self._faces, self.incidence, self._strict_faces
+        cells = self.cells()
+        for c in cells:
+            d = dims[c]
+            if d >= 1 and not faces[c]:
                 report.append(f"cell {c!r} of dimension {d} has no codimension-1 face")
-        for c in self.cells():
-            if self.dims[c] == 1:
-                if len(self._faces[c]) != 2:
+        for c in cells:
+            if dims[c] == 1:
+                if len(faces[c]) != 2:
                     report.append(
-                        f"1-cell {c!r} has {len(self._faces[c])} endpoints, expected 2"
+                        f"1-cell {c!r} has {len(faces[c])} endpoints, expected 2"
                     )
-                elif sum(self.incidence[(c, v)] for v in self._faces[c]) != 0:
+                elif sum(inc[(c, v)] for v in faces[c]) != 0:
                     report.append(
                         f"1-cell {c!r} must have one +1 and one -1 endpoint"
                     )
-        # boundary of boundary vanishes
-        for g in self.cells():
-            if self.dims[g] < 2:
+        # boundary of boundary vanishes, and each rank-2 interval [a, g]
+        # between cells has exactly two intermediates: the cells a of
+        # dimension dim g - 2 below g are the faces of faces of g, each met
+        # once per intermediate
+        nonzero: list[str] = []
+        mids: list[str] = []
+        for g in cells:
+            if dims[g] < 2:
                 continue
             acc: dict[str, int] = {}
-            for b in self._faces[g]:
-                sb = self.incidence[(g, b)]
-                for a in self._faces[b]:
-                    acc[a] = acc.get(a, 0) + sb * self.incidence[(b, a)]
-            for a, v in sorted(acc.items()):
-                if v != 0:
-                    report.append(f"boundary of boundary is nonzero at ({g!r}, {a!r}): {v}")
-        # rank-2 intervals between cells have exactly two intermediates
-        for g in self.cells():
-            dg = self.dims[g]
-            if dg < 2:
-                continue
-            for a in sorted(self._strict_faces[g]):
-                if self.dims[a] != dg - 2:
-                    continue
-                mids = [b for b in self._faces[g] if a in self._strict_faces[b]]
-                if len(mids) != 2:
-                    report.append(
-                        f"interval [{a!r}, {g!r}] has {len(mids)} intermediate cells, expected 2"
+            met: dict[str, int] = {}
+            for b in faces[g]:
+                sb = inc[(g, b)]
+                for a in faces[b]:
+                    acc[a] = acc.get(a, 0) + sb * inc[(b, a)]
+                    met[a] = met.get(a, 0) + 1
+            for a in sorted(acc):
+                if acc[a]:
+                    nonzero.append(f"boundary of boundary is nonzero at ({g!r}, {a!r}): {acc[a]}")
+                if met[a] != 2:
+                    mids.append(
+                        f"interval [{a!r}, {g!r}] has {met[a]} intermediate cells, expected 2"
                     )
+        report += nonzero + mids
         # boundaries of n-cells have the Euler characteristic of S^(n-1)
-        for c in self.cells():
-            n = self.dims[c]
+        for c in cells:
+            n = dims[c]
             if n < 1:
                 continue
-            chi = self.euler_characteristic(self._strict_faces[c])
-            if chi != 1 + (-1) ** (n - 1):
+            chi = self.euler_characteristic(strict[c])
+            expected = 2 if n & 1 else 0
+            if chi != expected:
                 report.append(
-                    f"boundary of {c!r} has Euler characteristic {chi}, "
-                    f"expected {1 + (-1) ** (n - 1)}"
+                    f"boundary of {c!r} has Euler characteristic {chi}, expected {expected}"
                 )
         if not report:
-            # the checks above make the bar poset a thin layered graph: every
-            # cell of dimension >= 1 has a lower cover, incidences drop the
-            # dimension by one, and every rank-2 interval (below a 1-cell or
-            # between cells) has two intermediates.  An interval of rank <= 2
-            # is one class: its maximal chains differ in their one interior
-            # position; some longer interval splits iff some open interval of
-            # length >= 3 is disconnected
-            bar = self._face_poset_bar_unchecked()
-            for b in bar.vertex_ids():
-                rb = bar.rank(b)
-                for a in sorted(bar.strictly_below(b)):
-                    if rb - bar.rank(a) > 2 and not bar.open_interval_connected(b, a):
+            cofaces = self._cofaces
+            above: dict[str, frozenset[str]] = {}  # strict upper closures
+            for c in reversed(cells):
+                acc_up: set[str] = set()
+                for u in cofaces[c]:
+                    acc_up.add(u)
+                    acc_up.update(above[u])
+                above[c] = frozenset(acc_up)
+            for b in cells:
+                db = dims[b]
+                if db < 2:
+                    continue
+                inside_b = strict[b]
+                low = [a for a in inside_b if dims[a] < db - 2]
+                low.append(BOTTOM)
+                for a in sorted(low):
+                    inside = inside_b if a == BOTTOM else above[a] & inside_b
+                    if not _connected(inside, faces, cofaces):
                         report.append(
                             f"interval [{a!r}, {b!r}] splits into several diamond classes"
                         )
-            if not report:
-                self._bar = bar
         self._report = report
         return report
 

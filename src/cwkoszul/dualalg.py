@@ -118,7 +118,9 @@ class HeadBlocks:
                                 for i, v in self.prepend(c, d, m - 2)[q].items():
                                     row[off + i] = v
                             rows.append(row)
-            rel = SparseExactMatrix.from_rows(rows, len(labels), self.field)
+            # projections and the field's one are canonical already
+            entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+            rel = SparseExactMatrix._canonical(len(rows), len(labels), entries, self.field)
             self._blocks[key] = (quotient(labels, rel, self.field), offsets)
         return self._blocks[key]
 
@@ -191,7 +193,7 @@ def _left_multiplication(blocks: HeadBlocks, gens, m: int, src: tuple, dst: tupl
     for oy, j, col in _prepend_columns(blocks, gens, m, src[0], dst[0]):
         for i, v in col.items():
             entries[(oy + i, j)] = v
-    return SparseExactMatrix(dst[1], src[1], entries, blocks.field)
+    return SparseExactMatrix._canonical(dst[1], src[1], entries, blocks.field)
 
 
 # ---------------------------------------------------------------------------

@@ -212,44 +212,6 @@ class LayeredGraph:
             ))
         return tuple(chain)
 
-    def open_interval_connected(self, b: str, a: str) -> bool:
-        """True iff a search through covers inside the open interval (a, b) reaches all of it.
-
-        On every interval of length (rank gap) >= 3 this stands for the
-        diamond condition, that the maximal chains of [a, b] form one class
-        under one-position exchanges: strongly flag-connected iff strongly
-        connected (McMullen-Schulte, *Abstract Regular Polytopes*, 2002, 2B).
-
-        - (=>) Let [a, b] have length >= 3.  The interior of a chain is
-          connected through covers.  Two chains that differ by one exchange
-          still share an interior element.  So if all chains form one class,
-          the open interval (a, b) is connected.
-        - (<=) Induct on length.  Intervals of length <= 2 are always one
-          class.  If every open subinterval of length >= 3 is connected, all
-          chains through one element z form one class: by induction [a, z]
-          and [z, b] are each one class.  A cover path in (a, b) then links
-          any two elements z and z'.
-
-        So a ranked poset, thin or not, has a split interval iff it has a
-        disconnected open interval of length >= 3; each of the latter splits,
-        and each split interval contains one.  Interval by interval the two
-        differ: a 4-cell W bounded by two 3-spheres glued along a circle
-        0-1-2 splits 7 intervals, but only (01, W), (02, W), (12, W) are
-        disconnected.
-        """
-        if not self.le(a, b):
-            raise GraphError(f"{a!r} is not below {b!r}")
-        inside = {z for z in self._below[b] if a in self._below[z]}
-        stack = [min(inside)] if inside else []
-        seen = set(stack)
-        while stack:
-            z = stack.pop()
-            for w in self._lower[z] + self._upper[z]:
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(inside)
-
     # -- extension -------------------------------------------------------------
 
     def extend_with_top(self, top_id: str = TOP) -> "LayeredGraph":

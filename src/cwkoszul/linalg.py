@@ -4,14 +4,21 @@ Matrices store only nonzero entries.  Scalars are Python ints over Z,
 canonical residues (ints in [0, p)) over F_p, and over Q an int for every
 integral value and a `fractions.Fraction` for any other (`Rationals`).
 
-Every elimination goes through one kernel, `_eliminate`: incremental
-Gauss-Jordan on dict rows with the field arithmetic inline (`% p` over F_p,
-plain int arithmetic over Q on integral values).  Ranks, kernels, images and
-quotient presentations read its pivot rows as they are; the public
-`rref_rows` returns them with Fraction values over Q, as do the cohomology
-representatives built on it.  The reduced row echelon form of a row space is
-unique, so ranks, kernels, quotient bases and representatives depend only on
-the spans involved, never on row order: they are reproducible across runs.
+Every elimination over a field goes through one forward loop, `_echelon`,
+on dict rows with the field arithmetic inline (`% p` over F_p, plain int
+arithmetic over Q on integral values).  Ranks read the number of pivots of
+that echelon form and run no back-substitution.  The reduced row echelon
+form, `_eliminate`, is the echelon form plus one back-substitution pass;
+kernels, images and quotient presentations read its pivot rows as they are,
+and the public `rref_rows` returns them with Fraction values over Q, as do
+the cohomology representatives built on it.  The reduced row echelon form of
+a row space is unique, so kernels, quotient bases and representatives depend
+only on the spans involved, never on row order: they are reproducible across
+runs.
+
+Matrices built from values the kernel already holds canonical (transposes,
+induced maps, the pair complexes and word complexes) skip the per-entry
+canonicalisation of the public constructors through `_canonical`.
 
 A presented quotient comes from one constructor, `quotient(labels,
 relations, ring)`: over a field the RREF of the relations picks the
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 class Rationals:
@@ -71,6 +79,8 @@ class Integers:
     one = 1
 
     def of(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")
@@ -223,7 +233,9 @@ class SparseExactMatrix:
     """Immutable sparse matrix mapping column vectors: F^cols -> F^rows.
 
     Vectors are dicts {index: nonzero scalar}.  The column dicts that `apply`
-    reads are built on first use and kept with the matrix.
+    reads are built on first use and kept with the matrix.  The public
+    constructors bring every entry to the canonical form of the ring;
+    `_canonical` takes entries that are canonical already.
     """
 
     __slots__ = ("rows", "cols", "entries", "ring", "_columns")
@@ -244,6 +256,18 @@ class SparseExactMatrix:
         self.entries = clean
 
     @classmethod
+    def _canonical(cls, rows: int, cols: int, entries: dict, ring) -> "SparseExactMatrix":
+        """A matrix on `entries` as they are: nonzero values in the canonical
+        form of `ring`, as the kernel and the pair complexes build them.  The
+        dict is kept, not copied; only the bounds are checked."""
+        for i, j in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries, m.ring, m._columns = rows, cols, entries, ring, None
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int, ring) -> "SparseExactMatrix":
         return cls(rows, cols, {}, ring)
 
@@ -254,14 +278,6 @@ class SparseExactMatrix:
             for i, v in col.items():
                 entries[(i, j)] = v
         return cls(nrows, len(cols), entries, ring)
-
-    @classmethod
-    def from_rows(cls, rows: list[dict], ncols: int, ring) -> "SparseExactMatrix":
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                entries[(i, j)] = v
-        return cls(len(rows), ncols, entries, ring)
 
     def row_list(self) -> list[dict]:
         rows = [dict() for _ in range(self.rows)]
@@ -291,7 +307,7 @@ class SparseExactMatrix:
         return out
 
     def transpose(self) -> "SparseExactMatrix":
-        return SparseExactMatrix(
+        return SparseExactMatrix._canonical(
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}, self.ring
         )
 
@@ -313,23 +329,47 @@ class SparseExactMatrix:
         return f"SparseExactMatrix({self.rows}x{self.cols}, {len(self.entries)} nz, {self.ring!r})"
 
 
-def _install_pivot(tails: dict, users: dict, pc: int, row: dict, p: int) -> None:
-    """Make `row` (its pivot 1 at column pc removed) the pivot row of pc.
+def _echelon(rows: list[dict], p: int) -> dict[int, dict]:
+    """A row echelon form of sparse rows over F_p (p > 0) or Q (p = 0).
 
-    Column pc is cleared from exactly the earlier tails that the column
-    index `users` lists for it, and the index follows the changed tails.
+    Returns {pivot column: pivot row without its pivot 1}; each row has its
+    pivot as its smallest column and a zero at every pivot column installed
+    before it, so the number of pivots is the rank.  The rows are read, not
+    changed; over Q their values in the form of `Rationals` keep the
+    arithmetic on ints.
+
+    One forward loop: each incoming row is reduced at the pivot columns it
+    holds, in increasing column order (a heap, since a pivot row adds only
+    columns past its pivot), and its smallest remaining column becomes a new
+    pivot.  The reduced row is the one Gauss-Jordan would install: two
+    reductions of a row by the same span that both vanish on every pivot
+    column are equal.
     """
-    for j in row:
-        users.setdefault(j, set()).add(pc)
-    for q in users.pop(pc, ()):
-        tail = tails[q]
-        _subtract(tail, tail.pop(pc), row, p)
-        for j in row:
-            if j in tail:
-                users[j].add(q)
-            else:
-                users[j].discard(q)
-    tails[pc] = row
+    tails: dict[int, dict] = {}
+    for src in rows:
+        if p:
+            row = {c: w for c, v in src.items() if (w := v % p)}
+        else:
+            row = {c: v for c, v in src.items() if v}
+        heap = [c for c in row if c in tails]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            v = row.pop(c, 0)
+            if v:  # else cancelled, or queued twice
+                tail = tails[c]
+                _subtract(row, v, tail, p)
+                for j in tail:
+                    if j in tails:
+                        heappush(heap, j)
+        if not row:
+            continue
+        pc = min(row)
+        pv = row.pop(pc)
+        if pv != 1:
+            row = _divide(row, pv, p)
+        tails[pc] = row
+    return tails
 
 
 def _eliminate(rows: list[dict], p: int) -> dict[int, dict]:
@@ -338,31 +378,16 @@ def _eliminate(rows: list[dict], p: int) -> dict[int, dict]:
     Returns {pivot column: pivot row without its pivot 1}.  Each row has the
     pivot as its smallest column and zeros at every other pivot column.
     This form is unique for a row space, so the result does not depend on the
-    order of the rows, on zero rows or on repeated rows.  The rows are read,
-    not changed; over Q their values in the form of `Rationals` keep the
-    arithmetic on ints.
+    order of the rows, on zero rows or on repeated rows.
 
-    Incremental Gauss-Jordan: each incoming row is reduced only at the pivot
-    columns it holds, its smallest remaining column becomes a new pivot, and
-    that column is cleared from exactly the earlier pivot rows that a column
-    index lists for it.
+    `_echelon` plus one back-substitution pass in decreasing pivot order: a
+    pivot row is cleared by the later pivot rows, which are reduced already.
     """
-    tails: dict[int, dict] = {}  # pivot column -> its row without the pivot 1
-    users: dict[int, set] = {}  # nonpivot column -> pivot columns whose tails hold it
-    for src in rows:
-        if p:
-            row = {c: w for c, v in src.items() if (w := v % p)}
-        else:
-            row = {c: v for c, v in src.items() if v}
-        for c in [c for c in row if c in tails]:
-            _subtract(row, row.pop(c), tails[c], p)
-        if not row:
-            continue
-        pc = min(row)
-        pv = row.pop(pc)
-        if pv != 1:
-            row = _divide(row, pv, p)
-        _install_pivot(tails, users, pc, row, p)
+    tails = _echelon(rows, p)
+    for c in sorted(tails, reverse=True):
+        tail = tails[c]
+        for j in [j for j in tail if j in tails]:
+            _subtract(tail, tail.pop(j), tails[j], p)
     return tails
 
 
@@ -409,8 +434,8 @@ def reduce_mod_rows(vec: dict, rref, ring) -> dict:
 
 
 def span_rank(vecs: list[dict], ring) -> int:
-    """Dimension of the span of sparse vectors over a field."""
-    return len(_eliminate(vecs, _field_char(ring)))
+    """Dimension of the span of sparse vectors over a field: the pivots of an echelon form."""
+    return len(_echelon(vecs, _field_char(ring)))
 
 
 def rank(m: SparseExactMatrix, ring=None) -> int:
@@ -604,8 +629,11 @@ def induced_map(f: SparseExactMatrix, src, dst) -> SparseExactMatrix:
             raise ValueError(
                 f"induced_map: image of relation row {i} is not in the target relation span"
             )
-    cols = [dst.project(f.apply(src.lift(q))) for q in range(src.dim)]
-    return SparseExactMatrix.from_columns(cols, dst.dim, src.ring)
+    entries = {}
+    for j in range(src.dim):
+        for i, v in dst.project(f.apply(src.lift(j))).items():
+            entries[(i, j)] = v
+    return SparseExactMatrix._canonical(dst.dim, src.dim, entries, src.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +738,25 @@ class SmithForm:
         return len(self.factors)
 
 
+def _install_pivot(tails: dict, users: dict, pc: int, row: dict) -> None:
+    """Make `row` (its pivot 1 at column pc removed) the pivot row of pc, over Z.
+
+    Column pc is cleared from exactly the earlier tails that the column
+    index `users` lists for it, and the index follows the changed tails.
+    """
+    for j in row:
+        users.setdefault(j, set()).add(pc)
+    for q in users.pop(pc, ()):
+        tail = tails[q]
+        _subtract(tail, tail.pop(pc), row, 0)
+        for j in row:
+            if j in tail:
+                users[j].add(q)
+            else:
+                users[j].discard(q)
+    tails[pc] = row
+
+
 def _unit_elimination(rows: list[dict]) -> tuple[dict[int, dict], list[dict]]:
     """Row-only Gauss-Jordan over Z on pivots of magnitude 1; consumes `rows`.
 
@@ -720,7 +767,8 @@ def _unit_elimination(rows: list[dict]) -> tuple[dict[int, dict], list[dict]]:
     so pivot rows and core span the lattice of `rows`.
 
     Each row is reduced at the pivot columns it holds and pivots on its
-    smallest column with a unit entry, installed as in `_eliminate`.  A row
+    smallest column with a unit entry; `_install_pivot` clears that column
+    from the earlier pivot rows at once, through a column index.  A row
     without one waits; the waiting rows are reduced again after every pass
     that added a pivot, until a pass adds none.
     """
@@ -740,7 +788,7 @@ def _unit_elimination(rows: list[dict]) -> tuple[dict[int, dict], list[dict]]:
                 continue
             if row.pop(pc) == -1:
                 row = {j: -v for j, v in row.items()}
-            _install_pivot(tails, users, pc, row, 0)
+            _install_pivot(tails, users, pc, row)
         if len(tails) == known:
             return tails, core
         pending = core

@@ -458,6 +458,14 @@ def scan_relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int
     return [h for h, _ in cochain_cohomology(dims, mats, field)]
 
 
+def matrix_from_rows(rows: list[dict], ncols: int, ring):
+    """The matrix with the given sparse rows, entries brought to the canonical form of ring."""
+    from cwkoszul.linalg import SparseExactMatrix
+
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    return SparseExactMatrix(len(rows), ncols, entries, ring)
+
+
 def identity(n: int, ring):
     """The n x n identity matrix."""
     from cwkoszul.linalg import SparseExactMatrix
@@ -519,6 +527,80 @@ def diamond_classes(g: LayeredGraph, b: str, a: str) -> list[list[tuple[str, ...
     for ch, i in index.items():
         groups.setdefault(find(i), []).append(ch)
     return sorted(sorted(g) for g in groups.values())
+
+
+def open_interval_connected(g: LayeredGraph, b: str, a: str) -> bool:
+    """True iff a search through covers inside the open interval (a, b) of g reaches all of it.
+
+    On every interval of length >= 3 this stands for the diamond condition
+    (proof in `RegularCWComplex.validate`, which runs the same search on the
+    closures of a complex).  The graph reference for that search.
+    """
+    from cwkoszul.layered import GraphError
+
+    if not g.le(a, b):
+        raise GraphError(f"{a!r} is not below {b!r}")
+    inside = {z for z in g.strictly_below(b) if a in g.strictly_below(z)}
+    stack = [min(inside)] if inside else []
+    seen = set(stack)
+    while stack:
+        z = stack.pop()
+        for w in g.lower_covers(z) + upper_covers(g, z):
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(inside)
+
+
+def reference_validation_report(x: RegularCWComplex) -> list[str]:
+    """The report of `x.validate()`, built one check per pass and the diamond
+    condition on the bar poset `x._face_poset_bar_unchecked()` through
+    `open_interval_connected`: the reference for the closure-based validator."""
+    report: list[str] = []
+    dims, faces, inc, strict = x.dims, x._faces, x.incidence, x._strict_faces
+    for c in x.cells():
+        if dims[c] >= 1 and not faces[c]:
+            report.append(f"cell {c!r} of dimension {dims[c]} has no codimension-1 face")
+    for c in x.cells():
+        if dims[c] == 1:
+            if len(faces[c]) != 2:
+                report.append(f"1-cell {c!r} has {len(faces[c])} endpoints, expected 2")
+            elif sum(inc[(c, v)] for v in faces[c]) != 0:
+                report.append(f"1-cell {c!r} must have one +1 and one -1 endpoint")
+    for g in x.cells():
+        if dims[g] < 2:
+            continue
+        acc: dict[str, int] = {}
+        for b in faces[g]:
+            for a in faces[b]:
+                acc[a] = acc.get(a, 0) + inc[(g, b)] * inc[(b, a)]
+        for a, v in sorted(acc.items()):
+            if v != 0:
+                report.append(f"boundary of boundary is nonzero at ({g!r}, {a!r}): {v}")
+    for g in x.cells():
+        for a in sorted(strict[g]):
+            if dims[a] == dims[g] - 2:
+                mids = [b for b in faces[g] if a in strict[b]]
+                if len(mids) != 2:
+                    report.append(
+                        f"interval [{a!r}, {g!r}] has {len(mids)} intermediate cells, expected 2"
+                    )
+    for c in x.cells():
+        n = dims[c]
+        if n >= 1:
+            chi = sum((-1) ** dims[f] for f in strict[c])
+            if chi != 1 + (-1) ** (n - 1):
+                report.append(
+                    f"boundary of {c!r} has Euler characteristic {chi}, "
+                    f"expected {1 + (-1) ** (n - 1)}"
+                )
+    if not report:
+        bar = x._face_poset_bar_unchecked()
+        for b in bar.vertex_ids():
+            for a in sorted(bar.strictly_below(b)):
+                if bar.rank(b) - bar.rank(a) > 2 and not open_interval_connected(bar, b, a):
+                    report.append(f"interval [{a!r}, {b!r}] splits into several diamond classes")
+    return report
 
 
 def integral_cellular_cohomology(x: RegularCWComplex) -> list[tuple[int, tuple[int, ...]]]:
@@ -711,11 +793,11 @@ class GradedComponent:
 
 
 def _component(words: list, rows: list, field):
-    from cwkoszul.linalg import SparseExactMatrix, quotient
+    from cwkoszul.linalg import quotient
 
     index = {w: j for j, w in enumerate(words)}
     rel_rows = [{index[w]: field.one for w in row} for row in rows]
-    rel = SparseExactMatrix.from_rows(rel_rows, len(words), field)
+    rel = matrix_from_rows(rel_rows, len(words), field)
     return quotient(list(words), rel, field)
 
 

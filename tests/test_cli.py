@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON reports, round trips, errors."""
 
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,18 @@ def test_validate_schema_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "+1 or -1" in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_impossible_dimension_exits_two_at_once(tmp_path, capsys, flags):
+    # one cell cannot fill the dimensions 0..3000000; no report is listed
+    path = tmp_path / "huge.json"
+    path.write_text('{"cells": [{"id": "a", "dim": 3000000, "boundary": {}}]}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(path), *flags)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "'a' has dimension 3000000" in err and err.count("\n") == 1
 
 
 _EDGE_VERTICES = [{"id": "v", "dim": 0}, {"id": "w", "dim": 0}]

@@ -20,7 +20,7 @@ from cwkoszul.linalg import (
     rank,
 )
 
-from helpers import identity, path_word_complex, scan_relative_complex
+from helpers import identity, matrix_from_rows, path_word_complex, scan_relative_complex
 
 FIELDS = (QQ, GF(2), GF(3))
 SMALL = [n for n in catalog_names() if n not in ("simplex5", "sphere4")]
@@ -89,7 +89,7 @@ def test_dims_equal_full_cohomology_on_generated_complexes(ring, data):
         if i < len(mats):
             assert all(not mats[i].apply(v) for v in reps)
         image = image_vectors(mats[i - 1], ring) if i else []
-        span = SparseExactMatrix.from_rows(image + reps, dims[i], ring)
+        span = matrix_from_rows(image + reps, dims[i], ring)
         assert rank(span) == len(image) + h
 
 
@@ -136,8 +136,8 @@ def test_dims_reject_nonzero_composite():
     ident = identity(1, QQ)
     with pytest.raises(ValueError, match="composition"):
         cohomology_dims([1, 1, 1], [ident, ident], QQ)
-    twice = SparseExactMatrix.from_rows([{0: 1}, {0: 1}], 1, GF(3))
-    pair = SparseExactMatrix.from_rows([{0: 1, 1: 1}], 2, GF(3))
+    twice = matrix_from_rows([{0: 1}, {0: 1}], 1, GF(3))
+    pair = matrix_from_rows([{0: 1, 1: 1}], 2, GF(3))
     with pytest.raises(ValueError, match="composition"):
         cohomology_dims([1, 2, 1], [twice, pair], GF(3))
     # the same composite vanishes over F2

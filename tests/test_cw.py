@@ -22,6 +22,7 @@ from helpers import (
     glued_spheres_complex,
     is_thin,
     random_uniform_graphs,
+    reference_validation_report,
     segment_plus_point,
     two_disjoint_triangles,
 )
@@ -264,15 +265,28 @@ def test_validation_lists_no_maximal_chains(monkeypatch):
     assert x.validate() == []
 
 
-def test_validation_keeps_its_face_poset():
+def test_validation_builds_no_face_poset(monkeypatch):
+    # validate() reads the complex's own closures; face_poset_bar() builds
+    # the bar poset on first use, once
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation built a layered graph")
+
     x = complex_from_dict(catalog("sphere2").to_dict())
-    assert x._bar is None
-    assert x.validate() == []
-    bar = x._bar
-    assert bar is not None and x.face_poset_bar() is bar
+    with monkeypatch.context() as m:
+        m.setattr(LayeredGraph, "__init__", refuse)
+        assert x.validate() == []
+        assert dangling_square_complex().validate()
+    built = []
+    init = LayeredGraph.__init__
+
+    def counting(g, *args, **kwargs):
+        built.append(g)
+        init(g, *args, **kwargs)
+
+    monkeypatch.setattr(LayeredGraph, "__init__", counting)
+    bar = x.face_poset_bar()
+    assert x.face_poset_bar() is bar and built == [bar]
     assert bar == x._face_poset_bar_unchecked()
-    bad = dangling_square_complex()
-    assert bad.validate() and bad._bar is None
 
 
 def _mutant(x, rng):
@@ -309,17 +323,21 @@ def _mutant(x, rng):
     return RegularCWComplex(f"{x.name}-mutant", dims, incidence)
 
 
+def _seeded_mutants():
+    rng = random.Random(20081)
+    names = ("simplex2", "simplex3", "sphere2", "rp2_six", "example_singular",
+             "three_triangles_shared_edge")
+    for _ in range(400):
+        yield _mutant(catalog(rng.choice(names)), rng)
+
+
 def test_validate_reports_every_mutant_without_a_thin_bar_poset():
     # validate() builds the bar poset only after its earlier checks pass and
     # asks neither for a layered graph nor for thinness: those checks imply
     # both.  Every mutant whose bar poset is not a thin layered graph must
     # therefore be reported, and no clean report may come without one.
-    rng = random.Random(20081)
-    names = ("simplex2", "simplex3", "sphere2", "rp2_six", "example_singular",
-             "three_triangles_shared_edge")
     not_thin = 0
-    for _ in range(400):
-        x = _mutant(catalog(rng.choice(names)), rng)
+    for x in _seeded_mutants():
         try:
             bar = LayeredGraph({c: d + 1 for c, d in x.dims.items()}, set(x.incidence))
             thin = is_thin(bar)[0]
@@ -332,3 +350,27 @@ def test_validate_reports_every_mutant_without_a_thin_bar_poset():
         elif not report:
             assert x.face_poset_bar() == bar
     assert not_thin >= 100
+
+
+def test_validate_matches_the_bar_poset_reference():
+    # the closure-based report equals, line for line, the one built on the
+    # bar poset with one pass per check
+    complexes = [catalog(name) for name in catalog_names()]
+    complexes += [glued_spheres_complex(), disjoint_spheres_complex(), doubled_tetrahedron_complex()]
+    complexes += list(_seeded_mutants())
+    reported = 0
+    for x in complexes:
+        fresh = RegularCWComplex(x.name, x.dims, x.incidence)  # catalog entries keep their report
+        assert fresh.validate() == reference_validation_report(fresh), x.to_dict()
+        reported += bool(fresh._report)
+    assert reported >= 100
+
+
+def test_impossible_dimension_is_refused_at_init():
+    # every dimension up to a cell's needs a cell of its own
+    with pytest.raises(ComplexError, match="'a' has dimension 3000000"):
+        RegularCWComplex("huge", {"a": 3000000}, {})
+    with pytest.raises(ComplexError, match="'e' has dimension 2"):
+        RegularCWComplex("bad", {"v": 0, "e": 2}, {})
+    # dimension = number of cells - 1 is possible; validation reports the missing faces
+    assert RegularCWComplex("ok", {"v": 0, "e": 1}, {}).validate()

@@ -4,11 +4,19 @@ and the int form of values over Q."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from cwkoszul.bigraded import hx_table, koszul_obstructions
-from cwkoszul.catalog import catalog
+from cwkoszul import bigraded, dualalg
+from cwkoszul.bigraded import (
+    build_layer,
+    cellular_complex,
+    hx_table,
+    koszul_obstructions,
+    reduced_layers,
+    relative_cohomology,
+)
+from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.dualalg import koszul_decide
 from cwkoszul.linalg import (
     GF,
@@ -24,7 +32,7 @@ from cwkoszul.linalg import (
     span_rank,
 )
 
-from helpers import dense_rref, identity, to_dense
+from helpers import dense_rref, identity, matrix_from_rows, to_dense
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -62,11 +70,13 @@ def reference(rows, ring):
 
 @pytest.mark.parametrize("ring", FIELDS, ids=repr)
 @given(data=dense_rows())
+@example(data=(3, [[1, 1, 0], [0, 1, 1], [1, 0, 0]]))  # reducing row 3 by row 1 adds pivot 1
 @settings(max_examples=60, deadline=None)
 def test_rref_matches_dense_reference(ring, data):
     _, rows = data
     srows = sparse(rows, ring)
     assert rref_rows(srows, ring) == reference(srows, ring)
+    assert span_rank(srows, ring) == len(reference(srows, ring))
 
 
 @pytest.mark.parametrize("ring", FIELDS, ids=repr)
@@ -118,7 +128,7 @@ def test_apply_matches_dense_product_on_repeated_calls(ring, data, vecs):
     if ring is ZZ:
         rows = [[int(v) for v in row] for row in rows]
     srows = sparse(rows, ring)
-    m = SparseExactMatrix.from_rows(srows, n, ring)
+    m = matrix_from_rows(srows, n, ring)
     dense = to_dense(m)
     for _ in range(2):
         for raw in vecs:
@@ -180,7 +190,7 @@ def test_q_kernel_matches_dense_fraction_reference(data, raw):
     n, rows = data
     ref = dense_rref([[row.get(j, 0) for j in range(n)] for row in rows])
     free = [j for j in range(n) if j not in dict(ref)]
-    m = SparseExactMatrix.from_rows(rows, n, QQ)
+    m = matrix_from_rows(rows, n, QQ)
     assert rank(m) == span_rank(rows, QQ) == len(ref)
 
     kern = kernel_vectors(m)
@@ -232,3 +242,78 @@ def test_q_decisions_on_integral_input_build_no_fraction(monkeypatch):
     report = koszul_obstructions(x, QQ)
     assert verdict.koszul and report.empty
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# matrices built inside the kernel hold canonical entries
+
+
+def _assert_canonical(m):
+    """m equals its canonicalised copy, value types included (over Q, 1 == Fraction(1))."""
+    canon = SparseExactMatrix(m.rows, m.cols, m.entries, m.ring)
+    assert m == canon, m
+    assert all(type(v) is type(canon.entries[key]) for key, v in m.entries.items()), m
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3)], ids=repr)
+def test_kernel_built_matrices_are_canonical(ring, monkeypatch):
+    built = []  # word-complex differentials and coboundaries, as they are built
+    word_complex, coboundaries = dualalg.word_complex, bigraded._coboundaries
+
+    def recording_words(blocks, heads):
+        labels, mats = word_complex(blocks, heads)
+        built.extend(mats)
+        return labels, mats
+
+    def recording_coboundaries(x, cells, ring):
+        dims, mats = coboundaries(x, cells, ring)
+        built.extend(mats)
+        return dims, mats
+
+    monkeypatch.setattr(dualalg, "word_complex", recording_words)
+    monkeypatch.setattr(bigraded, "_coboundaries", recording_coboundaries)
+    for name in catalog_names():
+        x = catalog(name)
+        layer = build_layer(x, 0, ring, None)
+        for k in range(1, x.dim + 1):
+            layer = build_layer(x, k, ring, layer)
+            for m in list(layer.d_up.values()) + list(layer.d_down.values()):
+                _assert_canonical(m)
+        cellular_complex(x, ring)
+        for reduced in reduced_layers(x, ring):
+            for m in reduced.mats.values():
+                _assert_canonical(m)
+        if ring is not ZZ:
+            for alpha in x.cells():
+                relative_cohomology(x, alpha, ring)
+            koszul_decide(x.face_poset_bar(), ring)
+            if x.is_pure():
+                koszul_decide(x.face_poset_hat(), ring)
+    for m in built:
+        _assert_canonical(m)
+    assert len(built) > 100 or ring is ZZ
+
+
+def test_comparison_map_reduces_negative_signs_mod_p():
+    x, field = catalog("sphere2"), GF(3)
+    g = x.face_poset_bar()
+    blocks = dualalg.HeadBlocks(g, field)
+    signs = set()
+    for layer in reduced_layers(x, field):
+        for n in range(layer.k, x.dim + 1):
+            lq = layer.quotients[n]
+            for q in range(lq.dim):
+                beta, alpha = lq.ambient_labels[lq.nonpivots[q]]
+                chain = g.first_maximal_chain(beta, alpha)
+                signs.add(dualalg.sign_of_path(x, chain))
+            phi = dualalg.comparison_map(x, field, n, layer.k, layer, blocks)
+            assert all(v in (1, 2) for v in phi.entries.values())
+            _assert_canonical(phi)
+    assert -1 in signs
+
+
+def test_canonical_constructor_checks_bounds():
+    assert SparseExactMatrix._canonical(2, 3, {(1, 2): 1}, GF(3)).entries == {(1, 2): 1}
+    for key in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError, match="outside 2x3"):
+            SparseExactMatrix._canonical(2, 3, {key: 1}, GF(3))

@@ -12,6 +12,7 @@ from helpers import (
     edge_poset,
     is_thin,
     nonuniform_poset,
+    open_interval_connected,
     up_down_sequence,
 )
 
@@ -159,15 +160,15 @@ def test_diamond_classes():
 
 def test_open_interval_connected():
     g = catalog("simplex3").face_poset_bar()
-    assert g.open_interval_connected("0123", BOTTOM)
-    assert g.open_interval_connected("01", "0")  # empty
+    assert open_interval_connected(g, "0123", BOTTOM)
+    assert open_interval_connected(g, "01", "0")  # empty
     # length 2: the edges 01 and 02 are incomparable, yet [0, 012] is one class
-    assert not g.open_interval_connected("012", "0")
+    assert not open_interval_connected(g, "012", "0")
     assert len(diamond_classes(g, "012", "0")) == 1
     ng = nonuniform_poset()
-    assert not ng.open_interval_connected("x", BOTTOM)
+    assert not open_interval_connected(ng, "x", BOTTOM)
     with pytest.raises(GraphError, match="not below"):
-        g.open_interval_connected("0", "012")
+        open_interval_connected(g, "0", "012")
 
 
 def test_ranked_invariant_chain_lengths():

@@ -35,6 +35,7 @@ from helpers import (
     is_zero,
     kernel_basis,
     matmul,
+    matrix_from_rows,
 )
 
 
@@ -176,7 +177,7 @@ def test_induced_composition(f, extra):
     src = quotient(list(range(f.cols)), src_rel, QQ)
     fq = f.convert(QQ)
     mid_rows = [fq.apply(r) for r in src_rel.row_list()]
-    mid = quotient(list(range(f.rows)), SparseExactMatrix.from_rows(mid_rows, f.rows, QQ), QQ)
+    mid = quotient(list(range(f.rows)), matrix_from_rows(mid_rows, f.rows, QQ), QQ)
     g = identity(f.rows, QQ)
     dst = mid
     left = induced_map(matmul(g, fq), src, dst)

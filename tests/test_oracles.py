@@ -13,9 +13,15 @@ import itertools
 from cwkoszul.catalog import catalog
 from cwkoszul.dualalg import graded_dims, koszul_decide, whole_graph_criterion
 from cwkoszul.layered import LayeredGraph
-from cwkoszul.linalg import GF, QQ, SparseExactMatrix, rank
+from cwkoszul.linalg import GF, QQ, rank
 
-from helpers import edge_poset, nonuniform_poset, path_graded_component, random_uniform_graphs
+from helpers import (
+    edge_poset,
+    matrix_from_rows,
+    nonuniform_poset,
+    path_graded_component,
+    random_uniform_graphs,
+)
 
 
 def brute_force_graded_dim(g: LayeredGraph, m: int, field) -> int:
@@ -41,7 +47,7 @@ def brute_force_graded_dim(g: LayeredGraph, m: int, field) -> int:
                     rows.append({
                         index[prefix + pair + suffix]: v for pair, v in rel.items()
                     })
-    mat = SparseExactMatrix.from_rows(rows, len(words), field)
+    mat = matrix_from_rows(rows, len(words), field)
     return len(words) - rank(mat)
 
 

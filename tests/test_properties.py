@@ -17,6 +17,7 @@ from helpers import (
     down_up_sequence,
     is_thin,
     matmul,
+    open_interval_connected,
     pair_layers,
     path_block_component,
     path_graded_component,
@@ -70,7 +71,7 @@ def test_random_graph_diamond_partition(g):
 def test_open_interval_connectivity_against_diamond_classes(g):
     long = [(a, b) for b in g.vertex_ids() for a in g.strictly_below(b)
             if g.rank(b) - g.rank(a) >= 3]
-    disconnected = {(a, b) for a, b in long if not g.open_interval_connected(b, a)}
+    disconnected = {(a, b) for a, b in long if not open_interval_connected(g, b, a)}
     split = {(a, b) for a, b in long if len(diamond_classes(g, b, a)) > 1}
     # each disconnected one splits; some splits iff some is disconnected
     assert disconnected <= split
