@@ -284,11 +284,21 @@ class RegularCWComplex:
         return self._bar
 
     def face_poset_hat(self) -> LayeredGraph:
-        """The cell poset with added minimum and maximum; requires purity."""
+        """The cell poset with added minimum and maximum; requires purity.
+
+        One construction: the cells at rank dimension + 1 under the
+        incidences, and TOP one rank above, covering the top cells, which are
+        the maximal cells of a pure complex.
+        """
         if self._hat is None:
+            self.ensure_valid()
             if not self.is_pure():
                 raise ComplexError(f"complex {self.name!r} is not pure")
-            self._hat = self.face_poset_bar().extend_with_top()
+            verts = {c: d + 1 for c, d in self.dims.items()}
+            verts[TOP] = self.dim + 2
+            covers = set(self.incidence)
+            covers.update((TOP, c) for c in self.cells(self.dim))
+            self._hat = LayeredGraph(verts, covers, name=f"{self.name}^" if self.name else "^")
         return self._hat
 
     # -- structure predicates ------------------------------------------------------

@@ -83,12 +83,9 @@ class LayeredGraph:
         self.covers = frozenset(cover_set)
 
         lower: dict[str, list[str]] = {v: [] for v in verts}
-        upper: dict[str, list[str]] = {v: [] for v in verts}
         for u, l in cover_set:
             lower[u].append(l)
-            upper[l].append(u)
         self._lower = {v: tuple(sorted(ws)) for v, ws in lower.items()}
-        self._upper = {v: tuple(sorted(ws)) for v, ws in upper.items()}
 
         for v, r in verts.items():
             if r >= 1 and not self._lower[v]:
@@ -143,9 +140,6 @@ class LayeredGraph:
     def strictly_below(self, v: str) -> frozenset[str]:
         self.rank(v)
         return self._below[v]
-
-    def maximal_vertices(self) -> list[str]:
-        return sorted(v for v in self.vertices if not self._upper[v])
 
     def sphere(self, x: str, n: int) -> tuple[str, ...]:
         """Vertices strictly below x whose rank is rank(x) - n; sphere(x, 0) = (x,)."""
@@ -211,25 +205,6 @@ class LayeredGraph:
                 w for w in self._lower[chain[-1]] if w == a or a in self._below[w]
             ))
         return tuple(chain)
-
-    # -- extension -------------------------------------------------------------
-
-    def extend_with_top(self, top_id: str = TOP) -> "LayeredGraph":
-        """Add a maximum covering all maximal vertices; they must share a rank."""
-        if top_id in self.vertices:
-            raise GraphError(f"vertex id {top_id!r} already in use")
-        maxima = self.maximal_vertices()
-        ranks = {self.vertices[v] for v in maxima}
-        if len(ranks) != 1:
-            raise GraphError(
-                f"maximal vertices sit at mixed ranks {sorted(ranks)}; graph is not pure"
-            )
-        d = ranks.pop()
-        verts = dict(self.vertices)
-        verts[top_id] = d + 1
-        covs = {(u, l) for (u, l) in self.covers if l != BOTTOM}
-        covs |= {(top_id, v) for v in maxima if v != BOTTOM}
-        return LayeredGraph(verts, covs, name=f"{self.name}^" if self.name else "^")
 
     # -- serialization -----------------------------------------------------------
 

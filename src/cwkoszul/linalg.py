@@ -4,28 +4,28 @@ Matrices store only nonzero entries.  Scalars are Python ints over Z,
 canonical residues (ints in [0, p)) over F_p, and over Q an int for every
 integral value and a `fractions.Fraction` for any other (`Rationals`).
 
-Every elimination over a field goes through one forward loop, `_echelon`,
-on dict rows with the field arithmetic inline (`% p` over F_p, plain int
-arithmetic over Q on integral values).  Ranks read the number of pivots of
-that echelon form and run no back-substitution.  The reduced row echelon
-form, `_eliminate`, is the echelon form plus one back-substitution pass;
-kernels, images and quotient presentations read its pivot rows as they are,
-and the public `rref_rows` returns them with Fraction values over Q, as do
-the cohomology representatives built on it.  The reduced row echelon form of
-a row space is unique, so kernels, quotient bases and representatives depend
-only on the spans involved, never on row order: they are reproducible across
-runs.
+Every elimination, over F_p, Q or Z, goes through one forward loop,
+`_echelon`, on dict rows with the arithmetic inline (`% p` over F_p, plain
+int arithmetic over Z and over Q on integral values).  The ring sets the
+pivot rule: a row's smallest column over a field, its smallest column with
+a unit entry over Z, where rows without one wait in a core.  Ranks and
+Smith forms read that echelon form and run no back-substitution.  The
+reduced form, `_eliminate`, is the echelon form plus one back-substitution
+pass; kernels, quotient presentations and cohomology representatives read
+its pivot rows as they are, and the public `rref_rows` returns them with
+Fraction values over Q.  The reduced row echelon form of a row space is
+unique, so kernels, quotient bases and representatives depend only on the
+spans involved, never on row order: they are reproducible across runs.
 
 Matrices built from values the kernel already holds canonical (transposes,
 induced maps, the pair complexes and word complexes) skip the per-entry
 canonicalisation of the public constructors through `_canonical`.
 
 A presented quotient comes from one constructor, `quotient(labels,
-relations, ring)`: over a field the RREF of the relations picks the
-quotient basis (`QuotientPresentation`); over Z a row elimination on pivots
-of magnitude 1 does, with a dense Smith normal form only on the core of
-rows left without a unit entry (`IntegralQuotient`, which refuses a
-quotient with torsion).  Both offer the same interface, so one
+relations, ring)`: over a field the reduced form of the relations picks
+the quotient basis (`QuotientPresentation`); over Z its unit pivots do,
+with a dense Smith normal form only on the core (`IntegralQuotient`, which
+refuses a quotient with torsion).  Both offer the same interface, so one
 `induced_map` serves them.
 
 Cohomology is read from ranks: `cohomology_dims` checks the shapes and
@@ -211,7 +211,7 @@ def _subtract(dst: dict, coeff, src: dict, p: int) -> None:
 
 
 def _divide(row: dict, d, p: int) -> dict:
-    """row / d; over Q an exact integral quotient stays an int."""
+    """row / d; over Q an exact integral quotient stays an int, over Z (d = -1) all do."""
     if p:
         inv = pow(d, p - 2, p)
         return {j: v * inv % p for j, v in row.items()}
@@ -329,66 +329,88 @@ class SparseExactMatrix:
         return f"SparseExactMatrix({self.rows}x{self.cols}, {len(self.entries)} nz, {self.ring!r})"
 
 
-def _echelon(rows: list[dict], p: int) -> dict[int, dict]:
-    """A row echelon form of sparse rows over F_p (p > 0) or Q (p = 0).
+def _echelon(rows: list[dict], p) -> tuple[dict[int, dict], list[dict]]:
+    """A row echelon form of sparse rows over F_p (p > 0), Q (p = 0) or Z (p None).
 
-    Returns {pivot column: pivot row without its pivot 1}; each row has its
-    pivot as its smallest column and a zero at every pivot column installed
-    before it, so the number of pivots is the rank.  The rows are read, not
-    changed; over Q their values in the form of `Rationals` keep the
-    arithmetic on ints.
+    Returns (tails, core).  `tails` maps each pivot column, in install order,
+    to its pivot row without its pivot 1; a pivot row vanishes on every pivot
+    column installed before it, so over a field the pivots count the rank.
+    The rows are read, not changed; over Q their values in the form of
+    `Rationals` keep the arithmetic on ints.
 
-    One forward loop: each incoming row is reduced at the pivot columns it
-    holds, in increasing column order (a heap, since a pivot row adds only
-    columns past its pivot), and its smallest remaining column becomes a new
-    pivot.  The reduced row is the one Gauss-Jordan would install: two
-    reductions of a row by the same span that both vanish on every pivot
-    column are equal.
+    One forward loop: each row is reduced at the pivot columns it holds, in
+    increasing column order (a heap), then pivots on its smallest column over
+    a field and on its smallest column holding 1 or -1 over Z.  A Z row with
+    no such entry waits in `core`; waiting rows are reduced again after every
+    pass that added a pivot, until a pass adds none.  Over a field the loop
+    makes one pass and `core` stays empty.  Over Z only unimodular row
+    operations are used, and `core` ends as the rows with no unit entry,
+    which vanish on every pivot column.
+
+    Why the loop is right over Z, where a pivot row may hold columns smaller
+    than its pivot: of the pivot columns it holds only ones installed after
+    it, so each reduction step trades a pivot column for later-installed
+    ones, and the loop ends.  And the reduced row is unique: the pivot rows
+    are unitriangular on the pivot columns in install order, so row +
+    span(pivot rows) has one element vanishing on every pivot column.  The
+    heap order changes the work, not the result.
     """
     tails: dict[int, dict] = {}
-    for src in rows:
-        if p:
-            row = {c: w for c, v in src.items() if (w := v % p)}
-        else:
-            row = {c: v for c, v in src.items() if v}
-        heap = [c for c in row if c in tails]
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            v = row.pop(c, 0)
-            if v:  # else cancelled, or queued twice
-                tail = tails[c]
-                _subtract(row, v, tail, p)
-                for j in tail:
-                    if j in tails:
-                        heappush(heap, j)
-        if not row:
-            continue
-        pc = min(row)
-        pv = row.pop(pc)
-        if pv != 1:
-            row = _divide(row, pv, p)
-        tails[pc] = row
-    return tails
+    pending, known = rows, 0
+    while True:
+        core = []
+        for src in pending:
+            if p:
+                row = {c: w for c, v in src.items() if (w := v % p)}
+            else:
+                row = {c: v for c, v in src.items() if v}
+            heap = [c for c in row if c in tails]
+            heapify(heap)
+            while heap:
+                c = heappop(heap)
+                v = row.pop(c, 0)
+                if v:  # else cancelled, or queued twice
+                    tail = tails[c]
+                    _subtract(row, v, tail, p)
+                    for j in tail:
+                        if j in tails:
+                            heappush(heap, j)
+            if not row:
+                continue
+            if p is None:
+                pc = min((c for c, v in row.items() if v == 1 or v == -1), default=None)
+                if pc is None:
+                    core.append(row)
+                    continue
+            else:
+                pc = min(row)
+            pv = row.pop(pc)
+            if pv != 1:
+                row = _divide(row, pv, p)
+            tails[pc] = row
+        if not core or len(tails) == known:
+            return tails, core
+        pending, known = core, len(tails)
 
 
-def _eliminate(rows: list[dict], p: int) -> dict[int, dict]:
-    """The reduced row echelon form of sparse rows over F_p (p > 0) or Q (p = 0).
+def _eliminate(rows: list[dict], p) -> tuple[dict[int, dict], list[dict]]:
+    """`_echelon` with fully reduced pivot rows: no tail holds a pivot column.
 
-    Returns {pivot column: pivot row without its pivot 1}.  Each row has the
-    pivot as its smallest column and zeros at every other pivot column.
-    This form is unique for a row space, so the result does not depend on the
-    order of the rows, on zero rows or on repeated rows.
+    Over a field this is the reduced row echelon form, unique for a row
+    space, so the result does not depend on the order of the rows, on zero
+    rows or on repeated rows; each pivot is its row's smallest column.  Over
+    Z the core is that of `_echelon`.
 
-    `_echelon` plus one back-substitution pass in decreasing pivot order: a
-    pivot row is cleared by the later pivot rows, which are reduced already.
+    One back-substitution pass in reverse install order: a pivot row holds
+    only pivot columns installed after it, and those rows are reduced
+    already.
     """
-    tails = _echelon(rows, p)
-    for c in sorted(tails, reverse=True):
+    tails, core = _echelon(rows, p)
+    for c in reversed(tails):
         tail = tails[c]
         for j in [j for j in tail if j in tails]:
             _subtract(tail, tail.pop(j), tails[j], p)
-    return tails
+    return tails, core
 
 
 def _full_rows(tails: dict[int, dict]) -> list[tuple[int, dict]]:
@@ -413,29 +435,15 @@ def rref_rows(rows: list[dict], ring) -> list[tuple[int, dict]]:
     over Q.
     """
     p = _field_char(ring)
-    rref = _full_rows(_eliminate(rows, p))
+    rref = _full_rows(_eliminate(rows, p)[0])
     if p:
         return rref
     return [(c, {j: Fraction(v) for j, v in row.items()}) for c, row in rref]
 
 
-def reduce_mod_rows(vec: dict, rref, ring) -> dict:
-    """Reduce a vector modulo the row span of an RREF; result has no pivot coords.
-
-    `rref` holds the (pivot column, row) pairs of `rref_rows`, as its list or
-    as a dict; only the pivot columns present in the vector are looked up.
-    """
-    p = _field_char(ring)
-    pivot_rows = rref if isinstance(rref, dict) else dict(rref)
-    out = dict(vec)
-    for c in [c for c in out if c in pivot_rows]:
-        _subtract(out, out[c], pivot_rows[c], p)
-    return out
-
-
 def span_rank(vecs: list[dict], ring) -> int:
     """Dimension of the span of sparse vectors over a field: the pivots of an echelon form."""
-    return len(_echelon(vecs, _field_char(ring)))
+    return len(_echelon(vecs, _field_char(ring))[0])
 
 
 def rank(m: SparseExactMatrix, ring=None) -> int:
@@ -452,19 +460,12 @@ def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
     ring = ring or m.ring
     m = m.convert(ring)
     p = _field_char(ring)
-    tails = _eliminate(m.row_list(), p)
+    tails = _eliminate(m.row_list(), p)[0]
     vecs = {j: {j: ring.one} for j in range(m.cols) if j not in tails}
     for c in sorted(tails):
         for j, coeff in tails[c].items():
             vecs[j][c] = -coeff % p if p else -coeff
     return list(vecs.values())
-
-
-def image_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
-    """Basis of the column space, in reduced echelon form."""
-    ring = ring or m.ring
-    m = m.convert(ring)
-    return [row for _, row in _full_rows(_eliminate(m._cached_columns(), _field_char(ring)))]
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +488,7 @@ class QuotientPresentation:
         self.relations = relations
         self.ring = ring
         self._p = _field_char(ring)
-        self._tails = _eliminate(relations.row_list(), self._p)
+        self._tails = _eliminate(relations.row_list(), self._p)[0]
         self.nonpivots = [j for j in range(len(ambient_labels)) if j not in self._tails]
         self._nonpivot_pos = {j: q for q, j in enumerate(self.nonpivots)}
         self.dim = len(self.nonpivots)
@@ -524,15 +525,16 @@ class TorsionError(ValueError):
 class IntegralQuotient:
     """Z^ambient modulo the row lattice of an integer relation matrix.
 
-    `_unit_elimination` turns the relations into pivot rows, one per pivot
-    column with a 1 there, and a core of rows without a unit entry, which
-    vanishes on every pivot column; Z^ambient / lattice is then
-    Z^(nonpivot columns) / core.  Nonpivot columns no core row touches are
-    free coordinates; the column transform q of the Smith form of the core
-    (`_snf_reduce` on the core columns only) gives the rest.  The quotient
-    must be free: all invariant factors 1, else `TorsionError`.  The
-    interface is that of `QuotientPresentation`, with the lattice in place of
-    the span.
+    `_eliminate` over Z turns the relations into fully reduced pivot rows,
+    one per pivot column with a 1 there, and a core of rows without a unit
+    entry, which vanishes on every pivot column; each pivot column is then a
+    combination of nonpivot columns modulo the lattice, and Z^ambient /
+    lattice is Z^(nonpivot columns) / core.  Nonpivot columns no core row
+    touches are free coordinates; the column transform q of the Smith form
+    of the core (`_snf_reduce` on the core columns only) gives the rest.
+    The quotient must be free: all invariant factors 1, else `TorsionError`.
+    The interface is that of `QuotientPresentation`, with the lattice in
+    place of the span.
     """
 
     ring = ZZ
@@ -543,7 +545,7 @@ class IntegralQuotient:
         n = len(ambient_labels)
         if relations.cols != n:
             raise ValueError("relation width does not match ambient basis")
-        tails, core = _unit_elimination(relations.row_list())
+        tails, core = _eliminate(relations.row_list(), None)
         cols, dense = _dense_core(core)
         m = len(cols)
         q = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -680,20 +682,19 @@ def cocycle_representatives(mats: list[SparseExactMatrix], i: int, dim: int, rin
     """Representative cocycles of H^i of a complex, in degree i only.
 
     `dim` is the dimension of C_i.  The representatives are the echelon
-    kernel vectors of mats[i] reduced modulo the image of mats[i-1], brought
-    to reduced echelon form by `rref_rows`, so over Q their values are
-    Fractions, as a reported witness carries them.  The complex is taken as
-    checked by `cohomology_dims`.
+    kernel vectors of mats[i] reduced by the reduced echelon form of the
+    image of mats[i-1], brought to reduced echelon form by `rref_rows`, so
+    over Q their values are Fractions, as a reported witness carries them.
+    The complex is taken as checked by `cohomology_dims`.
     """
+    p = _field_char(ring)
     if i < len(mats):
         kern = kernel_vectors(mats[i], ring)
     else:
         kern = [{j: ring.one} for j in range(dim)]
-    # image_vectors rows are already in reduced echelon form: key them by pivot
-    img_rows = {min(row): row for row in image_vectors(mats[i - 1], ring)} if i > 0 else {}
-    reduced = [reduce_mod_rows(v, img_rows, ring) for v in kern]
-    reps = [row for _, row in rref_rows(reduced, ring)]
-    if len(reps) != len(kern) - len(img_rows):
+    img = _eliminate(mats[i - 1].convert(ring)._cached_columns(), p)[0] if i > 0 else {}
+    reps = [row for _, row in rref_rows([_reduce(v, img, p) for v in kern], ring)]
+    if len(reps) != len(kern) - len(img):
         raise AssertionError("cohomology representative count mismatch")
     return reps
 
@@ -736,62 +737,6 @@ class SmithForm:
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-
-def _install_pivot(tails: dict, users: dict, pc: int, row: dict) -> None:
-    """Make `row` (its pivot 1 at column pc removed) the pivot row of pc, over Z.
-
-    Column pc is cleared from exactly the earlier tails that the column
-    index `users` lists for it, and the index follows the changed tails.
-    """
-    for j in row:
-        users.setdefault(j, set()).add(pc)
-    for q in users.pop(pc, ()):
-        tail = tails[q]
-        _subtract(tail, tail.pop(pc), row, 0)
-        for j in row:
-            if j in tail:
-                users[j].add(q)
-            else:
-                users[j].discard(q)
-    tails[pc] = row
-
-
-def _unit_elimination(rows: list[dict]) -> tuple[dict[int, dict], list[dict]]:
-    """Row-only Gauss-Jordan over Z on pivots of magnitude 1; consumes `rows`.
-
-    Returns (tails, core).  `tails` maps each pivot column to its pivot row,
-    normalised to a 1 at the pivot and stored without it; no pivot column
-    occurs in any other returned row.  `core` holds the nonzero rows left
-    with no entry of magnitude 1.  Only unimodular row operations are used,
-    so pivot rows and core span the lattice of `rows`.
-
-    Each row is reduced at the pivot columns it holds and pivots on its
-    smallest column with a unit entry; `_install_pivot` clears that column
-    from the earlier pivot rows at once, through a column index.  A row
-    without one waits; the waiting rows are reduced again after every pass
-    that added a pivot, until a pass adds none.
-    """
-    tails: dict[int, dict] = {}
-    users: dict[int, set] = {}
-    pending = rows
-    while True:
-        core, known = [], len(tails)
-        for row in pending:
-            for c in [c for c in row if c in tails]:
-                _subtract(row, row.pop(c), tails[c], 0)
-            if not row:
-                continue
-            pc = min((c for c, v in row.items() if v == 1 or v == -1), default=None)
-            if pc is None:
-                core.append(row)
-                continue
-            if row.pop(pc) == -1:
-                row = {j: -v for j, v in row.items()}
-            _install_pivot(tails, users, pc, row)
-        if len(tails) == known:
-            return tails, core
-        pending = core
 
 
 def _dense_core(core: list[dict]) -> tuple[list[int], list[list[int]]]:
@@ -883,12 +828,17 @@ def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[i
 def smith_normal_form(m: SparseExactMatrix) -> SmithForm:
     """Invariant factors of an integer matrix (transforms not tracked).
 
-    Each unit pivot of `_unit_elimination` gives a factor 1: column
-    operations clear the rest of its pivot row and touch no other row.  The
-    dense `_snf_reduce` runs only on the core left over, restricted to the
-    columns its rows touch, and gives the remaining factors.
+    Read from the echelon form of `_echelon` over Z, with no
+    back-substitution.  Its rows span the row lattice by unimodular row
+    operations.  On the pivot columns, in install order, the pivot rows are
+    unitriangular, so unimodular row operations among them and then column
+    operations by the pivot columns clear every other entry of the pivot
+    rows.  The core vanishes on the pivot columns, so none of these
+    operations touches it.  The factors are 1 for each pivot followed by the
+    dense `_snf_reduce` of the core, restricted to the columns its rows
+    touch.
     """
-    tails, core = _unit_elimination(m.convert(ZZ).row_list())
+    tails, core = _echelon(m.convert(ZZ).row_list(), None)
     factors = [1] * len(tails)
     if core:
         factors += _snf_reduce(_dense_core(core)[1], None, None)

@@ -253,6 +253,34 @@ def kernel_basis(m, ring=None):
     return SparseExactMatrix.from_columns(kernel_vectors(m, ring), m.cols, ring)
 
 
+def image_vectors(m, ring=None) -> list[dict]:
+    """Basis of the column space of m, in reduced echelon form."""
+    from cwkoszul.linalg import rref_rows
+
+    ring = ring or m.ring
+    return [row for _, row in rref_rows(m.convert(ring).col_list(), ring)]
+
+
+def reduce_mod_rows(vec: dict, rref, ring) -> dict:
+    """A vector reduced modulo the row span of an RREF; no pivot column is left.
+
+    `rref` holds the (pivot column, row) pairs of `rref_rows`, as its list or
+    as a dict.  The reference for `linalg._reduce`: one subtraction of a whole
+    pivot row per pivot column the vector holds, in the ring's own arithmetic.
+    """
+    pivot_rows = rref if isinstance(rref, dict) else dict(rref)
+    out = dict(vec)
+    for c in [c for c in out if c in pivot_rows]:
+        coeff = out[c]
+        for j, v in pivot_rows[c].items():
+            w = ring.of(out.get(j, 0) - coeff * v)
+            if w:
+                out[j] = w
+            else:
+                out.pop(j, None)
+    return out
+
+
 def _linked_sequence(g: LayeredGraph, a: str, a2: str, shared: str):
     """BFS witness for down-up ('lower') or up-down ('upper') connectivity."""
     from cwkoszul.layered import GraphError
@@ -476,7 +504,7 @@ def identity(n: int, ring):
 def upper_covers(g: LayeredGraph, v: str) -> tuple[str, ...]:
     """The vertices covering v, sorted."""
     g.rank(v)
-    return g._upper[v]
+    return tuple(sorted(u for u, l in g.covers if l == v))
 
 
 def below(g: LayeredGraph, x: str) -> LayeredGraph:

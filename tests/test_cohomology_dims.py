@@ -15,12 +15,17 @@ from cwkoszul.linalg import (
     cochain_cohomology,
     cocycle_representatives,
     cohomology_dims,
-    image_vectors,
     integral_cochain_cohomology,
     rank,
 )
 
-from helpers import identity, matrix_from_rows, path_word_complex, scan_relative_complex
+from helpers import (
+    identity,
+    image_vectors,
+    matrix_from_rows,
+    path_word_complex,
+    scan_relative_complex,
+)
 
 FIELDS = (QQ, GF(2), GF(3))
 SMALL = [n for n in catalog_names() if n not in ("simplex5", "sphere4")]

@@ -7,7 +7,7 @@ import pytest
 from cwkoszul.bigraded import cellular_cohomology
 from cwkoszul.catalog import _simplicial, catalog, catalog_names
 from cwkoszul.cw import ComplexError, RegularCWComplex, complex_from_dict
-from cwkoszul.layered import BOTTOM, GraphError, LayeredGraph
+from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph
 from cwkoszul.linalg import QQ
 
 import helpers
@@ -106,6 +106,38 @@ def test_face_poset_hat_simplex2_has_rank_four():
 def test_face_poset_hat_requires_purity():
     with pytest.raises(ComplexError, match="not pure"):
         segment_plus_point().face_poset_hat()
+
+
+def _bar_plus_top(x: RegularCWComplex) -> LayeredGraph:
+    """The reference hat poset: the bar poset plus TOP over its maximal vertices."""
+    bar = x.face_poset_bar()
+    lowers = {l for _, l in bar.covers}
+    maxima = [v for v in bar.vertices if v not in lowers]
+    (rank,) = {bar.rank(v) for v in maxima}
+    verts = {**bar.vertices, TOP: rank + 1}
+    covers = {(u, l) for u, l in bar.covers if l != BOTTOM} | {(TOP, v) for v in maxima}
+    return LayeredGraph(verts, covers, name=f"{x.name}^" if x.name else "^")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_face_poset_hat_is_the_bar_poset_plus_top(name, monkeypatch):
+    x = catalog(name)
+    for cx in (x, RegularCWComplex("", x.dims, x.incidence)):
+        ref = _bar_plus_top(cx)
+        fresh = RegularCWComplex(cx.name, cx.dims, cx.incidence)
+        built = []
+        init = LayeredGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(LayeredGraph, "__init__", counting_init)
+            hat = fresh.face_poset_hat()
+        assert len(built) == 1 and built[0] is hat
+        assert hat == ref and hat.name == ref.name
+        assert fresh.face_poset_hat() is hat
 
 
 def test_is_pure():

@@ -16,12 +16,13 @@ from cwkoszul.dualalg import (
     sign_of_path,
 )
 from cwkoszul.layered import BOTTOM, GraphError
-from cwkoszul.linalg import GF, QQ
+from cwkoszul.linalg import GF, QQ, rref_rows
 
 from helpers import (
     below,
     closed_cell,
     edge_poset,
+    image_vectors,
     is_zero,
     matmul,
     nonuniform_poset,
@@ -29,6 +30,7 @@ from helpers import (
     path_graded_component,
     path_word_complex,
     path_words,
+    reduce_mod_rows,
     word_cohomology,
 )
 
@@ -137,7 +139,6 @@ def test_witness_cocycle_is_a_nonzero_cocycle():
     vec = {labels.index(word): c for word, c in w.cocycle}
     assert vec
     assert wc.mats[w.n].apply(vec) == {}
-    from cwkoszul.linalg import image_vectors, reduce_mod_rows, rref_rows
 
     img = image_vectors(wc.mats[w.n - 1]) if w.n - 1 in wc.mats else []
     assert reduce_mod_rows(vec, rref_rows(img, QQ), QQ)

@@ -1,4 +1,4 @@
-"""Layered graphs: spheres, intervals, uniformity, thinness, chains, top extension."""
+"""Layered graphs: spheres, intervals, uniformity, thinness, chains, serialization."""
 
 import pytest
 
@@ -177,21 +177,6 @@ def test_ranked_invariant_chain_lengths():
         for x in g.vertex_ids():
             for chain in g.maximal_chains(x, BOTTOM):
                 assert len(chain) == g.rank(x) + 1
-
-
-def test_extend_with_top():
-    g = edge_poset()
-    h = g.extend_with_top()
-    assert h.rank("1bar") == 3
-    assert h.lower_covers("1bar") == ("e",)
-    single = LayeredGraph({}, set())
-    h2 = single.extend_with_top()
-    assert sorted(h2.vertices.items()) == [(BOTTOM, 0), ("1bar", 1)]
-    mixed = LayeredGraph({"a": 1, "b": 1, "e": 2}, {("e", "a")})
-    with pytest.raises(GraphError, match="mixed ranks"):
-        mixed.extend_with_top()
-    with pytest.raises(GraphError, match="already in use"):
-        h.extend_with_top("1bar")
 
 
 def test_serialization_round_trip():

@@ -14,9 +14,10 @@ from cwkoszul.linalg import (
     SmithForm,
     SparseExactMatrix,
     TorsionError,
+    _echelon,
+    _eliminate,
     cochain_cohomology,
     field_from_spec,
-    image_vectors,
     induced_map,
     integral_cochain_cohomology,
     is_prime,
@@ -32,6 +33,7 @@ from helpers import (
     dense_integral_quotient,
     dense_smith_factors,
     identity,
+    image_vectors,
     is_zero,
     kernel_basis,
     matmul,
@@ -292,15 +294,26 @@ def test_smith_core_without_units():
     assert q.project(q.lift(0)) == {0: 1}
 
 
-@given(integer_relations())
-@settings(max_examples=200, deadline=None)
-def test_smith_matches_dense_reference(rel):
-    assert smith_normal_form(rel).factors == dense_smith_factors(rel)
+def _check_integral_elimination(rel):
+    """The invariants the elimination over Z rests on, for the rows of rel.
+
+    In the echelon form a pivot row holds, of the pivot columns, only ones
+    installed after it; the reduced form keeps the pivots and the core and
+    leaves no pivot column in any tail; the core vanishes on every pivot
+    column and has no unit entry.
+    """
+    echelon, echelon_core = _echelon(rel.row_list(), None)
+    order = list(echelon)
+    for t, c in enumerate(order):
+        assert not set(echelon[c]) & set(order[:t + 1])
+    tails, core = _eliminate(rel.row_list(), None)
+    assert list(tails) == order and core == echelon_core
+    assert not any(set(tail) & tails.keys() for tail in tails.values())
+    assert not any(set(row) & tails.keys() for row in core)
+    assert all(v not in (1, -1) for row in core for v in row.values())
 
 
-@given(integer_relations(), st.lists(st.integers(-3, 3), min_size=7, max_size=7))
-@settings(max_examples=200, deadline=None)
-def test_integral_quotient_matches_dense_reference(rel, raw):
+def _check_quotient_matches_dense(rel, raw):
     q, err = _quotient_or_error(IntegralQuotient, rel)
     ref, ref_err = _quotient_or_error(dense_integral_quotient, rel)
     assert err == ref_err
@@ -318,6 +331,51 @@ def test_integral_quotient_matches_dense_reference(rel, raw):
         for j, x in q.lift(i).items():
             diff[j] = diff.get(j, 0) - c * x
     assert ref.in_relation_lattice({j: x for j, x in diff.items() if x})
+
+
+@given(integer_relations())
+@settings(max_examples=200, deadline=None)
+def test_smith_matches_dense_reference(rel):
+    _check_integral_elimination(rel)
+    assert smith_normal_form(rel).factors == dense_smith_factors(rel)
+
+
+@given(integer_relations(), st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_integral_quotient_matches_dense_reference(rel, raw):
+    _check_integral_elimination(rel)
+    _check_quotient_matches_dense(rel, raw)
+
+
+# (rows, echelon tails in install order, core, reduced tails, invariant factors)
+UNIT_PIVOT_CASES = [
+    # w has no unit entry until a, installed after it, reduces it; a pivots
+    # on column 1 past its entry 2 at column 0, and the later pivot 0 of b
+    # lands in a's tail; c reduces to zero; the last row never gains a unit
+    ([{1: 2, 2: 3, 3: 4}, {0: 2, 1: 1, 2: 1}, {0: 1}, {0: 1, 1: 1, 2: 1}, {3: 2, 4: 2}],
+     [(1, {0: 2, 2: 1}), (0, {}), (2, {3: 4})], [{3: 2, 4: 2}],
+     [(1, {3: -4}), (0, {}), (2, {3: 4})], (1, 1, 1, 2)),
+    ([{1: 2, 2: 3, 3: 4}, {0: 2, 1: 1, 2: 1}, {0: 1}, {0: 1, 1: 1, 2: 1}, {3: 2, 4: 3}],
+     [(1, {0: 2, 2: 1}), (0, {}), (2, {3: 4})], [{3: 2, 4: 3}],
+     [(1, {3: -4}), (0, {}), (2, {3: 4})], (1, 1, 1, 1)),
+    # a chain of ever later, ever smaller pivots 2, 1 in earlier tails: the
+    # back-substitution must follow install order, not pivot order
+    ([{0: 3}, {2: 2}, {1: 3, 2: -1}, {1: 2, 3: 3}, {1: -1, 3: -1}],
+     [(2, {1: -3}), (1, {3: 1}), (3, {})], [{0: 3}],
+     [(2, {}), (1, {}), (3, {})], (1, 1, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("rows, echelon, core, reduced, factors", UNIT_PIVOT_CASES)
+def test_integral_pivots_on_units_past_the_smallest_column(rows, echelon, core, reduced, factors):
+    tails, rest = _echelon(rows, None)
+    assert list(tails.items()) == echelon and rest == core
+    tails, rest = _eliminate(rows, None)
+    assert list(tails.items()) == reduced and rest == core
+    rel = matrix_from_rows(rows, 5, ZZ)
+    _check_integral_elimination(rel)
+    assert smith_normal_form(rel).factors == dense_smith_factors(rel) == factors
+    _check_quotient_matches_dense(rel, [1, -2, 3, 0, 1])
 
 
 def test_integral_cochain_cohomology_times_two():
