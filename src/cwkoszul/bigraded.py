@@ -11,11 +11,12 @@ the top dimension is exactly what the Koszulity decision needs.
 A field and Z take one path.  `reduced_layers` is the only producer of
 reduced columns: it builds the pair layer of each column once, over the ring
 of the call, and lends its bases to the next column as the targets of the
-vertical differential; `linalg.quotient` and `linalg.induced_map` then
-reduce each column.  Pair bases are read off the closure of each upper cell.
-Relative cohomology lives on the star of a cell, found by walking up through
-cofaces.  Over a field every entry is a dimension read from ranks; over Z it
-comes from one Smith form per map.
+vertical differential; `linalg.quotient` presents each pair space as the
+cokernel of that differential, and `linalg.induced_map` carries the
+horizontal one over.  Pair bases are read off the closure of each upper
+cell.  Relative cohomology lives on the star of a cell, found by walking up
+through cofaces.  Over a field every entry is a dimension read from ranks;
+over Z it comes from one Smith form per map.
 """
 
 from __future__ import annotations
@@ -82,24 +83,23 @@ def build_layer(
     d_up: dict[int, SparseExactMatrix] = {}
     cofaces = x._cofaces
     for n in range(k, d + 1):
-        entries: dict[tuple[int, int], object] = {}
         tgt = index.get(n + 1, {})
-        for j, (beta, alpha) in enumerate(bases[n]):
-            for gamma in cofaces[beta]:
-                entries[(tgt[(gamma, alpha)], j)] = unit[inc[(gamma, beta)]]
-        d_up[n] = SparseExactMatrix._canonical(len(tgt), len(bases[n]), entries, ring)
+        cols = [
+            {tgt[(gamma, alpha)]: unit[inc[(gamma, beta)]] for gamma in cofaces[beta]}
+            for beta, alpha in bases[n]
+        ]
+        d_up[n] = SparseExactMatrix._canonical(len(tgt), cols, ring)
 
     d_down: dict[int, SparseExactMatrix] = {}
     if k >= 1:
         faces = x._faces
         for n in range(k, d + 1):
-            below_basis = below.bases[n]
-            tgt = {pair: i for i, pair in enumerate(below_basis)}
-            entries = {}
-            for j, (beta, alpha) in enumerate(bases[n]):
-                for gamma in faces[alpha]:
-                    entries[(tgt[(beta, gamma)], j)] = unit[inc[(alpha, gamma)]]
-            d_down[n] = SparseExactMatrix._canonical(len(below_basis), len(bases[n]), entries, ring)
+            tgt = {pair: i for i, pair in enumerate(below.bases[n])}
+            cols = [
+                {tgt[(beta, gamma)]: unit[inc[(alpha, gamma)]] for gamma in faces[alpha]}
+                for beta, alpha in bases[n]
+            ]
+            d_down[n] = SparseExactMatrix._canonical(len(tgt), cols, ring)
 
     return BigradedLayer(x, k, bases, d_up, d_down)
 
@@ -136,10 +136,10 @@ def reduced_layer(
     for n in range(k, d + 1):
         labels = layer.bases[n]
         if above is not None and n > k:
-            # one relation per column of the vertical differential
-            rel = above.d_down[n].transpose()
+            # the cokernel of the vertical differential
+            rel = above.d_down[n]
         else:
-            rel = SparseExactMatrix.zero(0, len(labels), ring)
+            rel = SparseExactMatrix.zero(len(labels), 0, ring)
         quotients[n] = quotient(labels, rel, ring)
     mats = {n: induced_map(layer.d_up[n], quotients[n], quotients[n + 1]) for n in range(k, d)}
     return ReducedLayer(x, k, ring, quotients, mats)
@@ -168,11 +168,10 @@ def _coboundaries(x: RegularCWComplex, cells, ring) -> tuple[list[int], list[Spa
     mats = []
     for n in range(len(cells) - 1):
         tgt = {c: i for i, c in enumerate(cells[n + 1])}
-        entries = {}
-        for j, beta in enumerate(cells[n]):
-            for gamma in cofaces[beta]:
-                entries[(tgt[gamma], j)] = unit[inc[(gamma, beta)]]
-        mats.append(SparseExactMatrix._canonical(dims[n + 1], dims[n], entries, ring))
+        cols = [
+            {tgt[gamma]: unit[inc[(gamma, beta)]] for gamma in cofaces[beta]} for beta in cells[n]
+        ]
+        mats.append(SparseExactMatrix._canonical(dims[n + 1], cols, ring))
     return dims, mats
 
 

@@ -68,7 +68,8 @@ def _read_json(spec: str) -> tuple[object, bytes]:
         raise InputError(f"cannot read {spec!r}: {exc}") from None
     try:
         return json.loads(raw.decode("utf-8")), raw
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # bad UTF-8 or JSON, nesting too deep to parse, or an int too long to convert
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{spec!r} is not valid UTF-8 JSON: {exc}") from None
 
 

@@ -13,7 +13,7 @@ condition without listing maximal chains: all maximal chains of every interval
 form one class under one-position exchanges iff every such open interval is
 connected through covers (strongly flag-connected iff strongly connected).
 Every check reads the complex's own closures, so validation builds no face
-poset; `face_poset_bar` builds it on first use.
+poset; each call of `face_poset_bar` or `face_poset_hat` builds a new one.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ class RegularCWComplex:
         self._strict_faces = closure
         self._sign = {c: -1 if d & 1 else 1 for c, d in dims.items()}
         self._report: list[str] | None = None
-        self._bar: LayeredGraph | None = None
-        self._hat: LayeredGraph | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -278,10 +276,8 @@ class RegularCWComplex:
 
     def face_poset_bar(self) -> LayeredGraph:
         """The cell poset with an added minimum; rank = dimension + 1."""
-        if self._bar is None:
-            self.ensure_valid()
-            self._bar = self._face_poset_bar_unchecked()
-        return self._bar
+        self.ensure_valid()
+        return self._face_poset_bar_unchecked()
 
     def face_poset_hat(self) -> LayeredGraph:
         """The cell poset with added minimum and maximum; requires purity.
@@ -290,16 +286,14 @@ class RegularCWComplex:
         incidences, and TOP one rank above, covering the top cells, which are
         the maximal cells of a pure complex.
         """
-        if self._hat is None:
-            self.ensure_valid()
-            if not self.is_pure():
-                raise ComplexError(f"complex {self.name!r} is not pure")
-            verts = {c: d + 1 for c, d in self.dims.items()}
-            verts[TOP] = self.dim + 2
-            covers = set(self.incidence)
-            covers.update((TOP, c) for c in self.cells(self.dim))
-            self._hat = LayeredGraph(verts, covers, name=f"{self.name}^" if self.name else "^")
-        return self._hat
+        self.ensure_valid()
+        if not self.is_pure():
+            raise ComplexError(f"complex {self.name!r} is not pure")
+        verts = {c: d + 1 for c, d in self.dims.items()}
+        verts[TOP] = self.dim + 2
+        covers = set(self.incidence)
+        covers.update((TOP, c) for c in self.cells(self.dim))
+        return LayeredGraph(verts, covers, name=f"{self.name}^" if self.name else "^")
 
     # -- structure predicates ------------------------------------------------------
 

@@ -71,8 +71,9 @@ class HeadBlocks:
     has one relation, the sum of all of them.  In degree m >= 3, every d two
     ranks below h and every basis vector q of B(d, m-2) give one relation:
     the sum, over the covers c between h and d, of q with c prepended.
-    These are the path-word relations whose prefix is (h,); the ones with
-    longer prefixes are already divided out in the blocks B(c, m-1).  The
+    B(h, m) is the cokernel of the map whose columns are these relations,
+    the path-word relations whose prefix is (h,); the ones with longer
+    prefixes are already divided out in the blocks B(c, m-1).  The
     quotient basis is the one the path-word presentation picks, since both
     reduced echelon forms keep exactly the words that are no combination of
     later words modulo the relations.
@@ -98,7 +99,7 @@ class HeadBlocks:
                 raise GraphError(f"degree {m} outside 1..{g.rank(h)} for head {h!r}")
             labels: list[tuple[str, ...]] = []
             offsets: dict[str, int] = {}
-            rows: list[dict] = []
+            relations: list[dict] = []
             if m == 1:
                 labels.append((h,))
             else:
@@ -107,21 +108,20 @@ class HeadBlocks:
                     offsets[c] = len(labels)
                     labels.extend((h,) + w for w in self.block(c, m - 1)[0].labels())
                 if m == 2:
-                    rows.append({offsets[c]: one for c in covers})
+                    relations.append({offsets[c]: one for c in covers})
                 else:
                     for d in g.sphere(h, 2):
                         mids = [c for c in covers if (c, d) in g.covers]
                         for q in range(self.block(d, m - 2)[0].dim):
-                            row = {}
+                            rel = {}
                             for c in mids:
                                 off = offsets[c]
                                 for i, v in self.prepend(c, d, m - 2)[q].items():
-                                    row[off + i] = v
-                            rows.append(row)
-            # projections and the field's one are canonical already
-            entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-            rel = SparseExactMatrix._canonical(len(rows), len(labels), entries, self.field)
-            self._blocks[key] = (quotient(labels, rel, self.field), offsets)
+                                    rel[off + i] = v
+                            relations.append(rel)
+            # relation columns: projections and the field's one are canonical already
+            rmap = SparseExactMatrix._canonical(len(labels), relations, self.field)
+            self._blocks[key] = (quotient(labels, rmap, self.field), offsets)
         return self._blocks[key]
 
     def prepend(self, y: str, h: str, m: int) -> list[dict]:
@@ -189,11 +189,12 @@ def _prepend_columns(blocks: HeadBlocks, gens, m: int, src: dict, dst: dict):
 def _left_multiplication(blocks: HeadBlocks, gens, m: int, src: tuple, dst: tuple) -> SparseExactMatrix:
     """Left multiplication by the sum of `gens` between the (offsets, dim)
     sums `src` of degree m and `dst` of degree m+1."""
-    entries = {}
+    cols: list[dict] = [{} for _ in range(src[1])]
     for oy, j, col in _prepend_columns(blocks, gens, m, src[0], dst[0]):
+        out = cols[j]
         for i, v in col.items():
-            entries[(oy + i, j)] = v
-    return SparseExactMatrix._canonical(dst[1], src[1], entries, blocks.field)
+            out[oy + i] = v
+    return SparseExactMatrix._canonical(dst[1], cols, blocks.field)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def annihilator_check(g: LayeredGraph, field, x: str, n: int) -> bool:
         vecs: list[dict] = []
         if m >= 1:
             prev = comps[m - 1]
-            vecs = [v for v in _left_multiplication(blocks, nxt, m - 1, prev, src).col_list() if v]
+            vecs = [v for v in _left_multiplication(blocks, nxt, m - 1, prev, src).columns if v]
             vecs += [
                 {oy + i: v for i, v in col.items()}
                 for oy, _, col in _prepend_columns(blocks, outside, m - 1, prev[0], src[0])
@@ -442,7 +443,7 @@ def _word_coordinates(blocks: HeadBlocks, word: tuple[str, ...]) -> dict:
 
 
 def comparison_map(
-    x: RegularCWComplex, field, n: int, k: int, layer: ReducedLayer, blocks: HeadBlocks
+    x: RegularCWComplex, n: int, layer: ReducedLayer, blocks: HeadBlocks
 ) -> SparseExactMatrix:
     """The signed path map from the reduced pair space (n, k) to the word space.
 
@@ -450,11 +451,11 @@ def comparison_map(
     vertices of rank n+1 of the bar poset.  Each pair (upper, lower) goes to
     the class of its lexicographically smallest connecting chain, weighted by
     that chain's sign; the choice of chain does not matter in the quotient.
-    `layer` is the reduced column k over `field`, and `blocks` the
-    head-block store of the bar poset over `field`.
+    `layer` is the reduced column k, and `blocks` the head-block store of
+    the bar poset of x over the field of `layer`; the poset is read from it.
     """
-    g = x.face_poset_bar()
-    offsets, dim = block_component(blocks, n - k + 1, g.at_rank(n + 1))
+    g, field = blocks.graph, blocks.field
+    offsets, dim = block_component(blocks, n - layer.k + 1, g.at_rank(n + 1))
     lq = layer.quotients[n]
     cols = []
     for q in range(lq.dim):
@@ -479,7 +480,7 @@ def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]
     for layer in reduced_layers(x, field):
         k = layer.k
         for n in range(k, d + 1):
-            phi = comparison_map(x, field, n, k, layer, blocks)
+            phi = comparison_map(x, n, layer, blocks)
             ldim, rdim = layer.quotients[n].dim, phi.rows
             ok = ldim == rdim and mat_rank(phi) == ldim
             details.append((n, k, ldim, rdim, ok))

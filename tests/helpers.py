@@ -238,7 +238,14 @@ def matmul(a, b):
 
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
-    return SparseExactMatrix.from_columns([a.apply(c) for c in b.col_list()], a.rows, a.ring)
+    return SparseExactMatrix.from_columns([a.apply(c) for c in b.columns], a.rows, a.ring)
+
+
+def transpose(m):
+    """The transpose of a sparse matrix: its rows become the columns."""
+    from cwkoszul.linalg import SparseExactMatrix
+
+    return SparseExactMatrix._canonical(m.cols, m.row_list(), m.ring)
 
 
 def is_zero(m) -> bool:
@@ -258,7 +265,7 @@ def image_vectors(m, ring=None) -> list[dict]:
     from cwkoszul.linalg import rref_rows
 
     ring = ring or m.ring
-    return [row for _, row in rref_rows(m.convert(ring).col_list(), ring)]
+    return [row for _, row in rref_rows(m.convert(ring).columns, ring)]
 
 
 def reduce_mod_rows(vec: dict, rref, ring) -> dict:
@@ -682,9 +689,10 @@ def dense_smith_factors(m) -> tuple[int, ...]:
 
 
 class dense_integral_quotient:
-    """Z^ambient modulo the row lattice of `relations`, by a dense Smith form.
+    """The cokernel of the integer map `relations`, by a dense Smith form.
 
-    The column transform q of the Smith form supplies the coordinates:
+    The Smith form runs on the relations, the columns of the map, as the
+    rows of a dense matrix; its column transform q supplies the coordinates:
     `project` multiplies by the columns of q past the rank, `lift` reads the
     rows of its inverse.  Raises `TorsionError` unless every factor is 1.
     """
@@ -694,9 +702,9 @@ class dense_integral_quotient:
 
         self.ambient_labels = list(ambient_labels)
         n = len(ambient_labels)
-        if relations.cols != n:
-            raise ValueError("relation width does not match ambient basis")
-        dense = to_dense(relations)
+        if relations.rows != n:
+            raise ValueError("relation map does not land in the ambient basis")
+        dense = [[col.get(i, 0) for i in range(n)] for col in relations.columns]
         q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         qinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         factors = _snf_reduce(dense, q, qinv) if dense else []
@@ -821,11 +829,12 @@ class GradedComponent:
 
 
 def _component(words: list, rows: list, field):
-    from cwkoszul.linalg import quotient
+    from cwkoszul.linalg import SparseExactMatrix, quotient
 
     index = {w: j for j, w in enumerate(words)}
-    rel_rows = [{index[w]: field.one for w in row} for row in rows]
-    rel = matrix_from_rows(rel_rows, len(words), field)
+    rel = SparseExactMatrix.from_columns(
+        [{index[w]: field.one for w in row} for row in rows], len(words), field
+    )
     return quotient(list(words), rel, field)
 
 
@@ -994,12 +1003,12 @@ def path_annihilator_check(g: LayeredGraph, field, x: str, n: int, memo: dict | 
     return True
 
 
-def path_comparison_map(x: RegularCWComplex, field, n: int, k: int, layer, block):
+def path_comparison_map(x: RegularCWComplex, n: int, layer, block):
     """`comparison_map` into the path-word block of head rank n+1."""
     from cwkoszul.dualalg import sign_of_path
     from cwkoszul.linalg import SparseExactMatrix
 
-    g = x.face_poset_bar()
+    g, field = block.graph, layer.ring
     lq = layer.quotients[n]
     word_index = {w: i for i, w in enumerate(block.presentation.ambient_labels)}
     cols = []
@@ -1025,7 +1034,7 @@ def path_comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tu
         k = layer.k
         for n in range(k, x.dim + 1):
             block = path_block_component(g, n - k + 1, n + 1, field, memo)
-            phi = path_comparison_map(x, field, n, k, layer, block)
+            phi = path_comparison_map(x, n, layer, block)
             ldim, rdim = layer.quotients[n].dim, block.dim
             ok = ldim == rdim and rank(phi) == ldim
             details.append((n, k, ldim, rdim, ok))

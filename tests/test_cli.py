@@ -113,6 +113,23 @@ def test_invalid_json_file(tmp_path, capsys, command, content):
     assert err.startswith(f"error: {str(path)!r} is not valid UTF-8 JSON: ")
 
 
+DEEP_ARRAY = b"[" * 100_000 + b"]" * 100_000
+LONG_INT = b'{"name": "x", "cells": [{"id": "v", "dim": ' + b"9" * 5_000 + b', "boundary": {}}]}'
+
+
+@pytest.mark.parametrize("command", ["validate", "koszul-graph"])
+@pytest.mark.parametrize("content", [DEEP_ARRAY, LONG_INT], ids=["deep-array", "long-int"])
+def test_unparsable_json_exits_two_without_traceback(tmp_path, capsys, command, content):
+    # the parser's own limits: nesting depth (RecursionError) and the
+    # int digit limit (ValueError)
+    path = tmp_path / "huge.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {str(path)!r} is not valid UTF-8 JSON: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "koszul-graph"])
 def test_missing_file_every_reader(capsys, command):
     code, _, err = run(capsys, command, "nope.json")

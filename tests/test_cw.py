@@ -137,7 +137,6 @@ def test_face_poset_hat_is_the_bar_poset_plus_top(name, monkeypatch):
             hat = fresh.face_poset_hat()
         assert len(built) == 1 and built[0] is hat
         assert hat == ref and hat.name == ref.name
-        assert fresh.face_poset_hat() is hat
 
 
 def test_is_pure():
@@ -299,7 +298,7 @@ def test_validation_lists_no_maximal_chains(monkeypatch):
 
 def test_validation_builds_no_face_poset(monkeypatch):
     # validate() reads the complex's own closures; face_poset_bar() builds
-    # the bar poset on first use, once
+    # the bar poset once per call
     def refuse(*args, **kwargs):
         raise AssertionError("validation built a layered graph")
 
@@ -317,7 +316,7 @@ def test_validation_builds_no_face_poset(monkeypatch):
 
     monkeypatch.setattr(LayeredGraph, "__init__", counting)
     bar = x.face_poset_bar()
-    assert x.face_poset_bar() is bar and built == [bar]
+    assert built == [bar]
     assert bar == x._face_poset_bar_unchecked()
 
 

@@ -277,8 +277,8 @@ def test_comparison_map_is_chain_map():
                 blocks = HeadBlocks(g, f)
                 wc = path_word_complex(g, k, f)
                 for n in range(k, d):
-                    phi_n = comparison_map(x, f, n, k, layer=layer, blocks=blocks)
-                    phi_n1 = comparison_map(x, f, n + 1, k, layer=layer, blocks=blocks)
+                    phi_n = comparison_map(x, n, layer=layer, blocks=blocks)
+                    phi_n1 = comparison_map(x, n + 1, layer=layer, blocks=blocks)
                     assert matmul(phi_n1, layer.mats[n]) == matmul(wc.mats[n], phi_n)
 
 

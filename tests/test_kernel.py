@@ -34,7 +34,7 @@ from cwkoszul.linalg import (
     span_rank,
 )
 
-from helpers import dense_rref, identity, matrix_from_rows, reduce_mod_rows, to_dense
+from helpers import dense_rref, identity, matrix_from_rows, reduce_mod_rows, to_dense, transpose
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -202,7 +202,7 @@ def test_q_kernel_matches_dense_fraction_reference(data, raw):
         assert all(_canonical(x) for x in v.values())
         assert not m.apply(v)
 
-    pres = QuotientPresentation(list(range(n)), m, QQ)
+    pres = QuotientPresentation(list(range(n)), transpose(m), QQ)
     assert pres.dim == len(free)
     vec = {j: QQ.of(v) for j, v in enumerate(raw[:n]) if v}
     expected = {j: Fraction(v) for j, v in vec.items()}
@@ -309,14 +309,15 @@ def test_comparison_map_reduces_negative_signs_mod_p():
                 beta, alpha = lq.ambient_labels[lq.nonpivots[q]]
                 chain = g.first_maximal_chain(beta, alpha)
                 signs.add(dualalg.sign_of_path(x, chain))
-            phi = dualalg.comparison_map(x, field, n, layer.k, layer, blocks)
+            phi = dualalg.comparison_map(x, n, layer, blocks)
             assert all(v in (1, 2) for v in phi.entries.values())
             _assert_canonical(phi)
     assert -1 in signs
 
 
 def test_canonical_constructor_checks_bounds():
-    assert SparseExactMatrix._canonical(2, 3, {(1, 2): 1}, GF(3)).entries == {(1, 2): 1}
-    for key in ((2, 0), (0, 3), (-1, 0), (0, -1)):
-        with pytest.raises(IndexError, match="outside 2x3"):
-            SparseExactMatrix._canonical(2, 3, {key: 1}, GF(3))
+    # the columns give the width; only row indices can fall outside
+    assert SparseExactMatrix._canonical(2, [{}, {}, {1: 1}], GF(3)).entries == {(1, 2): 1}
+    for i in (2, -1):
+        with pytest.raises(IndexError, match=rf"entry \({i},2\) outside 2x3"):
+            SparseExactMatrix._canonical(2, [{}, {}, {i: 1}], GF(3))

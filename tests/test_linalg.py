@@ -38,6 +38,7 @@ from helpers import (
     kernel_basis,
     matmul,
     matrix_from_rows,
+    transpose,
 )
 
 
@@ -103,7 +104,7 @@ def test_rref_deterministic_pivoting():
 
 
 def test_quotient_no_relations_is_identity():
-    q = quotient(["u", "v"], SparseExactMatrix.zero(0, 2, QQ), QQ)
+    q = quotient(["u", "v"], SparseExactMatrix.zero(2, 0, QQ), QQ)
     assert q.dim == 2
     assert q.labels() == ["u", "v"]
     assert q.project({0: QQ.one}) == {0: QQ.one}
@@ -119,7 +120,7 @@ def test_quotient_full_rank_is_zero():
 
 def test_quotient_one_relation():
     # two path words with their sum divided out: one-dimensional quotient
-    rel = dense([[1, 1]], QQ)
+    rel = transpose(dense([[1, 1]], QQ))
     q = quotient(["ea", "eb"], rel, QQ)
     assert q.dim == 1
     assert q.labels() == ["eb"]
@@ -128,7 +129,7 @@ def test_quotient_one_relation():
 
 
 def test_project_lift_identity():
-    rel = dense([[1, 2, 3]], QQ)
+    rel = transpose(dense([[1, 2, 3]], QQ))
     q = quotient(list("abc"), rel, QQ)
     for j in range(q.dim):
         assert q.project(q.lift(j)) == {j: QQ.one}
@@ -136,7 +137,7 @@ def test_project_lift_identity():
 
 def test_induced_map_identity_and_zero():
     for ring in (QQ, ZZ):
-        rel = dense([[1, 1]], ring)
+        rel = transpose(dense([[1, 1]], ring))
         q = quotient(["u", "v"], rel, ring)
         ident = identity(2, ring)
         assert induced_map(ident, q, q) == identity(1, ring), ring
@@ -145,7 +146,7 @@ def test_induced_map_identity_and_zero():
 
 
 def test_induced_map_integral_identity():
-    rel = dense([[1, 1]], ZZ)
+    rel = transpose(dense([[1, 1]], ZZ))
     q = quotient(["u", "v"], rel, ZZ)
     ident = identity(2, ZZ)
     assert induced_map(ident, q, q) == identity(1, ZZ)
@@ -154,8 +155,8 @@ def test_induced_map_integral_identity():
 def test_induced_map_rejects_unpreserved_relations():
     # over Z the relations are a lattice; the check is the same
     for ring in (QQ, ZZ):
-        src = quotient(["u", "v"], dense([[1, 1]], ring), ring)
-        dst = quotient(["u", "v"], SparseExactMatrix.zero(0, 2, ring), ring)
+        src = quotient(["u", "v"], transpose(dense([[1, 1]], ring)), ring)
+        dst = quotient(["u", "v"], SparseExactMatrix.zero(2, 0, ring), ring)
         f = dense([[1, 0], [0, -1]], ring)  # sends u+v to u-v, not a dst relation
         with pytest.raises(ValueError, match="relation"):
             induced_map(f, src, dst)
@@ -166,20 +167,24 @@ def test_induced_map_rejects_unpreserved_relations():
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_quotient_dimension_identity(m):
-    mq = m.convert(QQ)
-    q = quotient(list(range(m.cols)), mq, QQ)
-    assert q.dim + rank(mq) == m.cols
+    # the quotient is the cokernel of m: dimension rows - rank, and every
+    # column of m projects to zero
+    for ring in (QQ, GF(2), GF(3)):
+        mq = m.convert(ring)
+        q = quotient(list(range(m.rows)), mq, ring)
+        assert q.dim == m.rows - rank(mq), ring
+        for col in mq.columns:
+            assert q.project(col) == {}, ring
 
 
 @given(small_matrices(), st.integers(0, 2))
 @settings(max_examples=40, deadline=None)
 def test_induced_composition(f, extra):
     # dst relations contain the image of src relations by construction
-    src_rel = dense([[1] * f.cols], QQ) if f.cols > 1 else SparseExactMatrix.zero(0, f.cols, QQ)
+    src_rel = dense([[1]] * f.cols, QQ) if f.cols > 1 else SparseExactMatrix.zero(f.cols, 0, QQ)
     src = quotient(list(range(f.cols)), src_rel, QQ)
     fq = f.convert(QQ)
-    mid_rows = [fq.apply(r) for r in src_rel.row_list()]
-    mid = quotient(list(range(f.rows)), matrix_from_rows(mid_rows, f.rows, QQ), QQ)
+    mid = quotient(list(range(f.rows)), matmul(fq, src_rel), QQ)
     g = identity(f.rows, QQ)
     dst = mid
     left = induced_map(matmul(g, fq), src, dst)
@@ -239,7 +244,7 @@ def test_smith_matches_field_ranks(m):
 
 
 def test_integral_quotient_free():
-    rel = dense([[1, 1]], ZZ)
+    rel = transpose(dense([[1, 1]], ZZ))
     q = quotient(["u", "v"], rel, ZZ)
     assert q.ring is ZZ and q.dim == 1
     for j in range(q.dim):
@@ -280,7 +285,7 @@ def integer_relations(draw):
 
 def _quotient_or_error(cls, rel):
     try:
-        return cls(list(range(rel.cols)), rel), None
+        return cls(list(range(rel.cols)), transpose(rel)), None
     except TorsionError as exc:
         return None, str(exc)
 
@@ -289,7 +294,7 @@ def test_smith_core_without_units():
     # no entry of magnitude 1: everything is core, and gcd(2, 3) = 1 still shows
     rel = dense([[2, 3]], ZZ)
     assert smith_normal_form(rel).factors == (1,)
-    q = quotient(["u", "v"], rel, ZZ)
+    q = quotient(["u", "v"], transpose(rel), ZZ)
     assert q.dim == 1 and q.in_relation_span({0: 2, 1: 3})
     assert q.project(q.lift(0)) == {0: 1}
 
