@@ -12,11 +12,14 @@ A field and Z take one path.  `reduced_layers` is the only producer of
 reduced columns: it builds the pair layer of each column once, over the ring
 of the call, and lends its bases to the next column as the targets of the
 vertical differential; `linalg.quotient` presents each pair space as the
-cokernel of that differential, and `linalg.induced_map` carries the
-horizontal one over.  Pair bases are read off the closure of each upper
-cell.  Relative cohomology lives on the star of a cell, found by walking up
-through cofaces.  Over a field every entry is a dimension read from ranks;
-over Z it comes from one Smith form per map.
+cokernel of that differential, over a field and over Z alike.  A reduced
+column keeps the horizontal differential of its pair layer, and
+`ReducedLayer.chain` induces it on the quotients by `linalg.induced_map`;
+a caller that reads only the quotients (the comparison with the word
+complexes) builds no induced map.  Pair bases are read off the closure of
+each upper cell.  Relative cohomology lives on the star of a cell, found by
+walking up through cofaces.  Over a field every entry is a dimension read
+from ranks; over Z it comes from one Smith form per map.
 """
 
 from __future__ import annotations
@@ -106,17 +109,18 @@ def build_layer(
 
 @dataclass
 class ReducedLayer:
-    """Column k after dividing out the vertical image, with the induced maps."""
+    """Column k after dividing out the vertical image, with its horizontal differential."""
 
     complex: RegularCWComplex
     k: int
     ring: object
     quotients: dict[int, object]
-    mats: dict[int, SparseExactMatrix]
+    d_up: dict[int, SparseExactMatrix]
 
     def chain(self) -> tuple[list[int], list[SparseExactMatrix]]:
-        ns = sorted(self.quotients)
-        return [self.quotients[n].dim for n in ns], [self.mats[n] for n in ns[:-1]]
+        """Dimensions of the quotients and the maps `d_up` induces between them."""
+        ns, q = sorted(self.quotients), self.quotients
+        return [q[n].dim for n in ns], [induced_map(self.d_up[n], q[n], q[n + 1]) for n in ns[:-1]]
 
 
 def reduced_layer(
@@ -141,8 +145,7 @@ def reduced_layer(
         else:
             rel = SparseExactMatrix.zero(len(labels), 0, ring)
         quotients[n] = quotient(labels, rel, ring)
-    mats = {n: induced_map(layer.d_up[n], quotients[n], quotients[n + 1]) for n in range(k, d)}
-    return ReducedLayer(x, k, ring, quotients, mats)
+    return ReducedLayer(x, k, ring, quotients, layer.d_up)
 
 
 def reduced_layers(x: RegularCWComplex, ring) -> Iterator[ReducedLayer]:

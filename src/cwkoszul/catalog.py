@@ -94,35 +94,39 @@ def _example_singular() -> RegularCWComplex:
 
 _RP2_FACETS = ["124", "126", "134", "135", "156", "235", "236", "245", "346", "456"]
 
+# the dimensions of each numbered family in the catalog
+_FAMILIES = {"simplex": range(1, 6), "sphere": range(1, 5)}
+
 
 def catalog_names() -> list[str]:
     names = ["point"]
-    names += [f"simplex{n}" for n in range(1, 6)]
-    names += [f"sphere{n}" for n in range(1, 5)]
+    names += [f"{family}{n}" for family, dims in _FAMILIES.items() for n in dims]
     names += ["rp2_six", "example_singular", "three_triangles_shared_edge"]
     return names
 
 
 @lru_cache(maxsize=None)
 def catalog(name: str) -> RegularCWComplex:
-    """Return the validated built-in complex with the given name."""
+    """Return the validated built-in complex with the given name.
+
+    Only the names of `catalog_names` load, so a complex's name is its
+    catalog name; `simplex7` names a dimension out of range, and an alias
+    such as `simplex01` is unknown.
+    """
+    if name not in catalog_names():
+        family = name.rstrip("0123456789")
+        suffix = name[len(family):]
+        if family in _FAMILIES and suffix and suffix == str(int(suffix)):
+            dims = _FAMILIES[family]
+            raise ComplexError(f"{family} dimension {suffix} unsupported ({dims[0]}..{dims[-1]})")
+        raise ComplexError(f"unknown catalog name {name!r}")
     if name == "point":
         x = RegularCWComplex("point", {"p": 0}, {})
     elif name.startswith("simplex"):
-        try:
-            n = int(name[len("simplex"):])
-        except ValueError:
-            raise ComplexError(f"unknown catalog name {name!r}") from None
-        if not 1 <= n <= 5:
-            raise ComplexError(f"simplex dimension {n} unsupported (1..5)")
+        n = int(name[len("simplex"):])
         x = _simplicial(name, ["".join(str(i) for i in range(n + 1))])
     elif name.startswith("sphere"):
-        try:
-            n = int(name[len("sphere"):])
-        except ValueError:
-            raise ComplexError(f"unknown catalog name {name!r}") from None
-        if not 1 <= n <= 4:
-            raise ComplexError(f"sphere dimension {n} unsupported (1..4)")
+        n = int(name[len("sphere"):])
         verts = [str(i) for i in range(n + 2)]
         facets = ["".join(f) for f in combinations(verts, n + 1)]
         x = _simplicial(name, facets)
@@ -130,10 +134,8 @@ def catalog(name: str) -> RegularCWComplex:
         x = _simplicial(name, _RP2_FACETS)
     elif name == "example_singular":
         x = _example_singular()
-    elif name == "three_triangles_shared_edge":
-        x = _simplicial(name, ["abp", "abq", "abr"])
     else:
-        raise ComplexError(f"unknown catalog name {name!r}")
+        x = _simplicial(name, ["abp", "abq", "abr"])
     report = x.validate()
     if report:
         raise AssertionError(f"catalog complex {name!r} fails validation: {report}")

@@ -456,10 +456,8 @@ def comparison_map(
     """
     g, field = blocks.graph, blocks.field
     offsets, dim = block_component(blocks, n - layer.k + 1, g.at_rank(n + 1))
-    lq = layer.quotients[n]
     cols = []
-    for q in range(lq.dim):
-        beta, alpha = lq.ambient_labels[lq.nonpivots[q]]
+    for beta, alpha in layer.quotients[n].labels():
         chain = g.first_maximal_chain(beta, alpha)
         sgn = field.of(sign_of_path(x, chain))
         off = offsets[beta]

@@ -24,12 +24,13 @@ complexes, head-block relations) skip the per-entry canonicalisation of the
 public constructors through `_canonical`.
 
 Every presented quotient is the cokernel of a relation map ring^r ->
-ring^ambient, built by `quotient(labels, relations, ring)`, which
-eliminates the columns of the map as they are.  Over a field their reduced
-form picks the quotient basis (`QuotientPresentation`); over Z their unit
-pivots do, with a dense Smith normal form only on the core
-(`IntegralQuotient`, which refuses a quotient with torsion).  Both offer
-the same interface, so one `induced_map` serves them.
+ring^ambient, built by `quotient(labels, relations, ring)`.  One class,
+`QuotientPresentation`, eliminates the columns of the map as they are and
+reads the quotient coordinates off the pivots of their reduced form, over
+Q, F_p and Z alike; it keeps the reduced pivot rows, not the map.  Over Z
+rows with no unit entry may be left in a core, and only the subclass
+`IntegralQuotient` adds what it needs: a dense Smith normal form of the
+core, refusing a quotient with torsion.  One `induced_map` serves both.
 
 Cohomology is read from ranks: `cohomology_dims` checks the shapes and
 d o d = 0 and takes one rank per differential.  Cocycles are built only
@@ -299,12 +300,6 @@ class SparseExactMatrix:
                 _subtract(out, -x, cols[j], p)
         return out
 
-    def convert(self, ring) -> "SparseExactMatrix":
-        """The same entries over `ring`; a matrix already over it is returned as is."""
-        if ring is self.ring:
-            return self
-        return SparseExactMatrix.from_columns(self.columns, self.rows, ring)
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseExactMatrix)
@@ -314,7 +309,8 @@ class SparseExactMatrix:
         )
 
     def __repr__(self):
-        return f"SparseExactMatrix({self.rows}x{self.cols}, {len(self.entries)} nz, {self.ring!r})"
+        nnz = sum(map(len, self.columns))
+        return f"SparseExactMatrix({self.rows}x{self.cols}, {nnz} nz, {self.ring!r})"
 
 
 def _echelon(rows: list[dict], p) -> tuple[dict[int, dict], list[dict]]:
@@ -434,17 +430,14 @@ def span_rank(vecs: list[dict], ring) -> int:
     return len(_echelon(vecs, _field_char(ring))[0])
 
 
-def rank(m: SparseExactMatrix, ring=None) -> int:
-    """Rank over a field, eliminating the rows or the columns, whichever are fewer."""
-    ring = ring or m.ring
-    m = m.convert(ring)
-    return span_rank(m.columns if m.cols < m.rows else m.row_list(), ring)
+def rank(m: SparseExactMatrix) -> int:
+    """Rank over the field of m, eliminating the rows or the columns, whichever are fewer."""
+    return span_rank(m.columns if m.cols < m.rows else m.row_list(), m.ring)
 
 
-def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
-    """Basis of {x : m x = 0}, one vector per free column, in reduced form."""
-    ring = ring or m.ring
-    m = m.convert(ring)
+def kernel_vectors(m: SparseExactMatrix) -> list[dict]:
+    """Basis of {x : m x = 0} over the field of m, one vector per free column, in reduced form."""
+    ring = m.ring
     p = _field_char(ring)
     tails = _eliminate(m.row_list(), p)[0]
     vecs = {j: {j: ring.one} for j in range(m.cols) if j not in tails}
@@ -459,140 +452,112 @@ def kernel_vectors(m: SparseExactMatrix, ring=None) -> list[dict]:
 
 
 class QuotientPresentation:
-    """The cokernel of a relation map F^r -> F^ambient over a field.
+    """The cokernel of a relation map ring^r -> ring^ambient over Q, F_p or Z.
 
-    The columns of the map are the relations, eliminated as they are.  The
-    nonpivot columns of their reduced echelon form index a basis of the
-    quotient; `project` maps ambient vectors to quotient coordinates and
-    `lift` embeds quotient basis vectors back as ambient unit vectors, so
-    project(lift(j)) is the j-th unit vector.
+    The columns of the map are the relations, eliminated as they are by
+    `_eliminate`: fully reduced pivot rows, one per pivot column with a 1
+    there, and over Z a core of rows without a unit entry, which vanishes
+    on every pivot column; over a field the core is empty.  Each pivot
+    column is a combination of nonpivot columns modulo the relations, so
+    ring^ambient / relations is ring^(nonpivot columns) / core.  The free
+    coordinates are the nonpivot columns no core row touches: `project`
+    reduces an ambient vector by the pivot rows and reads them, and `lift`
+    embeds them back as ambient unit vectors, so project(lift(j)) is the
+    j-th unit vector.  Only `IntegralQuotient` presents a lattice, and it
+    adds the coordinates of the core.  The relation map is not kept.
     """
 
     def __init__(self, ambient_labels: list, relations: SparseExactMatrix, ring):
-        if relations.rows != len(ambient_labels):
+        n = len(ambient_labels)
+        if relations.rows != n:
             raise ValueError("relation map does not land in the ambient basis")
         self.ambient_labels = list(ambient_labels)
-        self.relations = relations
         self.ring = ring
-        self._p = _field_char(ring)
-        self._tails = _eliminate(relations.columns, self._p)[0]
-        self.nonpivots = [j for j in range(len(ambient_labels)) if j not in self._tails]
-        self._nonpivot_pos = {j: q for q, j in enumerate(self.nonpivots)}
-        self.dim = len(self.nonpivots)
+        # None selects the unit pivots of Z, which `_field_char` refuses here
+        self._p = None if isinstance(self, IntegralQuotient) else _field_char(ring)
+        self._tails, self._core = _eliminate(relations.columns, self._p)
+        touched = {c for row in self._core for c in row}
+        self._free = [j for j in range(n) if j not in self._tails and j not in touched]
+        self._free_pos = {j: i for i, j in enumerate(self._free)}
+        self.dim = len(self._free)
 
     @property
     def relation_rows(self) -> list[dict]:
-        """A basis of the relation span: the reduced relations."""
-        return [row for _, row in _full_rows(self._tails)]
+        """The reduced pivot rows and the core: a basis of the span, or lattice generators."""
+        return [row for _, row in _full_rows(self._tails)] + self._core
 
     def labels(self) -> list:
-        return [self.ambient_labels[j] for j in self.nonpivots]
-
-    def reduce(self, vec: dict) -> dict:
-        return _reduce(vec, self._tails, self._p)
+        return [self.ambient_labels[j] for j in self._free]
 
     def in_relation_span(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not self.project(vec)
 
     def project(self, vec: dict) -> dict:
-        red = self.reduce(vec)
-        return {self._nonpivot_pos[j]: v for j, v in red.items()}
+        pos = self._free_pos
+        return {pos[j]: v for j, v in _reduce(vec, self._tails, self._p).items()}
 
     def lift(self, q: int) -> dict:
-        return {self.nonpivots[q]: self.ring.one}
+        return {self._free[q]: self.ring.one}
 
     def __repr__(self):
-        return f"QuotientPresentation(ambient={len(self.ambient_labels)}, dim={self.dim})"
+        return f"{type(self).__name__}(ambient={len(self.ambient_labels)}, dim={self.dim})"
 
 
 class TorsionError(ValueError):
     """A relation lattice whose quotient has torsion, so no free coordinates."""
 
 
-class IntegralQuotient:
-    """The cokernel of an integer relation map Z^r -> Z^ambient.
+class IntegralQuotient(QuotientPresentation):
+    """The cokernel of an integer relation map Z^r -> Z^ambient, which must be free.
 
-    The columns of the map generate the relation lattice.  `_eliminate` over
-    Z turns them into fully reduced pivot rows, one per pivot column with a
-    1 there, and a core of rows without a unit entry, which vanishes on
-    every pivot column; each pivot column is then a combination of nonpivot
-    columns modulo the lattice, and Z^ambient / lattice is
-    Z^(nonpivot columns) / core.  Nonpivot columns no core row
-    touches are free coordinates; the column transform q of the Smith form
-    of the core (`_snf_reduce` on the core columns only) gives the rest.
-    The quotient must be free: all invariant factors 1, else `TorsionError`.
-    The interface is that of `QuotientPresentation`, with the lattice in
-    place of the span.
+    `QuotientPresentation` over Z with the Smith core: the column transform
+    q of the Smith form of the core (`_snf_reduce` on the columns its rows
+    touch) gives the coordinates past the free columns.  Every invariant
+    factor must be 1, else `TorsionError`.
     """
 
-    ring = ZZ
-
     def __init__(self, ambient_labels: list, relations: SparseExactMatrix):
-        self.ambient_labels = list(ambient_labels)
-        self.relations = relations
-        n = len(ambient_labels)
-        if relations.rows != n:
-            raise ValueError("relation map does not land in the ambient basis")
-        tails, core = _eliminate(relations.columns, None)
-        cols, dense = _dense_core(core)
+        super().__init__(ambient_labels, relations, ZZ)
+        cols, dense = _dense_core(self._core)
         m = len(cols)
         q = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
         qinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        factors = [1] * len(tails)
-        if core:
+        factors = [1] * len(self._tails)
+        if self._core:
             factors += _snf_reduce(dense, q, qinv)
         if any(d != 1 for d in factors):
             raise TorsionError(
                 f"integral quotient has torsion (invariant factors {factors}); "
                 "no free coordinate system exists"
             )
-        self._tails = tails
-        core_cols = set(cols)
-        self._free = [j for j in range(n) if j not in tails and j not in core_cols]
-        self._free_pos = {j: i for i, j in enumerate(self._free)}
-        r, f = len(factors) - len(tails), len(self._free)
+        r, f = len(factors) - len(self._tails), self.dim
         # core column -> its quotient coordinates, the rows of q past the core rank
         self._core_coords = {
             c: {f + t - r: q[a][t] for t in range(r, m) if q[a][t]} for a, c in enumerate(cols)
         }
         self._core_lifts = [{cols[b]: v for b, v in enumerate(qinv[t]) if v} for t in range(r, m)]
-        self.dim = n - len(factors)
-
-    @property
-    def relation_rows(self) -> list[dict]:
-        """Generators of the relation lattice: the nonzero columns of the map."""
-        return [col for col in self.relations.columns if col]
+        self.dim += m - r
 
     def project(self, vec: dict) -> dict:
-        """Coordinates of an ambient integer vector in the free quotient.
-
-        The pivot rows clear the pivot columns; a free column keeps its
-        value, a core column goes through the core's transform.
-        """
+        """Free quotient coordinates; a core column goes through the core's transform."""
         free_pos, core_coords = self._free_pos, self._core_coords
         out: dict = {}
-        for c, v in _reduce(vec, self._tails, 0).items():
+        for c, v in _reduce(vec, self._tails, None).items():
             i = free_pos.get(c)
             if i is None:
-                _subtract(out, -v, core_coords[c], 0)
+                _subtract(out, -v, core_coords[c], None)
             else:
                 out[i] = v
         return out
 
     def lift(self, idx: int) -> dict:
         if idx < len(self._free):
-            return {self._free[idx]: 1}
+            return super().lift(idx)
         return dict(self._core_lifts[idx - len(self._free)])
-
-    def in_relation_span(self, vec: dict) -> bool:
-        return not self.project(vec)
 
     def labels(self) -> list:
         # quotient coordinates mix free columns and SNF-derived ones
         return list(range(self.dim))
-
-    def __repr__(self):
-        return f"IntegralQuotient(ambient={len(self.ambient_labels)}, dim={self.dim})"
 
 
 def quotient(ambient_labels: list, relations: SparseExactMatrix, ring):
@@ -649,11 +614,12 @@ def _check_complex(dims: list[int], mats: list[SparseExactMatrix]) -> None:
 def cohomology_dims(dims: list[int], mats: list[SparseExactMatrix], ring) -> list[int]:
     """Dimensions of the cohomology of 0 -> C_0 -> C_1 -> ... -> C_N -> 0.
 
-    mats[i] maps C_i -> C_{i+1}; consecutive composites must vanish.  One
+    mats[i] maps C_i -> C_{i+1} over the field `ring`; consecutive
+    composites must vanish.  One
     rank per map gives h^i = dims[i] - rank(mats[i]) - rank(mats[i-1]).
     """
     _check_complex(dims, mats)
-    ranks = [rank(m, ring) for m in mats] + [0]
+    ranks = [rank(m) for m in mats] + [0]
     out = []
     for i, d in enumerate(dims):
         h = d - ranks[i] - (ranks[i - 1] if i else 0)
@@ -674,10 +640,10 @@ def cocycle_representatives(mats: list[SparseExactMatrix], i: int, dim: int, rin
     """
     p = _field_char(ring)
     if i < len(mats):
-        kern = kernel_vectors(mats[i], ring)
+        kern = kernel_vectors(mats[i])
     else:
         kern = [{j: ring.one} for j in range(dim)]
-    img = _eliminate(mats[i - 1].convert(ring).columns, p)[0] if i > 0 else {}
+    img = _eliminate(mats[i - 1].columns, p)[0] if i > 0 else {}
     reps = [row for _, row in rref_rows([_reduce(v, img, p) for v in kern], ring)]
     if len(reps) != len(kern) - len(img):
         raise AssertionError("cohomology representative count mismatch")
@@ -823,7 +789,7 @@ def smith_normal_form(m: SparseExactMatrix) -> SmithForm:
     dense `_snf_reduce` of the core, restricted to the columns its rows
     touch.
     """
-    tails, core = _echelon(m.convert(ZZ).row_list(), None)
+    tails, core = _echelon(m.row_list(), None)
     factors = [1] * len(tails)
     if core:
         factors += _snf_reduce(_dense_core(core)[1], None, None)

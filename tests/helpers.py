@@ -252,12 +252,20 @@ def is_zero(m) -> bool:
     return not m.entries
 
 
-def kernel_basis(m, ring=None):
+def convert(m, ring):
+    """The entries of m over `ring`; a matrix already over it is returned as is."""
+    from cwkoszul.linalg import SparseExactMatrix
+
+    if ring is m.ring:
+        return m
+    return SparseExactMatrix.from_columns(m.columns, m.rows, ring)
+
+
+def kernel_basis(m):
     """The kernel vectors of m as the columns of a matrix."""
     from cwkoszul.linalg import SparseExactMatrix, kernel_vectors
 
-    ring = ring or m.ring
-    return SparseExactMatrix.from_columns(kernel_vectors(m, ring), m.cols, ring)
+    return SparseExactMatrix.from_columns(kernel_vectors(m), m.cols, m.ring)
 
 
 def image_vectors(m, ring=None) -> list[dict]:
@@ -265,7 +273,7 @@ def image_vectors(m, ring=None) -> list[dict]:
     from cwkoszul.linalg import rref_rows
 
     ring = ring or m.ring
-    return [row for _, row in rref_rows(m.convert(ring).columns, ring)]
+    return [row for _, row in rref_rows(convert(m, ring).columns, ring)]
 
 
 def reduce_mod_rows(vec: dict, rref, ring) -> dict:
@@ -684,7 +692,7 @@ def dense_smith_factors(m) -> tuple[int, ...]:
     """Invariant factors of an integer matrix from one dense Smith form."""
     from cwkoszul.linalg import ZZ, _snf_reduce
 
-    dense = to_dense(m.convert(ZZ))
+    dense = to_dense(convert(m, ZZ))
     return tuple(_snf_reduce(dense, None, None)) if dense else ()
 
 
@@ -1009,11 +1017,9 @@ def path_comparison_map(x: RegularCWComplex, n: int, layer, block):
     from cwkoszul.linalg import SparseExactMatrix
 
     g, field = block.graph, layer.ring
-    lq = layer.quotients[n]
     word_index = {w: i for i, w in enumerate(block.presentation.ambient_labels)}
     cols = []
-    for q in range(lq.dim):
-        beta, alpha = lq.ambient_labels[lq.nonpivots[q]]
+    for beta, alpha in layer.quotients[n].labels():
         chain = g.first_maximal_chain(beta, alpha)
         sgn = field.of(sign_of_path(x, chain))
         cols.append(block.presentation.project({word_index[chain]: sgn}))

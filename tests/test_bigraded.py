@@ -383,4 +383,4 @@ def test_shared_columns_equal_reduced_layer(ring):
             for n, q in layer.quotients.items():
                 assert q.ambient_labels == ref.quotients[n].ambient_labels
                 assert q.labels() == ref.quotients[n].labels(), (name, layer.k, n)
-            assert layer.mats == ref.mats, (name, layer.k)
+            assert layer.chain() == ref.chain(), (name, layer.k)

@@ -25,6 +25,16 @@ def test_catalog_list(capsys):
     assert "example_singular" in names and "rp2_six" in names
 
 
+@pytest.mark.parametrize("name", ["simplex01", "simplex0002", "sphere+2", "sphere\u0663"])
+def test_catalog_aliases_exit_two(capsys, name):
+    # int() reads each suffix as a listed dimension; the complex would then
+    # carry the alias as its name, and the report and sha256 would change
+    for argv in (("validate", f"catalog:{name}"), ("catalog", "emit", name)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "unknown catalog name" in err and "Traceback" not in err
+
+
 def test_catalog_emit_round_trip(capsys):
     code, out, _ = run(capsys, "catalog", "emit", "example_singular")
     assert code == 0

@@ -20,6 +20,7 @@ from cwkoszul.linalg import (
 )
 
 from helpers import (
+    convert,
     identity,
     image_vectors,
     matrix_from_rows,
@@ -146,7 +147,7 @@ def test_dims_reject_nonzero_composite():
     with pytest.raises(ValueError, match="composition"):
         cohomology_dims([1, 2, 1], [twice, pair], GF(3))
     # the same composite vanishes over F2
-    assert cohomology_dims([1, 2, 1], [twice.convert(GF(2)), pair.convert(GF(2))], GF(2)) == [0, 0, 0]
+    assert cohomology_dims([1, 2, 1], [convert(twice, GF(2)), convert(pair, GF(2))], GF(2)) == [0, 0, 0]
 
 
 def test_dims_reject_shape_mismatch():

@@ -149,6 +149,9 @@ def test_integers_are_refused():
         rref_rows([{0: 2}], ZZ)
     with pytest.raises(TypeError, match="not a field"):
         cochain_cohomology([1, 1], [identity(1, ZZ)], ZZ)
+    # only IntegralQuotient may present a lattice and reach a nonempty core
+    with pytest.raises(TypeError, match="not a field"):
+        QuotientPresentation(["u", "v"], SparseExactMatrix(2, 1, {(0, 0): 2, (1, 0): 3}, ZZ), ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ def test_kernel_built_matrices_are_canonical(ring, monkeypatch):
                 _assert_canonical(m)
         cellular_complex(x, ring)
         for reduced in reduced_layers(x, ring):
-            for m in reduced.mats.values():
+            for m in reduced.chain()[1]:
                 _assert_canonical(m)
         if ring is not ZZ:
             for alpha in x.cells():
@@ -304,9 +307,7 @@ def test_comparison_map_reduces_negative_signs_mod_p():
     signs = set()
     for layer in reduced_layers(x, field):
         for n in range(layer.k, x.dim + 1):
-            lq = layer.quotients[n]
-            for q in range(lq.dim):
-                beta, alpha = lq.ambient_labels[lq.nonpivots[q]]
+            for beta, alpha in layer.quotients[n].labels():
                 chain = g.first_maximal_chain(beta, alpha)
                 signs.add(dualalg.sign_of_path(x, chain))
             phi = dualalg.comparison_map(x, n, layer, blocks)

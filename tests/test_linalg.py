@@ -26,9 +26,11 @@ from cwkoszul.linalg import (
     rank,
     rref_rows,
     smith_normal_form,
+    span_rank,
 )
 
 from helpers import (
+    convert,
     debug_triples,
     dense_integral_quotient,
     dense_smith_factors,
@@ -167,14 +169,25 @@ def test_induced_map_rejects_unpreserved_relations():
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_quotient_dimension_identity(m):
-    # the quotient is the cokernel of m: dimension rows - rank, and every
-    # column of m projects to zero
+    # the quotient is the cokernel of m: dimension rows - rank, every column
+    # of m projects to zero, and the relation rows are a basis of its image
     for ring in (QQ, GF(2), GF(3)):
-        mq = m.convert(ring)
+        mq = convert(m, ring)
         q = quotient(list(range(m.rows)), mq, ring)
         assert q.dim == m.rows - rank(mq), ring
         for col in mq.columns:
             assert q.project(col) == {}, ring
+        assert span_rank(q.relation_rows, ring) == len(q.relation_rows) == rank(mq), ring
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ], ids=repr)
+def test_quotient_keeps_no_relation_map(ring):
+    # over Z the second relation has no unit entry and stays in the core
+    rel = transpose(dense([[1, 1, 0, 0], [0, 2, 3, 0]], ring))
+    q = quotient(list("abcd"), rel, ring)
+    assert q.dim == 2
+    for name, value in vars(q).items():
+        assert value is not rel and value is not rel.columns, name
 
 
 @given(small_matrices(), st.integers(0, 2))
@@ -183,7 +196,7 @@ def test_induced_composition(f, extra):
     # dst relations contain the image of src relations by construction
     src_rel = dense([[1]] * f.cols, QQ) if f.cols > 1 else SparseExactMatrix.zero(f.cols, 0, QQ)
     src = quotient(list(range(f.cols)), src_rel, QQ)
-    fq = f.convert(QQ)
+    fq = convert(f, QQ)
     mid = quotient(list(range(f.rows)), matmul(fq, src_rel), QQ)
     g = identity(f.rows, QQ)
     dst = mid
@@ -237,10 +250,10 @@ def test_smith_form_divisibility_enforced():
 @settings(max_examples=60, deadline=None)
 def test_smith_matches_field_ranks(m):
     s = smith_normal_form(m)
-    assert s.rank == rank(m.convert(QQ))
+    assert s.rank == rank(convert(m, QQ))
     for p in (2, 3, 5):
         expected = sum(1 for f in s.factors if f % p != 0)
-        assert rank(m.convert(GF(p))) == expected
+        assert rank(convert(m, GF(p))) == expected
 
 
 def test_integral_quotient_free():
@@ -327,6 +340,7 @@ def _check_quotient_matches_dense(rel, raw):
     assert q.dim == ref.dim
     for row in q.relation_rows:
         assert q.project(row) == {}
+        assert ref.in_relation_lattice(row)
     for i in range(q.dim):
         assert q.project(q.lift(i)) == {i: 1}
     # v - lift(project(v)) lies in the relation lattice
