@@ -60,7 +60,6 @@ def _units(ring) -> dict[int, object]:
 class BigradedLayer:
     """Pair spaces of one column k with both differentials, over one ring."""
 
-    complex: RegularCWComplex
     k: int
     bases: dict[int, list[tuple[str, str]]]
     d_up: dict[int, SparseExactMatrix]
@@ -104,14 +103,13 @@ def build_layer(
             ]
             d_down[n] = SparseExactMatrix._canonical(len(tgt), cols, ring)
 
-    return BigradedLayer(x, k, bases, d_up, d_down)
+    return BigradedLayer(k, bases, d_up, d_down)
 
 
 @dataclass
 class ReducedLayer:
     """Column k after dividing out the vertical image, with its horizontal differential."""
 
-    complex: RegularCWComplex
     k: int
     ring: object
     quotients: dict[int, object]
@@ -145,7 +143,7 @@ def reduced_layer(
         else:
             rel = SparseExactMatrix.zero(len(labels), 0, ring)
         quotients[n] = quotient(labels, rel, ring)
-    return ReducedLayer(x, k, ring, quotients, layer.d_up)
+    return ReducedLayer(k, ring, quotients, layer.d_up)
 
 
 def reduced_layers(x: RegularCWComplex, ring) -> Iterator[ReducedLayer]:

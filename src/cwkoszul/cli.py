@@ -119,10 +119,6 @@ def _poset_of(x: RegularCWComplex, which: str) -> LayeredGraph:
         raise HypothesisFailure(str(exc)) from None
 
 
-def _fmt_scalar(v) -> str:
-    return str(v)
-
-
 def _fmt_group(entry) -> str:
     free, torsion = entry
     parts = []
@@ -142,7 +138,7 @@ def _witness_json(witness) -> dict | None:
         "n": witness.n,
         "k": witness.k,
         "cocycle": [
-            {"word": ">".join(word), "coeff": _fmt_scalar(c)} for word, c in witness.cocycle
+            {"word": ">".join(word), "coeff": str(c)} for word, c in witness.cocycle
         ],
     }
 
@@ -274,7 +270,7 @@ def _verdict_lines(verdict, extra) -> list[str]:
     if verdict.witness:
         w = verdict.witness
         lines.append(f"witness: vertex {w.vertex}, bidegree (n,k) = ({w.n},{w.k})")
-        terms = "  ".join(f"{_fmt_scalar(c)} * {'>'.join(word)}" for word, c in w.cocycle)
+        terms = "  ".join(f"{c} * {'>'.join(word)}" for word, c in w.cocycle)
         lines.append(f"  cocycle: {terms}")
     ok = sum(1 for _, _, good in verdict.checked if good)
     lines.append(f"checked vertices: {len(verdict.checked)} ({ok} passed)")
@@ -327,15 +323,13 @@ def _cmd_koszul(args):
             "cohomology": [list(t) for t in report.cohomology],
             "relative": [list(t) for t in report.relative],
         }
-        if report.bigraded:
-            lines.append(
-                "obstructions (n,k,dim): "
-                + ", ".join(f"({n},{k},{d})" for n, k, d in report.bigraded)
-            )
-            lines.append(
-                "relative witnesses (cell,n,dim): "
-                + ", ".join(f"({c},{n},{d})" for c, n, d in report.relative)
-            )
+        for label, entries in (
+            ("obstructions (n,k,dim)", report.bigraded),
+            ("cohomology (n,dim)", report.cohomology),
+            ("relative witnesses (cell,n,dim)", report.relative),
+        ):
+            if entries:
+                lines.append(f"{label}: " + ", ".join(f"({','.join(map(str, t))})" for t in entries))
     code = 0
     if args.exit_status:
         code = 0 if verdict.koszul else 1

@@ -1,10 +1,12 @@
 """Exact sparse linear algebra over Q, prime fields and Z.
 
+One value, `Ring(p)`, names the coefficients: `p` is None for Z, 0 for Q
+and the prime for F_p, and it is the `p` every elimination branches on.
 A matrix is its list of columns, each a dict {row: nonzero scalar}; only
 ranks of wide matrices, kernels and Smith forms split it into rows.
-Scalars are Python ints over Z, canonical residues (ints in [0, p)) over
-F_p, and over Q an int for every integral value and a `fractions.Fraction`
-for any other (`Rationals`).
+Scalars are in the canonical form of `Ring.of`, converted exactly, never
+truncated: Python ints over Z, residues in [0, p) over F_p, and over Q an
+int for every integral value and a `fractions.Fraction` for any other.
 
 Every elimination, over F_p, Q or Z, goes through one forward loop,
 `_echelon`, on dict rows with the arithmetic inline (`% p` over F_p, plain
@@ -48,94 +50,71 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 
-class Rationals:
-    """The field Q; a value is an int when it is integral, else a Fraction.
+@dataclass(frozen=True)
+class Ring:
+    """Z (p None), Q (p = 0) or F_p (p a prime below 2^31), compared by `p`.
 
-    `of` gives this canonical form, and the kernel's arithmetic keeps it: a
-    matrix over Q built from integral entries holds ints, eliminations on it
-    stay on ints, and a Fraction appears only where a division is inexact.
-    `rref_rows` and the representatives of `cocycle_representatives` return
-    Fractions: that is the public form.
+    `of` gives the canonical form of a value, and the kernel's arithmetic
+    keeps it: a matrix over Q built from integral entries holds ints,
+    eliminations on it stay on ints, and a Fraction appears only where a
+    division is inexact.  `rref_rows` and the representatives of
+    `cocycle_representatives` return Fractions over Q: that is the public
+    form.  Z has no division: eliminations pivot on units and Smith forms.
     """
 
-    key = "Q"
-    char = 0
+    p: int | None
     zero = 0
     one = 1
 
-    def of(self, x):
-        if type(x) is int:
-            return x
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        return x.numerator if x.denominator == 1 else x
-
-    def __repr__(self):
-        return "QQ"
-
-
-class Integers:
-    """The ring Z, values are int.  No division: eliminations pivot on units and Smith forms."""
-
-    key = "Z"
-    char = 0
-    zero = 0
-    one = 1
-
-    def of(self, x):
-        if type(x) is int:
-            return x
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValueError(f"{x} is not an integer")
-            return x.numerator
-        return int(x)
-
-    def __repr__(self):
-        return "ZZ"
-
-
-class PrimeField:
-    """The field F_p, values are canonical residues in [0, p)."""
-
-    def __init__(self, p: int):
+    def __post_init__(self):
+        p = self.p
+        if p is None or p == 0:
+            return
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p >= 2**31:
             raise ValueError(f"prime {p} too large (must be < 2^31)")
-        self.p = p
-        self.key = f"F{p}"
-        self.char = p
-        self.zero = 0
-        self.one = 1 % p
+
+    @property
+    def key(self) -> str:
+        return "Z" if self.p is None else f"F{self.p}" if self.p else "Q"
 
     def of(self, x):
-        if type(x) is int:
-            return x % self.p
-        if isinstance(x, Fraction):
-            return x.numerator * self.inv(x.denominator) % self.p
-        return int(x) % self.p
+        """x in the canonical form of the ring, never truncated.
 
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        An int is reduced mod p over F_p; any other value goes through
+        `Fraction(x)`.  Raises ValueError over Z for a value that is not
+        integral, ZeroDivisionError over F_p when p divides its denominator.
+        """
+        p = self.p
+        if type(x) is int:
+            return x % p if p else x
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if p:
+            d = x.denominator % p
+            if not d:
+                raise ZeroDivisionError(f"{x} has no residue mod {p}")
+            return x.numerator * pow(d, p - 2, p) % p
+        if x.denominator == 1:
+            return x.numerator
+        if p is None:
+            raise ValueError(f"{x} is not an integer")
+        return x
 
     def __repr__(self):
-        return f"GF({self.p})"
+        return "ZZ" if self.p is None else f"GF({self.p})" if self.p else "QQ"
 
 
-QQ = Rationals()
-ZZ = Integers()
-
-_gf_cache: dict[int, PrimeField] = {}
+QQ = Ring(0)
+ZZ = Ring(None)
 
 
-def GF(p: int) -> PrimeField:
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+def GF(p: int) -> Ring:
+    """The prime field F_p, for a prime p below 2^31."""
+    if not p:
+        raise ValueError(f"{p} is not prime")
+    return Ring(p)
 
 
 def is_prime(n: int) -> bool:
@@ -186,9 +165,9 @@ def field_from_spec(text: str):
 
 def _field_char(ring) -> int:
     """p over F_p and 0 over Q; Z has no division and is refused."""
-    if isinstance(ring, Integers):
+    if ring.p is None:
         raise TypeError("Z is not a field")
-    return ring.char
+    return ring.p
 
 
 def _subtract(dst: dict, coeff, src: dict, p: int) -> None:
@@ -293,7 +272,7 @@ class SparseExactMatrix:
     def apply(self, vec: dict) -> dict:
         """Matrix times column vector."""
         cols = self.columns
-        p = self.ring.char
+        p = self.ring.p
         out: dict = {}
         for j, x in vec.items():
             if x:
@@ -320,7 +299,7 @@ def _echelon(rows: list[dict], p) -> tuple[dict[int, dict], list[dict]]:
     to its pivot row without its pivot 1; a pivot row vanishes on every pivot
     column installed before it, so over a field the pivots count the rank.
     The rows are read, not changed; over Q their values in the form of
-    `Rationals` keep the arithmetic on ints.
+    `Ring.of` keep the arithmetic on ints.
 
     One forward loop: each row is reduced at the pivot columns it holds, in
     increasing column order (a heap), then pivots on its smallest column over
@@ -565,7 +544,7 @@ def quotient(ambient_labels: list, relations: SparseExactMatrix, ring):
 
     A `QuotientPresentation` over a field, an `IntegralQuotient` over Z.
     """
-    if ring is ZZ:
+    if ring.p is None:
         return IntegralQuotient(ambient_labels, relations)
     return QuotientPresentation(ambient_labels, relations, ring)
 
@@ -821,6 +800,6 @@ def integral_cochain_cohomology(
 
 def cohomology_groups(dims: list[int], mats: list[SparseExactMatrix], ring) -> list:
     """Per degree, the dimension over a field or (free rank, torsion) over Z."""
-    if ring is ZZ:
+    if ring.p is None:
         return integral_cochain_cohomology(dims, mats)
     return cohomology_dims(dims, mats, ring)

@@ -256,7 +256,7 @@ def convert(m, ring):
     """The entries of m over `ring`; a matrix already over it is returned as is."""
     from cwkoszul.linalg import SparseExactMatrix
 
-    if ring is m.ring:
+    if ring == m.ring:
         return m
     return SparseExactMatrix.from_columns(m.columns, m.rows, ring)
 
@@ -463,7 +463,7 @@ def reference_layer(x: RegularCWComplex, k: int, ring):
                 for gamma in x.faces(alpha)
             }
             d_down[n] = SparseExactMatrix(len(below_basis), len(bases[n]), entries, ring)
-    return BigradedLayer(x, k, bases, d_up, d_down)
+    return BigradedLayer(k, bases, d_up, d_down)
 
 
 def reference_reduced_layer(x: RegularCWComplex, k: int, ring):

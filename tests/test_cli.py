@@ -186,6 +186,17 @@ def test_koszul_json_witness(capsys):
     assert ["C4", 2, 1] in report["result"]["obstructions"]["relative"]
 
 
+def test_koszul_text_names_the_classical_reason(capsys):
+    # rp2_six over F2 fails through H^1(X; F2) alone, with no relative witness
+    _, out, _ = run(capsys, "koszul", "catalog:rp2_six", "--poset", "hat", "--field", "f2")
+    assert out.splitlines()[-2:] == ["obstructions (n,k,dim): (1,0,1)", "cohomology (n,dim): (1,1)"]
+    _, out, _ = run(capsys, "koszul", "catalog:example_singular", "--poset", "hat", "--field", "q")
+    assert out.splitlines()[-2:] == [
+        "obstructions (n,k,dim): (2,1,1)",
+        "relative witnesses (cell,n,dim): (C4,2,1), (D3,2,1)",
+    ]
+
+
 def test_koszul_check_remark_flag(capsys):
     code, out, _ = run(capsys, "koszul", "catalog:simplex2", "--poset", "hat",
                        "--field", "q", "--check-remark39", "--json")

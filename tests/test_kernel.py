@@ -25,7 +25,6 @@ from cwkoszul.linalg import (
     QuotientPresentation,
     SparseExactMatrix,
     _eliminate,
-    _field_char,
     _reduce,
     cochain_cohomology,
     kernel_vectors,
@@ -67,7 +66,7 @@ def sparse(rows, ring):
 
 def reference(rows, ring):
     width = max((max(r) + 1 for r in rows if r), default=1)
-    return dense_rref([[row.get(j, 0) for j in range(width)] for row in rows], ring.char)
+    return dense_rref([[row.get(j, 0) for j in range(width)] for row in rows], ring.p)
 
 
 @pytest.mark.parametrize("ring", FIELDS, ids=repr)
@@ -111,8 +110,7 @@ def test_reduce_mod_rows_clears_pivots(ring, data, vec):
     srows = sparse(rows, ring)
     red = rref_rows(srows, ring)
     v = sparse([vec[:n]], ring)[0]
-    p = _field_char(ring)
-    out = _reduce(v, _eliminate(srows, p)[0], p)
+    out = _reduce(v, _eliminate(srows, ring.p)[0], ring.p)
     assert not set(out) & {c for c, _ in red}
     assert reduce_mod_rows(v, red, ring) == reduce_mod_rows(v, dict(red), ring) == out
     # v - out lies in the row span: adding it leaves the reduced form unchanged

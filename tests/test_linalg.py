@@ -424,13 +424,38 @@ def test_field_from_spec():
 
 def test_prime_field_arithmetic():
     f5 = GF(5)
-    assert f5.inv(2) == 3
     assert f5.of(Fraction(1, 2)) == 3
+    assert f5.of(Fraction(-7, 3)) == 1
     assert f5.of(-1) == 4
     with pytest.raises(ZeroDivisionError):
-        f5.inv(0)
+        f5.of(Fraction(1, 10))
     with pytest.raises(ValueError):
         GF(9)
+
+
+def test_rings_are_values():
+    assert GF(5) == GF(5) and hash(GF(5)) == hash(GF(5))
+    assert field_from_spec("fp:2") == GF(2) and GF(2) != GF(3)
+    assert len({QQ, ZZ, GF(2), GF(3), GF(3)}) == 4
+    assert [repr(r) for r in (QQ, ZZ, GF(7))] == ["QQ", "ZZ", "GF(7)"]
+    assert [r.key for r in (QQ, ZZ, GF(7))] == ["Q", "Z", "F7"]
+    for bad in (0, 1, 4, 2**31 + 11):
+        with pytest.raises(ValueError):
+            GF(bad)
+
+
+def test_of_converts_exactly_and_never_truncates():
+    assert ZZ.of(2.0) == 2 and ZZ.of(Fraction(6, 3)) == 2
+    with pytest.raises(ValueError):
+        ZZ.of(2.5)
+    assert QQ.of(0.5) == Fraction(1, 2) and type(QQ.of(3.0)) is int
+    assert GF(3).of(0.5) == 2 and GF(3).of(2.5) == 1
+    with pytest.raises(ZeroDivisionError):
+        GF(5).of(Fraction(1, 5))
+    m = SparseExactMatrix(1, 1, {(0, 0): 0.5}, GF(3))
+    assert m.entries == {(0, 0): 2}
+    with pytest.raises(ValueError):
+        SparseExactMatrix(1, 1, {(0, 0): 0.5}, ZZ)
 
 
 def test_is_prime_edges():
