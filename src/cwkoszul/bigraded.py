@@ -8,18 +8,19 @@ image leaves a complex of quotients whose cohomology generalizes ordinary
 cellular cohomology (the k = 0 row reproduces it) and whose vanishing below
 the top dimension is exactly what the Koszulity decision needs.
 
-A field and Z take one path.  `reduced_layers` is the only producer of
-reduced columns: it builds the pair layer of each column once, over the ring
-of the call, and lends its bases to the next column as the targets of the
-vertical differential; `linalg.quotient` presents each pair space as the
-cokernel of that differential, over a field and over Z alike.  A reduced
-column keeps the horizontal differential of its pair layer, and
-`ReducedLayer.chain` induces it on the quotients by `linalg.induced_map`;
-a caller that reads only the quotients (the comparison with the word
-complexes) builds no induced map.  Pair bases are read off the closure of
-each upper cell.  Relative cohomology lives on the star of a cell, found by
-walking up through cofaces.  Over a field every entry is a dimension read
-from ranks; over Z it comes from one Smith form per map.
+A field and Z take one path.  The pair layer of each column is built once,
+over the ring of the call, and lends its bases to the next column as the
+targets of the vertical differential.  `hx_table` reads every entry from
+ranks of echelon forms on the pair layers, with no quotient coordinates:
+the echelon form of the vertical image in degree n + 1, continued with the
+horizontal images of the pair basis vectors that are not its pivots in
+degree n, gives the rank of the induced map; over Z the Smith factors of
+the same forms give the torsion.  `reduced_layers` presents each pair space
+as the cokernel of the vertical differential by `linalg.quotient`, for a
+caller that reads quotient coordinates (the comparison with the word
+complexes).  Pair bases are read off the closure of each upper cell.
+Relative cohomology lives on the star of a cell, found by walking up
+through cofaces.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from dataclasses import dataclass
 from .cw import ComplexError, RegularCWComplex
 from .linalg import (
     SparseExactMatrix,
+    _check_complex,
+    _echelon,
     cohomology_dims,
-    cohomology_groups,
-    induced_map,
+    echelon_factors,
     quotient,
+    require_free,
 )
 
 
@@ -114,11 +117,6 @@ class ReducedLayer:
     ring: object
     quotients: dict[int, object]
     d_up: dict[int, SparseExactMatrix]
-
-    def chain(self) -> tuple[list[int], list[SparseExactMatrix]]:
-        """Dimensions of the quotients and the maps `d_up` induces between them."""
-        ns, q = sorted(self.quotients), self.quotients
-        return [q[n].dim for n in ns], [induced_map(self.d_up[n], q[n], q[n + 1]) for n in ns[:-1]]
 
 
 def reduced_layer(
@@ -218,14 +216,87 @@ class PairCohomologyTable:
         return self.entries[(n, k)]
 
 
+def _column_entries(layer: BigradedLayer, above: BigradedLayer | None, ring) -> list:
+    """H_X(n, k) for n = k..dim, k = layer.k, from echelon ranks on the pair layers.
+
+    P_n is the pair space of bidegree (n, k), V_n the image of
+    `above.d_down[n]` in it for n > k (V_k = 0), and d = `layer.d_up`.  The
+    entry is the cohomology of the complex P_n / V_n:
+
+    - E_n, the echelon form of the generators of V_n, gives rank V_n: its
+      pivots, plus over Z the nonzero Smith factors of its core.  Over Z a
+      factor other than 1 means P_n / V_n has torsion: `TorsionError`.
+    - The pivot rows of E_n are unitriangular on its pivot columns; with
+      the unit vectors at its other columns they form a unimodular basis of
+      P_n.  The pivot rows lie in V_n and d maps V_n into V_{n+1}, so
+      V_{n+1} + d(P_n) is spanned by V_{n+1} and the images of those unit
+      vectors.  E_{n+1} continued with those images (and its core again over
+      Z) has rank r_n + rank V_{n+1}, r_n the rank of the induced map.
+    - h(n, k) = |P_n| - rank V_n - r_n - r_{n-1}.  Over Z, P_{n+1} / V_{n+1}
+      is free, so the Smith factors other than 1 of the continued form are
+      the torsion of H(n+1, k).
+
+    Over a field the core is empty and every factor is 1.  Every E_n is
+    found, and torsion refused, before the checks: d commutes with the
+    vertical differential on every generator of V_n (so d maps V_n into
+    V_{n+1}), and d o d = 0.
+    """
+    p, k = ring.p, layer.k
+    ns = sorted(layer.bases)
+    echelons, ranks = {}, {}
+    for n in ns:
+        tails, core = {}, []
+        if above is not None and n > k:
+            tails, core = _echelon(above.d_down[n].columns, p)
+        factors = echelon_factors(tails, core)
+        require_free(factors)
+        ranks[n] = len(factors)
+        echelons[n] = tails, core
+    if above is not None:
+        for n in ns[1:-1]:
+            f, up, down = layer.d_up[n], above.d_up[n].columns, above.d_down[n + 1]
+            for j, c in enumerate(above.d_down[n].columns):
+                if f.apply(c) != down.apply(up[j]):
+                    raise ValueError(
+                        f"column {k}: d_up[{n}] does not commute with the vertical "
+                        f"differential on generator {j} of the vertical image"
+                    )
+    _check_complex([len(layer.bases[n]) for n in ns], [layer.d_up[n] for n in ns[:-1]])
+
+    r = dict.fromkeys(ns, 0)  # r[n]: rank of the map induced in degree n
+    torsion = {n: () for n in ns}
+    for n in ns[:-1]:
+        pivots = echelons[n][0]
+        cols = layer.d_up[n].columns
+        tails, core = echelons[n + 1]
+        rows = [cols[j] for j in range(len(cols)) if j not in pivots]
+        factors = echelon_factors(*_echelon(rows + core, p, tails))
+        r[n] = len(factors) - ranks[n + 1]
+        torsion[n + 1] = tuple(f for f in factors if f != 1)
+    out = []
+    for n in ns:
+        h = len(layer.bases[n]) - ranks[n] - r[n] - r.get(n - 1, 0)
+        if h < 0:
+            raise AssertionError(f"negative cohomology dimension {h} in bidegree ({n}, {k})")
+        out.append((h, torsion[n]) if p is None else h)
+    return out
+
+
 def hx_table(x: RegularCWComplex, ring) -> PairCohomologyTable:
-    """Bigraded cohomology table over a field or over Z."""
+    """Bigraded cohomology table over a field or over Z.
+
+    The pair layers are built once each, column by column, and every entry
+    is read from echelon ranks on them (`_column_entries`).
+    """
     x.ensure_valid()
     d = x.dim
     entries: dict[tuple[int, int], object] = {}
-    for layer in reduced_layers(x, ring):
-        for i, val in enumerate(cohomology_groups(*layer.chain(), ring)):
-            entries[(layer.k + i, layer.k)] = val
+    layer = build_layer(x, 0, ring, None)
+    for k in range(d + 1):
+        above = build_layer(x, k + 1, ring, layer) if k < d else None
+        for i, val in enumerate(_column_entries(layer, above, ring)):
+            entries[(k + i, k)] = val
+        layer = above
     return PairCohomologyTable(ring.key, d, entries)
 
 

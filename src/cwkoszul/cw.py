@@ -25,19 +25,26 @@ class ComplexError(ValueError):
     pass
 
 
-def _connected(inside, faces, cofaces) -> bool:
-    """True iff a search through faces and cofaces inside `inside` reaches all of it."""
-    if not inside:
-        return True
-    start = min(inside)
-    stack, seen = [start], {start}
-    while stack:
-        z = stack.pop()
-        for w in faces[z] + cofaces[z]:
-            if w in inside and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(inside)
+def _connected(inside, faces) -> bool:
+    """True iff the covers inside `inside` connect all of it.
+
+    Every such cover is (u, l) with l in faces[u], so a union-find over the
+    faces of the cells inside sees each one once; no coface is scanned.
+    """
+    parent: dict[str, str] = {}  # a cell's parent in its tree; roots have none
+    parts = len(inside)
+    for cell in inside:
+        for l in faces[cell]:
+            if l in inside:
+                u = cell
+                while u in parent:
+                    u = parent[u]
+                while l in parent:
+                    l = parent[l]
+                if u != l:
+                    parent[u] = l
+                    parts -= 1
+    return parts <= 1
 
 
 class RegularCWComplex:
@@ -178,10 +185,10 @@ class RegularCWComplex:
         disconnected.
 
         The open interval (a, b) is read off the closures: the strict faces
-        of b above a, all strict faces of b for a = 0bar.  A search from its
-        smallest element through faces and cofaces inside it must reach all
-        of it.  Cells b go by dimension and then by id, and each a in string
-        order among the strict faces of b and 0bar.
+        of b above a, all strict faces of b for a = 0bar.  Its covers, each a
+        cell inside and one of its faces inside, must join it into one
+        component.  Cells b go by dimension and then by id, and each a in
+        string order among the strict faces of b and 0bar.
         """
         if self._report is not None:
             return self._report
@@ -255,7 +262,7 @@ class RegularCWComplex:
                 low.append(BOTTOM)
                 for a in sorted(low):
                     inside = inside_b if a == BOTTOM else above[a] & inside_b
-                    if not _connected(inside, faces, cofaces):
+                    if not _connected(inside, faces):
                         report.append(
                             f"interval [{a!r}, {b!r}] splits into several diamond classes"
                         )

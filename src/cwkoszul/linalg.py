@@ -13,7 +13,10 @@ Every elimination, over F_p, Q or Z, goes through one forward loop,
 int arithmetic over Z and over Q on integral values).  The ring sets the
 pivot rule: a row's smallest column over a field, its smallest column with
 a unit entry over Z, where rows without one wait in a core.  Ranks and
-Smith forms read that echelon form and run no back-substitution.  The
+Smith forms read that echelon form and run no back-substitution: over Z
+`echelon_factors` gives 1 per pivot and the dense Smith form of the core.
+Given the pivot rows of an earlier echelon form, the loop continues it
+with more rows, so the rank of a stacked matrix costs only the new rows.  The
 reduced form, `_eliminate`, is the echelon form plus one back-substitution
 pass; kernels, quotient presentations and cohomology representatives read
 its pivot rows as they are, and the public `rref_rows` returns them with
@@ -32,15 +35,16 @@ reads the quotient coordinates off the pivots of their reduced form, over
 Q, F_p and Z alike; it keeps the reduced pivot rows, not the map.  Over Z
 rows with no unit entry may be left in a core, and only the subclass
 `IntegralQuotient` adds what it needs: a dense Smith normal form of the
-core, refusing a quotient with torsion.  One `induced_map` serves both.
+core, refusing a quotient with torsion (`require_free`).  `induced_map`
+carries a map to quotient coordinates over either kind; no cohomology
+table needs it, since ranks of stacked echelon forms give the same numbers.
 
 Cohomology is read from ranks: `cohomology_dims` checks the shapes and
 d o d = 0 and takes one rank per differential.  Cocycles are built only
 where a caller needs them, one degree at a time, by
 `cocycle_representatives`; `cochain_cohomology` returns both.  Over Z,
 `integral_cochain_cohomology` reads free ranks and torsion from one Smith
-form per differential, found the same way; `cohomology_groups` picks the
-reading of the ring.
+form per differential, found the same way.
 """
 
 from __future__ import annotations
@@ -292,7 +296,9 @@ class SparseExactMatrix:
         return f"SparseExactMatrix({self.rows}x{self.cols}, {nnz} nz, {self.ring!r})"
 
 
-def _echelon(rows: list[dict], p) -> tuple[dict[int, dict], list[dict]]:
+def _echelon(
+    rows: list[dict], p, tails: dict[int, dict] | None = None
+) -> tuple[dict[int, dict], list[dict]]:
     """A row echelon form of sparse rows over F_p (p > 0), Q (p = 0) or Z (p None).
 
     Returns (tails, core).  `tails` maps each pivot column, in install order,
@@ -300,6 +306,10 @@ def _echelon(rows: list[dict], p) -> tuple[dict[int, dict], list[dict]]:
     column installed before it, so over a field the pivots count the rank.
     The rows are read, not changed; over Q their values in the form of
     `Ring.of` keep the arithmetic on ints.
+
+    Given `tails` of an earlier echelon form, the loop continues it on a
+    copy: the result is an echelon form of the earlier rows and `rows`
+    together, provided `rows` holds the earlier core again over Z.
 
     One forward loop: each row is reduced at the pivot columns it holds, in
     increasing column order (a heap), then pivots on its smallest column over
@@ -318,8 +328,8 @@ def _echelon(rows: list[dict], p) -> tuple[dict[int, dict], list[dict]]:
     span(pivot rows) has one element vanishing on every pivot column.  The
     heap order changes the work, not the result.
     """
-    tails: dict[int, dict] = {}
-    pending, known = rows, 0
+    tails = {} if tails is None else dict(tails)
+    pending, known = rows, len(tails)
     while True:
         core = []
         for src in pending:
@@ -486,6 +496,15 @@ class TorsionError(ValueError):
     """A relation lattice whose quotient has torsion, so no free coordinates."""
 
 
+def require_free(factors: list[int]) -> None:
+    """Refuse a relation lattice with an invariant factor other than 1."""
+    if any(d != 1 for d in factors):
+        raise TorsionError(
+            f"integral quotient has torsion (invariant factors {factors}); "
+            "no free coordinate system exists"
+        )
+
+
 class IntegralQuotient(QuotientPresentation):
     """The cokernel of an integer relation map Z^r -> Z^ambient, which must be free.
 
@@ -504,11 +523,7 @@ class IntegralQuotient(QuotientPresentation):
         factors = [1] * len(self._tails)
         if self._core:
             factors += _snf_reduce(dense, q, qinv)
-        if any(d != 1 for d in factors):
-            raise TorsionError(
-                f"integral quotient has torsion (invariant factors {factors}); "
-                "no free coordinate system exists"
-            )
+        require_free(factors)
         r, f = len(factors) - len(self._tails), self.dim
         # core column -> its quotient coordinates, the rows of q past the core rank
         self._core_coords = {
@@ -755,24 +770,30 @@ def _snf_reduce(a: list[list[int]], q: list[list[int]] | None, qinv: list[list[i
     return [a[i][i] for i in range(min(m, n)) if a[i][i] != 0]
 
 
-def smith_normal_form(m: SparseExactMatrix) -> SmithForm:
-    """Invariant factors of an integer matrix (transforms not tracked).
+def echelon_factors(tails: dict[int, dict], core: list[dict]) -> list[int]:
+    """Nonzero invariant factors of the span of an echelon form; all 1 over a field.
 
-    Read from the echelon form of `_echelon` over Z, with no
-    back-substitution.  Its rows span the row lattice by unimodular row
-    operations.  On the pivot columns, in install order, the pivot rows are
-    unitriangular, so unimodular row operations among them and then column
-    operations by the pivot columns clear every other entry of the pivot
-    rows.  The core vanishes on the pivot columns, so none of these
-    operations touches it.  The factors are 1 for each pivot followed by the
-    dense `_snf_reduce` of the core, restricted to the columns its rows
-    touch.
+    Its rows span the lattice by unimodular row operations.  On the pivot
+    columns, in install order, the pivot rows are unitriangular, so
+    unimodular row operations among them and then column operations by the
+    pivot columns clear every other entry of the pivot rows.  The core
+    vanishes on the pivot columns, so none of these operations touches it.
+    The factors are 1 for each pivot followed by the dense `_snf_reduce` of
+    the core, restricted to the columns its rows touch.
     """
-    tails, core = _echelon(m.row_list(), None)
     factors = [1] * len(tails)
     if core:
         factors += _snf_reduce(_dense_core(core)[1], None, None)
-    return SmithForm(tuple(factors))
+    return factors
+
+
+def smith_normal_form(m: SparseExactMatrix) -> SmithForm:
+    """Invariant factors of an integer matrix (transforms not tracked).
+
+    Read by `echelon_factors` from the echelon form of `_echelon` over Z on
+    the rows, with no back-substitution.
+    """
+    return SmithForm(tuple(echelon_factors(*_echelon(m.row_list(), None))))
 
 
 def integral_cochain_cohomology(
@@ -796,10 +817,3 @@ def integral_cochain_cohomology(
             prev, tors = 0, ()
         out.append((ker - prev, tors))
     return out
-
-
-def cohomology_groups(dims: list[int], mats: list[SparseExactMatrix], ring) -> list:
-    """Per degree, the dimension over a field or (free rank, torsion) over Z."""
-    if ring.p is None:
-        return integral_cochain_cohomology(dims, mats)
-    return cohomology_dims(dims, mats, ring)

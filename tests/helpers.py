@@ -474,6 +474,69 @@ def reference_reduced_layer(x: RegularCWComplex, k: int, ring):
     return reduced_layer(x, k, ring, reference_layer(x, k, ring), above)
 
 
+def reduced_chain(layer) -> tuple[list[int], list]:
+    """Dimensions of the quotients of a `ReducedLayer` and the maps its
+    `d_up` induces between them by `induced_map`, which checks that
+    relations go to relations."""
+    from cwkoszul.linalg import induced_map
+
+    ns, q = sorted(layer.quotients), layer.quotients
+    return [q[n].dim for n in ns], [induced_map(layer.d_up[n], q[n], q[n + 1]) for n in ns[:-1]]
+
+
+def reference_hx_table(x: RegularCWComplex, ring):
+    """`hx_table` through quotient coordinates: the cohomology of the chain
+    of every reduced column, by ranks over a field and by one Smith form per
+    induced map over Z."""
+    from cwkoszul.bigraded import PairCohomologyTable, reduced_layers
+    from cwkoszul.linalg import cohomology_dims, integral_cochain_cohomology
+
+    entries = {}
+    for layer in reduced_layers(x, ring):
+        dims, mats = reduced_chain(layer)
+        if ring.p is None:
+            groups = integral_cochain_cohomology(dims, mats)
+        else:
+            groups = cohomology_dims(dims, mats, ring)
+        for i, val in enumerate(groups):
+            entries[(layer.k + i, layer.k)] = val
+    return PairCohomologyTable(ring.key, x.dim, entries)
+
+
+def tampered_build_layer(k: int, edit):
+    """`bigraded.build_layer` with `edit(layer)` applied to the layer of column k,
+    to stand in for a pair layer built wrong."""
+    from cwkoszul import bigraded
+
+    build = bigraded.build_layer
+
+    def tampered(x, col, ring, below):
+        layer = build(x, col, ring, below)
+        if col == k:
+            edit(layer)
+        return layer
+
+    return tampered
+
+
+def flip_d_up_sign(layer) -> None:
+    """Negate one entry of `layer.d_up[1]`: the first of its first nonzero column."""
+    m = layer.d_up[1]
+    cols = [dict(c) for c in m.columns]
+    col = next(c for c in cols if c)
+    i = min(col)
+    col[i] = m.ring.of(-col[i])
+    layer.d_up[1] = type(m)._canonical(m.rows, cols, m.ring)
+
+
+def double_diagonal_d_down(layer) -> None:
+    """Double the `d_down[k]` column of the first pair (t, t) of column k."""
+    m = layer.d_down[layer.k]
+    cols = list(m.columns)
+    cols[0] = {i: m.ring.of(2 * v) for i, v in cols[0].items()}
+    layer.d_down[layer.k] = type(m)._canonical(m.rows, cols, m.ring)
+
+
 def scan_relative_complex(x: RegularCWComplex, alpha: str, field):
     """The cochain complex of (X, Y_alpha) on the star of alpha, found by
     testing every cell with `cell_le`: (dims, differentials)."""

@@ -1,9 +1,13 @@
 """Pair complexes, their quotients, and the bigraded cohomology table."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from cwkoszul import linalg
+from cwkoszul import bigraded, linalg
 from cwkoszul.bigraded import (
+    BigradedLayer,
+    _column_entries,
     cellular_cohomology,
     cellular_complex,
     hx_table,
@@ -25,18 +29,23 @@ from cwkoszul.linalg import (
 )
 
 from helpers import (
+    double_diagonal_d_down,
+    flip_d_up_sign,
     grid_torus,
     integral_cellular_cohomology,
     is_zero,
     matmul,
     pair_dims,
     pair_layers,
+    reduced_chain,
     reduced_dims,
+    reference_hx_table,
     reference_layer,
     reference_reduced_layer,
     scan_pair_basis,
     scan_relative_cohomology,
     segment_plus_point,
+    tampered_build_layer,
     two_disjoint_triangles,
 )
 
@@ -130,7 +139,7 @@ def test_reduced_k0_matches_cellular_complex():
     # the k = 0 reduction is isomorphic to the cellular cochain complex
     x = catalog("sphere2")
     layer = next(reduced_layers(x, QQ))
-    dims, mats = layer.chain()
+    dims, mats = reduced_chain(layer)
     homs = cochain_cohomology(dims, mats, QQ)
     assert [h for h, _ in homs] == cellular_cohomology(x, QQ)
 
@@ -141,7 +150,7 @@ def test_reduced_k0_equals_cellular_matrices():
     for name in ("sphere1", "sphere2", "example_singular"):
         x = catalog(name)
         layer = next(reduced_layers(x, QQ))
-        _, lmats = layer.chain()
+        _, lmats = reduced_chain(layer)
         cdims, cmats = cellular_complex(x, QQ)
         assert [q.dim for q in layer.quotients.values()] == cdims
         assert lmats == cmats, name
@@ -321,7 +330,8 @@ def test_integral_tables_run_the_dense_smith_form_only_on_a_core(monkeypatch):
     for x in (catalog("sphere3"), grid_torus(4, 5)):
         assert hx_table(x, ZZ).entry(x.dim, 0) == (1, ()), x.name
 
-    # on rp2_six it runs on the one-row core that the Z/2 leaves
+    # on rp2_six it runs on the one-column core that the Z/2 leaves in the
+    # continued elimination of column 0
     shapes = []
 
     def record(a, q, qinv):
@@ -330,7 +340,95 @@ def test_integral_tables_run_the_dense_smith_form_only_on_a_core(monkeypatch):
 
     monkeypatch.setattr(linalg, "_snf_reduce", record)
     assert hx_table(catalog("rp2_six"), ZZ).entry(2, 0) == (0, (2,))
-    assert shapes and all(rows == 1 for rows, _ in shapes)
+    assert shapes and all(cols == 1 for _, cols in shapes)
+
+
+HX_RINGS = (QQ, GF(2), GF(3), GF(5), ZZ)
+
+
+@pytest.mark.parametrize("ring", HX_RINGS, ids=repr)
+def test_hx_table_equals_quotient_reference(ring):
+    # echelon ranks on the pair layers against induced maps on quotients
+    complexes = [catalog(name) for name in catalog_names()]
+    for x in complexes + [grid_torus(4, 5), grid_torus(5, 5)]:
+        assert hx_table(x, ring) == reference_hx_table(x, ring), x.name
+
+
+def test_hx_table_builds_no_quotient_or_induced_map(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hx_table left the echelon path")
+
+    monkeypatch.setattr(linalg, "induced_map", refuse)
+    monkeypatch.setattr(linalg.QuotientPresentation, "__init__", refuse)
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(linalg, "integral_cochain_cohomology", refuse)
+    for name in ("sphere2", "rp2_six", "example_singular"):
+        for ring in HX_RINGS:
+            hx_table(catalog(name), ring)
+
+
+def test_hx_square_check_fires(monkeypatch):
+    # d_up of column 0 no longer carries the vertical image of column 1
+    monkeypatch.setattr(bigraded, "build_layer", tampered_build_layer(0, flip_d_up_sign))
+    for ring in (QQ, ZZ):
+        with pytest.raises(ValueError, match="column 0: d_up\\[1\\] does not commute"):
+            hx_table(catalog("sphere2"), ring)
+
+
+def test_hx_torsion_refusal_matches_the_quotient(monkeypatch):
+    # a doubled generator of V_2 in column 1: Z/2 torsion in the quotient,
+    # refused with the factor list the integral quotient prints
+    monkeypatch.setattr(bigraded, "build_layer", tampered_build_layer(2, double_diagonal_d_down))
+    x = catalog("sphere2")
+    with pytest.raises(linalg.TorsionError) as ours:
+        hx_table(x, ZZ)
+    with pytest.raises(linalg.TorsionError) as ref:
+        reference_hx_table(x, ZZ)
+    assert str(ours.value) == str(ref.value)
+    assert "invariant factors [1, 1, 1, 2]" in str(ours.value)  # one per triangle
+
+
+@st.composite
+def two_term_columns(draw):
+    """Column 0 of a two-term pair complex: d_up D: Z^a -> Z^b and the
+    vertical generators G: Z^c -> Z^b, small integer matrices."""
+    a, b, c = draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entry = st.sampled_from([0, 0, 1, -1, 2, 3, -3, 4])
+    d_up = draw(st.lists(st.lists(entry, min_size=b, max_size=b), min_size=a, max_size=a))
+    gens = draw(st.lists(st.lists(entry, min_size=b, max_size=b), min_size=c, max_size=c))
+    return a, b, c, d_up, gens
+
+
+@pytest.mark.parametrize("ring", (QQ, GF(2), GF(3), ZZ), ids=repr)
+@given(data=two_term_columns())
+@example(data=(1, 2, 2, [[1, 1]], [[2, 3], [3, 4]]))  # V = Z^2 with no unit entry
+@settings(max_examples=80, deadline=None)
+def test_column_entries_match_the_quotient_complex(ring, data):
+    # the echelon reading of one column against quotients and induced maps,
+    # also where the vertical image leaves a core over Z
+    a, b, c, d_up, gens = data
+
+    def mat(rows, cols):
+        return SparseExactMatrix.from_columns(
+            [dict(enumerate(col)) for col in cols], rows, ring)
+
+    layer = BigradedLayer(0, {0: list(range(a)), 1: list(range(b))},
+                          {0: mat(b, d_up), 1: mat(0, [{}] * b)}, {})
+    above = BigradedLayer(1, {1: list(range(c))}, {1: mat(0, [{}] * c)}, {1: mat(b, gens)})
+    try:
+        src = linalg.quotient(layer.bases[0], mat(a, []), ring)
+        dst = linalg.quotient(layer.bases[1], above.d_down[1], ring)
+    except linalg.TorsionError as exc:
+        with pytest.raises(linalg.TorsionError) as ours:
+            _column_entries(layer, above, ring)
+        assert str(ours.value) == str(exc)
+        return
+    dims, mats = [src.dim, dst.dim], [linalg.induced_map(layer.d_up[0], src, dst)]
+    if ring == ZZ:
+        expected = linalg.integral_cochain_cohomology(dims, mats)
+    else:
+        expected = linalg.cohomology_dims(dims, mats, ring)
+    assert _column_entries(layer, above, ring) == expected
 
 
 def test_obstructions_require_hypotheses():
@@ -383,4 +481,4 @@ def test_shared_columns_equal_reduced_layer(ring):
             for n, q in layer.quotients.items():
                 assert q.ambient_labels == ref.quotients[n].ambient_labels
                 assert q.labels() == ref.quotients[n].labels(), (name, layer.k, n)
-            assert layer.chain() == ref.chain(), (name, layer.k)
+            assert reduced_chain(layer) == reduced_chain(ref), (name, layer.k)

@@ -9,7 +9,14 @@ from cwkoszul.catalog import catalog
 from cwkoszul.cli import main
 from cwkoszul.cw import complex_from_dict
 
-from helpers import dangling_square_complex, segment_plus_point, two_disjoint_triangles
+from helpers import (
+    dangling_square_complex,
+    double_diagonal_d_down,
+    flip_d_up_sign,
+    segment_plus_point,
+    tampered_build_layer,
+    two_disjoint_triangles,
+)
 
 
 def run(capsys, *argv):
@@ -382,3 +389,24 @@ def test_torsion_refusal_exits_three(monkeypatch, capsys):
     assert code == 3
     assert err.startswith("hypothesis failure:")
     assert "torsion" in err and "Traceback" not in err
+
+
+def test_hx_square_check_exits_four(monkeypatch, capsys):
+    # a pair layer whose d_up no longer commutes with the vertical
+    # differential is an internal fault, not an input error
+    monkeypatch.setattr("cwkoszul.bigraded.build_layer", tampered_build_layer(0, flip_d_up_sign))
+    code, out, err = run(capsys, "hx", "catalog:sphere2")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "does not commute" in err
+
+
+def test_hx_torsion_in_a_pair_quotient_exits_three(monkeypatch, capsys):
+    # a doubled vertical generator leaves Z/2 in column 1: refused before any check
+    monkeypatch.setattr("cwkoszul.bigraded.build_layer",
+                        tampered_build_layer(2, double_diagonal_d_down))
+    code, out, err = run(capsys, "hx", "catalog:sphere2", "--integral")
+    assert code == 3
+    assert out == ""
+    assert err == ("hypothesis failure: integral quotient has torsion (invariant factors "
+                   "[1, 1, 1, 2]); no free coordinate system exists\n")

@@ -25,6 +25,7 @@ from helpers import (
     image_vectors,
     matrix_from_rows,
     path_word_complex,
+    reduced_chain,
     scan_relative_complex,
 )
 
@@ -113,7 +114,7 @@ def _catalog_complexes(x, ring):
     for alpha in x.cells():
         yield f"relative {alpha}", scan_relative_complex(x, alpha, ring)
     for layer in reduced_layers(x, ring):
-        yield f"reduced layer {layer.k}", layer.chain()
+        yield f"reduced layer {layer.k}", reduced_chain(layer)
     g = x.face_poset_bar()
     for k in range(g.max_rank):
         yield f"word complex {k}", path_word_complex(g, k, ring).chain()

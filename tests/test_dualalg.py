@@ -31,6 +31,7 @@ from helpers import (
     path_word_complex,
     path_words,
     reduce_mod_rows,
+    reduced_chain,
     word_cohomology,
 )
 
@@ -276,7 +277,7 @@ def test_comparison_map_is_chain_map():
             for k, layer in enumerate(reduced_layers(x, f)):
                 blocks = HeadBlocks(g, f)
                 wc = path_word_complex(g, k, f)
-                _, mats = layer.chain()
+                _, mats = reduced_chain(layer)
                 for n in range(k, d):
                     phi_n = comparison_map(x, n, layer=layer, blocks=blocks)
                     phi_n1 = comparison_map(x, n + 1, layer=layer, blocks=blocks)

@@ -24,16 +24,26 @@ from cwkoszul.linalg import (
     ZZ,
     QuotientPresentation,
     SparseExactMatrix,
+    _echelon,
     _eliminate,
     _reduce,
     cochain_cohomology,
+    echelon_factors,
     kernel_vectors,
     rank,
     rref_rows,
     span_rank,
 )
 
-from helpers import dense_rref, identity, matrix_from_rows, reduce_mod_rows, to_dense, transpose
+from helpers import (
+    dense_rref,
+    identity,
+    matrix_from_rows,
+    reduce_mod_rows,
+    reduced_chain,
+    to_dense,
+    transpose,
+)
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -285,7 +295,7 @@ def test_kernel_built_matrices_are_canonical(ring, monkeypatch):
                 _assert_canonical(m)
         cellular_complex(x, ring)
         for reduced in reduced_layers(x, ring):
-            for m in reduced.chain()[1]:
+            for m in reduced_chain(reduced)[1]:
                 _assert_canonical(m)
         if ring is not ZZ:
             for alpha in x.cells():
@@ -320,3 +330,35 @@ def test_canonical_constructor_checks_bounds():
     for i in (2, -1):
         with pytest.raises(IndexError, match=rf"entry \({i},2\) outside 2x3"):
             SparseExactMatrix._canonical(2, [{}, {}, {i: 1}], GF(3))
+
+
+@st.composite
+def stacked_rows(draw, max_rows=6, max_cols=6):
+    """Two small integer matrices of one width, mostly sparse."""
+    n = draw(st.integers(1, max_cols))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 6])
+    row = st.lists(entry, min_size=n, max_size=n)
+    return [draw(st.lists(row, max_size=max_rows)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ], ids=repr)
+@given(data=stacked_rows())
+@example(data=[  # over Z: 3 pivots continued, 4 stacked
+    [[3, 0, 2, 3, 0, 2], [2, 2, 1, 2, 3, 6], [3, -1, 2, -1, 4, 6], [4, -1, 0, 6, 1, 0]],
+    [[4, -2, 0, 2, -2, 2], [6, 2, 4, 6, 3, -1], [-2, 0, -1, -2, -2, 6], [1, 0, 0, 0, -1, 4]],
+])
+@settings(max_examples=80, deadline=None)
+def test_continued_echelon_matches_stacked_elimination(ring, data):
+    # continuing the echelon form of A with B (and A's core again over Z)
+    # spans what A and B span together: the same Smith factors, so the same
+    # rank; over a field the pivots are the rank.  Over Z the split of the
+    # factors 1 between pivots and core depends on the row order.
+    a, b = (sparse(rows, ring) for rows in data)
+    tails, core = _echelon(a, ring.p)
+    before = dict(tails)
+    continued = _echelon(b + core, ring.p, tails)
+    stacked = _echelon(a + b, ring.p)
+    assert tails == before  # the earlier form is read, not extended
+    assert echelon_factors(*continued) == echelon_factors(*stacked)
+    if ring.p is not None:
+        assert len(continued[0]) == len(stacked[0]) == span_rank(a + b, ring)

@@ -25,6 +25,7 @@ from helpers import (
     path_words,
     random_layered_graph,
     random_uniform_graphs,
+    reduced_chain,
     up_down_sequence,
 )
 
@@ -138,7 +139,7 @@ def test_layer_differentials_interchange(name):
 def test_reduced_layer_euler_identity(name):
     x = catalog(name)
     for layer in reduced_layers(x, QQ):
-        dims, mats = layer.chain()
+        dims, mats = reduced_chain(layer)
         homs = cochain_cohomology(dims, mats, QQ)
         assert sum((-1) ** i * d for i, d in enumerate(dims)) == sum(
             (-1) ** i * h for i, (h, _) in enumerate(homs)
