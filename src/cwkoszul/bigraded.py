@@ -19,12 +19,17 @@ the same forms give the torsion.  `reduced_layers` presents each pair space
 as the cokernel of the vertical differential by `linalg.quotient`, for a
 caller that reads quotient coordinates (the comparison with the word
 complexes).  Pair bases are read off the closure of each upper cell.
-Relative cohomology lives on the star of a cell, found by walking up
-through cofaces.
+Relative cohomology lives on the star of a cell.  On the pair layer of
+column k the pairs (beta, alpha) of one k-cell alpha and `d_up` are the
+relative cochain complex of alpha's star, so the obstruction report reads
+every cell's relative groups from the echelon forms of the layers it
+walks anyway; the `relative` command still walks the star of its one cell
+up through cofaces.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -33,6 +38,7 @@ from .linalg import (
     SparseExactMatrix,
     _check_complex,
     _echelon,
+    _field_char,
     cohomology_dims,
     echelon_factors,
     quotient,
@@ -144,13 +150,22 @@ def reduced_layer(
     return ReducedLayer(k, ring, quotients, layer.d_up)
 
 
-def reduced_layers(x: RegularCWComplex, ring) -> Iterator[ReducedLayer]:
-    """The reduced columns k = 0..dim in turn, each pair layer built once."""
+def column_layers(
+    x: RegularCWComplex, ring
+) -> Iterator[tuple[BigradedLayer, BigradedLayer | None]]:
+    """(layer of column k, layer of column k+1 or None past the top) for
+    k = 0..dim in turn, each pair layer built once."""
     layer = build_layer(x, 0, ring, None)
     for k in range(x.dim + 1):
         above = build_layer(x, k + 1, ring, layer) if k < x.dim else None
-        yield reduced_layer(x, k, ring, layer, above)
+        yield layer, above
         layer = above
+
+
+def reduced_layers(x: RegularCWComplex, ring) -> Iterator[ReducedLayer]:
+    """The reduced columns k = 0..dim in turn, each pair layer built once."""
+    for layer, above in column_layers(x, ring):
+        yield reduced_layer(x, layer.k, ring, layer, above)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +304,48 @@ def hx_table(x: RegularCWComplex, ring) -> PairCohomologyTable:
     is read from echelon ranks on them (`_column_entries`).
     """
     x.ensure_valid()
-    d = x.dim
     entries: dict[tuple[int, int], object] = {}
-    layer = build_layer(x, 0, ring, None)
-    for k in range(d + 1):
-        above = build_layer(x, k + 1, ring, layer) if k < d else None
-        for i, val in enumerate(_column_entries(layer, above, ring)):
-            entries[(k + i, k)] = val
-        layer = above
-    return PairCohomologyTable(ring.key, d, entries)
+    for layer, above in column_layers(x, ring):
+        _add_column(entries, layer, above, ring)
+    return PairCohomologyTable(ring.key, x.dim, entries)
+
+
+def _add_column(entries: dict, layer: BigradedLayer, above: BigradedLayer | None, ring) -> None:
+    """Store the entries H_X(n, k) of column k = layer.k under (n, k)."""
+    k = layer.k
+    for i, val in enumerate(_column_entries(layer, above, ring)):
+        entries[(k + i, k)] = val
+
+
+def _relative_dims(layer: BigradedLayer, p: int) -> list[tuple[str, int, int]]:
+    """(alpha, n, dim) for every nonzero H^n(X, Y_alpha) of the k-cells
+    alpha, k = layer.k, read off the pair layer over F_p (p > 0) or Q (p = 0).
+
+    The pairs (beta, alpha) of one alpha form a block of each pair space,
+    and with `d_up` they are the relative cochain complex of alpha's star.
+    Every column of `d_up[n]` lies in one block, so each pivot row of its
+    echelon form does too, and the pivots counted by block (read off the
+    lower cell of the pivot's pair) are the ranks of the blocks'
+    coboundaries: h^n(alpha) = |block_n(alpha)| - rank_n - rank_{n-1}.
+    The layer's differentials are taken as checked by `_column_entries`.
+    """
+    size: Counter = Counter()
+    ranks: Counter = Counter()
+    for n, pairs in layer.bases.items():
+        size.update((alpha, n) for _, alpha in pairs)
+        target = layer.bases.get(n + 1)
+        if target:
+            ranks.update((target[c][1], n) for c in _echelon(layer.d_up[n].columns, p)[0])
+    out = []
+    for (alpha, n), s in size.items():
+        h = s - ranks[(alpha, n)] - ranks[(alpha, n - 1)]
+        if h < 0:
+            raise AssertionError(
+                f"negative relative cohomology dimension {h} of {alpha!r} in degree {n}"
+            )
+        if h:
+            out.append((alpha, n, h))
+    return out
 
 
 @dataclass
@@ -322,28 +370,33 @@ class ObstructionReport:
 
 
 def koszul_obstructions(x: RegularCWComplex, field) -> ObstructionReport:
-    """Both obstruction routes for the extended face poset; cross-checked."""
+    """Both obstruction routes for the extended face poset; cross-checked.
+
+    One walk of the pair layers gives both the table and the relative
+    groups of every cell: each column's entries come first, with the checks
+    of `_column_entries` on its layer, and then the relative groups of its
+    lower cells are read off the same layer (`_relative_dims`).  The
+    cellular cohomology is computed on its own cochain complex.
+    """
     x.ensure_valid()
     if not x.is_pure():
         raise ComplexError(f"complex {x.name!r} is not pure")
     if not x.connected_by_codim1():
         raise ComplexError(f"complex {x.name!r} is not connected by codimension-1 faces")
-    d = x.dim
-    table = hx_table(x, field)
+    d, p = x.dim, _field_char(field)
+    entries: dict[tuple[int, int], object] = {}
+    relative = []
+    for layer, above in column_layers(x, field):
+        _add_column(entries, layer, above, field)
+        relative += [t for t in _relative_dims(layer, p) if t[1] < d]
     bigraded = [
-        (n, k, table.entry(n, k))
+        (n, k, entries[(n, k)])
         for k in range(d)
         for n in range(k + 1, d)
-        if table.entry(n, k) != 0
+        if entries[(n, k)] != 0
     ]
     cell_dims = cellular_cohomology(x, field)
     cohomology = [(n, cell_dims[n]) for n in range(1, d) if cell_dims[n] != 0]
-    relative = []
-    for alpha in x.cells():
-        rel = relative_cohomology(x, alpha, field)
-        for n in range(d):
-            if rel[n] != 0:
-                relative.append((alpha, n, rel[n]))
     if bool(bigraded) != bool(cohomology or relative):
         raise AssertionError(
             "internal error: bigraded and classical obstruction routes disagree "

@@ -321,20 +321,11 @@ class RegularCWComplex:
     # -- serialization ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        cells = []
-        for c in sorted(self.dims):
-            boundary = {
-                l: self.incidence[(u, l)]
-                for (u, l) in self.incidence
-                if u == c
-            }
-            cells.append(
-                {
-                    "id": c,
-                    "dim": self.dims[c],
-                    "boundary": {k: boundary[k] for k in sorted(boundary)},
-                }
-            )
+        inc = self.incidence
+        cells = [
+            {"id": c, "dim": self.dims[c], "boundary": {l: inc[(c, l)] for l in self._faces[c]}}
+            for c in sorted(self.dims)
+        ]
         return {"name": self.name, "cells": cells}
 
     def __eq__(self, other):

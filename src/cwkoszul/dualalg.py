@@ -10,7 +10,9 @@ headed by h, modulo relations.
 `HeadBlocks` presents each block once per public call, as the cokernel of
 A_{m-2} (x) R -> A_{m-1} (x) V restricted to h (Polishchuk-Positselski,
 Quadratic Algebras, 2005), on the blocks B(c, m-1) of the lower covers c of
-h, so no path word is ever listed.  Every entry point works on these blocks:
+h, so no path word is ever listed: a block's coordinates are indices, and
+the words they stand for are built on demand, for a printed witness.
+Every entry point works on these blocks:
 `graded_dims` sums their dimensions, left multiplication by generators is
 made of `HeadBlocks.prepend` maps at block offsets (the annihilator test and
 the differential of `word_complex`, whose cohomology decides Koszulity), and
@@ -25,6 +27,7 @@ a simplicial complex every interval below the maximum is Boolean.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .cw import ComplexError, RegularCWComplex
@@ -67,7 +70,9 @@ class HeadBlocks:
 
     B(h, m) is presented on the quotient coordinates of the blocks below it.
     Its ambient basis is the concatenation, over the lower covers c of h in
-    sorted order, of the bases of B(c, m-1), labelled (h,) + word.  Degree 2
+    sorted order, of the bases of B(c, m-1), the word of each with h
+    prepended.  The presentation keeps ambient indices only; `labels`
+    builds the words of a block's basis when a witness is printed.  Degree 2
     has one relation, the sum of all of them.  In degree m >= 3, every d two
     ranks below h and every basis vector q of B(d, m-2) give one relation:
     the sum, over the covers c between h and d, of q with c prepended.
@@ -87,6 +92,7 @@ class HeadBlocks:
         self.field = field
         self._blocks: dict[tuple[str, int], tuple[QuotientPresentation, dict[str, int]]] = {}
         self._prepends: dict[tuple[str, str, int], list[dict]] = {}
+        self._labels: dict[tuple[str, int], list[tuple[str, ...]]] = {}
 
     def block(self, h: str, m: int) -> tuple[QuotientPresentation, dict[str, int]]:
         """B(h, m) for 1 <= m <= rank(h), and the ambient offset of each B(c, m-1)."""
@@ -97,16 +103,15 @@ class HeadBlocks:
                 raise GraphError("the minimum carries no generator")
             if not 1 <= m <= g.rank(h):
                 raise GraphError(f"degree {m} outside 1..{g.rank(h)} for head {h!r}")
-            labels: list[tuple[str, ...]] = []
+            size = 1
             offsets: dict[str, int] = {}
             relations: list[dict] = []
-            if m == 1:
-                labels.append((h,))
-            else:
+            if m > 1:
                 covers = g.lower_covers(h)
+                size = 0
                 for c in covers:
-                    offsets[c] = len(labels)
-                    labels.extend((h,) + w for w in self.block(c, m - 1)[0].labels())
+                    offsets[c] = size
+                    size += self.block(c, m - 1)[0].dim
                 if m == 2:
                     relations.append({offsets[c]: one for c in covers})
                 else:
@@ -120,18 +125,36 @@ class HeadBlocks:
                                     rel[off + i] = v
                             relations.append(rel)
             # relation columns: projections and the field's one are canonical already
-            rmap = SparseExactMatrix._canonical(len(labels), relations, self.field)
-            self._blocks[key] = (quotient(labels, rmap, self.field), offsets)
+            rmap = SparseExactMatrix._canonical(size, relations, self.field)
+            self._blocks[key] = (quotient(range(size), rmap, self.field), offsets)
         return self._blocks[key]
+
+    def labels(self, h: str, m: int) -> list[tuple[str, ...]]:
+        """The path words of the basis of B(h, m): each free ambient index of
+        the block is (h,) + the word of its coordinate in its cover's block."""
+        key = (h, m)
+        if key not in self._labels:
+            pres, offsets = self.block(h, m)
+            if m == 1:
+                words = [(h,)]
+            else:
+                covers, starts = list(offsets), list(offsets.values())
+                words = []
+                for j in pres.labels():
+                    # the last cover starting at or before j; empty blocks share a start
+                    i = bisect_right(starts, j) - 1
+                    words.append((h,) + self.labels(covers[i], m - 1)[j - starts[i]])
+            self._labels[key] = words
+        return self._labels[key]
 
     def prepend(self, y: str, h: str, m: int) -> list[dict]:
         """Left multiplication by y, B(h, m) -> B(y, m+1), one column per basis vector."""
         key = (y, h, m)
         if key not in self._prepends:
             pres, offsets = self.block(y, m + 1)
-            off, one = offsets[h], self.field.one
+            off = offsets[h]
             self._prepends[key] = [
-                pres.project({off + q: one}) for q in range(self.block(h, m)[0].dim)
+                pres.project_unit(off + q) for q in range(self.block(h, m)[0].dim)
             ]
         return self._prepends[key]
 
@@ -201,23 +224,22 @@ def _left_multiplication(blocks: HeadBlocks, gens, m: int, src: tuple, dst: tupl
 # word complexes and the Koszulity decision
 
 
-def word_complex(blocks: HeadBlocks, heads: list) -> tuple[list[list], list[SparseExactMatrix]]:
+def word_complex(
+    blocks: HeadBlocks, heads: list
+) -> tuple[list[tuple[dict[str, int], int]], list[SparseExactMatrix]]:
     """The word complex whose space i is the sum of B(h, i+1) over heads[i].
 
     The heads of each space sit one rank above those of the space before, and
-    the differential prepends every head of the next space.  Returns the basis
-    labels of each space and the differentials between consecutive spaces.
+    the differential prepends every head of the next space.  Returns the
+    (block offsets, dimension) of each space and the differentials between
+    consecutive spaces.
     """
     comps = [block_component(blocks, i + 1, hs) for i, hs in enumerate(heads)]
-    labels = [
-        [w for h in offsets for w in blocks.block(h, i + 1)[0].labels()]
-        for i, (offsets, _) in enumerate(comps)
-    ]
     mats = [
         _left_multiplication(blocks, heads[i + 1], i + 1, comps[i], comps[i + 1])
         for i in range(len(comps) - 1)
     ]
-    return labels, mats
+    return comps, mats
 
 
 def boolean_lower_intervals(g: LayeredGraph) -> set[str]:
@@ -267,8 +289,8 @@ def _interval_failure(blocks: HeadBlocks, x: str) -> KoszulWitness | None:
     r = g.rank(x)
     dtop = r - 1
     for k in range(dtop + 1):
-        labels, mats = word_complex(blocks, [g.sphere(x, r - n - 1) for n in range(k, r)])
-        dims = [len(space) for space in labels]
+        spaces, mats = word_complex(blocks, [g.sphere(x, r - n - 1) for n in range(k, r)])
+        dims = [dim for _, dim in spaces]
         hs = cohomology_dims(dims, mats, field)
         if hs[0] != 1:
             raise AssertionError(
@@ -291,7 +313,9 @@ def _interval_failure(blocks: HeadBlocks, x: str) -> KoszulWitness | None:
                         f"internal error: {len(reps)} representatives below {x!r} "
                         f"(n={k + i}, k={k}) for a cohomology of dimension {hs[i]}"
                     )
-                cocycle = sorted((labels[i][q], c) for q, c in reps[0].items())
+                # the words of space i, built for the witness only
+                labels = [w for h in spaces[i][0] for w in blocks.labels(h, i + 1)]
+                cocycle = sorted((labels[q], c) for q, c in reps[0].items())
                 return KoszulWitness(x, k + i, k, cocycle)
     return None
 
@@ -353,8 +377,8 @@ def whole_graph_criterion(g: LayeredGraph, field, blocks: HeadBlocks | None = No
     if blocks is None:
         blocks = HeadBlocks(g, field)
     for k in range(top):
-        labels, mats = word_complex(blocks, [g.at_rank(n + 1) for n in range(k, top)])
-        if any(cohomology_dims([len(space) for space in labels], mats, field)[1:]):
+        spaces, mats = word_complex(blocks, [g.at_rank(n + 1) for n in range(k, top)])
+        if any(cohomology_dims([dim for _, dim in spaces], mats, field)[1:]):
             return False
     return True
 

@@ -450,7 +450,8 @@ class QuotientPresentation:
     column is a combination of nonpivot columns modulo the relations, so
     ring^ambient / relations is ring^(nonpivot columns) / core.  The free
     coordinates are the nonpivot columns no core row touches: `project`
-    reduces an ambient vector by the pivot rows and reads them, and `lift`
+    reduces an ambient vector by the pivot rows and reads them
+    (`project_unit` reads a unit vector's straight off its pivot row), and `lift`
     embeds them back as ambient unit vectors, so project(lift(j)) is the
     j-th unit vector.  Only `IntegralQuotient` presents a lattice, and it
     adds the coordinates of the core.  The relation map is not kept.
@@ -484,6 +485,18 @@ class QuotientPresentation:
     def project(self, vec: dict) -> dict:
         pos = self._free_pos
         return {pos[j]: v for j, v in _reduce(vec, self._tails, self._p).items()}
+
+    def project_unit(self, j: int) -> dict:
+        """project({j: one}), read off the pivot rows: a free column is its own
+        coordinate, a pivot column the negated tail of its reduced pivot row,
+        which over a field holds free columns only."""
+        pos, p = self._free_pos, self._p
+        tail = self._tails.get(j)
+        if tail is None:
+            return {pos[j]: self.ring.one}
+        if p:
+            return {pos[c]: -v % p for c, v in tail.items()}
+        return {pos[c]: -v for c, v in tail.items()}
 
     def lift(self, q: int) -> dict:
         return {self._free[q]: self.ring.one}
@@ -543,6 +556,10 @@ class IntegralQuotient(QuotientPresentation):
             else:
                 out[i] = v
         return out
+
+    def project_unit(self, j: int) -> dict:
+        # a core column has no free coordinate of its own
+        return self.project({j: self.ring.one})
 
     def lift(self, idx: int) -> dict:
         if idx < len(self._free):

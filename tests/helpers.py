@@ -658,6 +658,15 @@ def open_interval_connected(g: LayeredGraph, b: str, a: str) -> bool:
     return len(seen) == len(inside)
 
 
+def scan_to_dict(x: RegularCWComplex) -> dict:
+    """`RegularCWComplex.to_dict` by scanning every incidence for each cell."""
+    cells = []
+    for c in sorted(x.dims):
+        boundary = {l: x.incidence[(u, l)] for (u, l) in x.incidence if u == c}
+        cells.append({"id": c, "dim": x.dims[c], "boundary": {k: boundary[k] for k in sorted(boundary)}})
+    return {"name": x.name, "cells": cells}
+
+
 def reference_validation_report(x: RegularCWComplex) -> list[str]:
     """The report of `x.validate()`, built one check per pass and the diamond
     condition on the bar poset `x._face_poset_bar_unchecked()` through
@@ -1005,6 +1014,15 @@ def path_word_complex(g: LayeredGraph, k: int, field) -> WordComplex:
         )
         mats[n] = induced_map(f, blocks[n].presentation, blocks[n + 1].presentation)
     return WordComplex(g, k, field, blocks, mats)
+
+
+def word_complex_labels(blocks, spaces) -> list[list[tuple[str, ...]]]:
+    """The path words of every space of `dualalg.word_complex`, from the
+    (offsets, dim) of each space through `HeadBlocks.labels`."""
+    return [
+        [w for h in offsets for w in blocks.labels(h, i + 1)]
+        for i, (offsets, _) in enumerate(spaces)
+    ]
 
 
 def path_whole_graph_criterion(g: LayeredGraph, field) -> bool:

@@ -8,7 +8,9 @@ from cwkoszul import bigraded, linalg
 from cwkoszul.bigraded import (
     BigradedLayer,
     _column_entries,
+    _relative_dims,
     cellular_cohomology,
+    column_layers,
     cellular_complex,
     hx_table,
     koszul_obstructions,
@@ -482,3 +484,17 @@ def test_shared_columns_equal_reduced_layer(ring):
                 assert q.ambient_labels == ref.quotients[n].ambient_labels
                 assert q.labels() == ref.quotients[n].labels(), (name, layer.k, n)
             assert reduced_chain(layer) == reduced_chain(ref), (name, layer.k)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5)), ids=repr)
+def test_relative_dims_read_off_the_layers_equal_the_star_complex(field):
+    # every cell's relative groups, in every degree, from the pair layer of its column
+    for x in [catalog(name) for name in catalog_names()] + [grid_torus(4, 5)]:
+        got = {}
+        for layer, above in column_layers(x, field):
+            _column_entries(layer, above, field)
+            for alpha, n, h in _relative_dims(layer, field.p):
+                got[(alpha, n)] = h
+        for alpha in x.cells():
+            rel = [got.get((alpha, n), 0) for n in range(x.dim + 1)]
+            assert rel == relative_cohomology(x, alpha, field), (x.name, alpha)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from cwkoszul import bigraded
 from cwkoszul.catalog import catalog
 from cwkoszul.cli import main
 from cwkoszul.cw import complex_from_dict
@@ -191,6 +192,83 @@ def test_koszul_json_witness(capsys):
     assert w["vertex"] == "1bar" and (w["n"], w["k"]) == (2, 1)
     assert [2, 1, 1] in report["result"]["obstructions"]["bigraded"]
     assert ["C4", 2, 1] in report["result"]["obstructions"]["relative"]
+
+
+# the full witness and obstructions of `koszul --poset hat --json`, as the
+# reports printed them when every head-block word was listed up front
+PINNED_HAT_REPORTS = {
+    ("example_singular", "f2"): (
+        {"vertex": "1bar", "n": 2, "k": 1, "cocycle": [
+            {"word": "B5>C4", "coeff": "1"},
+            {"word": "B6>C6", "coeff": "1"},
+            {"word": "B7>C8", "coeff": "1"},
+        ]},
+        {"bigraded": [[2, 1, 1]], "cohomology": [], "relative": [["C4", 2, 1], ["D3", 2, 1]]},
+    ),
+    ("example_singular", "q"): (
+        {"vertex": "1bar", "n": 2, "k": 1, "cocycle": [
+            {"word": "B5>C4", "coeff": "1"},
+            {"word": "B6>C6", "coeff": "-1"},
+            {"word": "B7>C8", "coeff": "1"},
+        ]},
+        {"bigraded": [[2, 1, 1]], "cohomology": [], "relative": [["C4", 2, 1], ["D3", 2, 1]]},
+    ),
+    ("rp2_six", "f2"): (
+        {"vertex": "1bar", "n": 1, "k": 0, "cocycle": [
+            {"word": "23>3", "coeff": "1"},
+            {"word": "25>5", "coeff": "1"},
+            {"word": "36>6", "coeff": "1"},
+            {"word": "45>5", "coeff": "1"},
+            {"word": "46>6", "coeff": "1"},
+        ]},
+        {"bigraded": [[1, 0, 1]], "cohomology": [[1, 1]], "relative": []},
+    ),
+}
+
+
+@pytest.mark.parametrize("name, field", sorted(PINNED_HAT_REPORTS))
+def test_koszul_hat_json_witness_is_pinned(capsys, name, field):
+    code, out, _ = run(capsys, "--json", "koszul", f"catalog:{name}",
+                       "--poset", "hat", "--field", field)
+    result = json.loads(out)["result"]
+    witness, obstructions = PINNED_HAT_REPORTS[(name, field)]
+    assert code == 0 and result["koszul"] is False
+    assert result["witness"] == witness
+    assert result["obstructions"] == obstructions
+
+
+def test_koszul_decision_builds_no_word_labels(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a KOSZUL decision built word labels")
+
+    monkeypatch.setattr("cwkoszul.dualalg.HeadBlocks.labels", refuse)
+    code, out, _ = run(capsys, "koszul", "catalog:sphere3", "--poset", "hat",
+                       "--field", "q", "--check-remark39")
+    assert code == 0 and "verdict: KOSZUL over Q" in out
+
+
+def test_koszul_hat_makes_no_relative_cohomology_call(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("cwkoszul.bigraded.relative_cohomology", lambda *a: calls.append(a))
+    monkeypatch.setattr("cwkoszul.cli.relative_cohomology", lambda *a: calls.append(a))
+    for name in ("example_singular", "sphere2", "rp2_six"):
+        code, _, _ = run(capsys, "koszul", f"catalog:{name}", "--poset", "hat", "--field", "f3")
+        assert code == 0, name
+    assert calls == []
+
+
+def test_koszul_hat_square_check_exits_four_before_relative_counts(monkeypatch, capsys):
+    # the relative groups are read off a layer only after its checks passed
+    read = []
+    relative_dims = bigraded._relative_dims
+    monkeypatch.setattr("cwkoszul.bigraded.build_layer", tampered_build_layer(0, flip_d_up_sign))
+    monkeypatch.setattr("cwkoszul.bigraded._relative_dims",
+                        lambda layer, p: read.append(layer.k) or relative_dims(layer, p))
+    code, out, err = run(capsys, "koszul", "catalog:sphere2", "--poset", "hat", "--field", "q")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "does not commute" in err
+    assert read == []
 
 
 def test_koszul_text_names_the_classical_reason(capsys):

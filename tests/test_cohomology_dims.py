@@ -124,8 +124,8 @@ def _catalog_complexes(x, ring):
         for v in hat.vertex_ids():
             r = hat.rank(v)
             for k in range(r):
-                labels, mats = word_complex(blocks, [hat.sphere(v, r - n - 1) for n in range(k, r)])
-                yield f"interval below {v}, tail {k}", ([len(s) for s in labels], mats)
+                spaces, mats = word_complex(blocks, [hat.sphere(v, r - n - 1) for n in range(k, r)])
+                yield f"interval below {v}, tail {k}", ([dim for _, dim in spaces], mats)
 
 
 @pytest.mark.parametrize("ring", FIELDS, ids=repr)

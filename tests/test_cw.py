@@ -23,6 +23,7 @@ from helpers import (
     is_thin,
     random_uniform_graphs,
     reference_validation_report,
+    scan_to_dict,
     segment_plus_point,
     two_disjoint_triangles,
 )
@@ -200,6 +201,17 @@ def test_serialization_round_trip():
     for name in ("point", "sphere2", "example_singular"):
         x = catalog(name)
         assert complex_from_dict(x.to_dict()) == x
+
+
+def test_to_dict_equals_the_incidence_scan():
+    for name in catalog_names():
+        x = catalog(name)
+        got = x.to_dict()
+        assert got == scan_to_dict(x), name
+        # the key order of every boundary is part of the emitted JSON
+        assert [list(c["boundary"]) for c in got["cells"]] == [
+            list(c["boundary"]) for c in scan_to_dict(x)["cells"]
+        ], name
 
 
 def test_complex_from_dict_schema_errors():

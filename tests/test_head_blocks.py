@@ -28,6 +28,7 @@ from helpers import (
     path_word_complex,
     random_uniform_graphs,
     reference_koszul_decide,
+    word_complex_labels,
 )
 
 FIELDS = (QQ, GF(2), GF(3))
@@ -84,10 +85,11 @@ def test_assembled_complex_equals_interval_word_complex(field):
             sub = below(g, x)
             r = g.rank(x)
             for k in range(r):
-                labels, mats = word_complex(blocks, [g.sphere(x, r - n - 1) for n in range(k, r)])
+                spaces, mats = word_complex(blocks, [g.sphere(x, r - n - 1) for n in range(k, r)])
                 wc = path_word_complex(sub, k, field)
                 ns = sorted(wc.blocks)
-                assert [len(space) for space in labels] == [wc.blocks[n].dim for n in ns]
+                assert [dim for _, dim in spaces] == [wc.blocks[n].dim for n in ns]
+                labels = word_complex_labels(blocks, spaces)
                 assert labels == [wc.blocks[n].labels() for n in ns], (g.name, x, k)
                 assert mats == [wc.mats[n] for n in ns[:-1]], (g.name, x, k)
 
@@ -207,7 +209,7 @@ def test_block_guard():
             blocks.block(vertex, m)
     with pytest.raises(GraphError, match="unknown"):
         blocks.block("zz", 1)
-    assert blocks.block(vertex, 1)[0].labels() == [(vertex,)]
+    assert blocks.labels(vertex, 1) == [(vertex,)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.key)
@@ -233,10 +235,11 @@ def test_whole_graph_complex_and_criterion_equal_reference(field):
         blocks = HeadBlocks(g, field)
         top = g.max_rank
         for k in range(top):
-            labels, mats = word_complex(blocks, [g.at_rank(n + 1) for n in range(k, top)])
+            spaces, mats = word_complex(blocks, [g.at_rank(n + 1) for n in range(k, top)])
             wc = path_word_complex(g, k, field)
             ns = sorted(wc.blocks)
-            assert labels == [wc.blocks[n].labels() for n in ns], (g.name, k)
+            assert [dim for _, dim in spaces] == [wc.blocks[n].dim for n in ns], (g.name, k)
+            assert word_complex_labels(blocks, spaces) == [wc.blocks[n].labels() for n in ns], (g.name, k)
             assert mats == [wc.mats[n] for n in ns[:-1]], (g.name, k)
         assert whole_graph_criterion(g, field) == path_whole_graph_criterion(g, field), g.name
 
