@@ -103,12 +103,13 @@ class HeadBlocks:
                 raise GraphError("the minimum carries no generator")
             if not 1 <= m <= g.rank(h):
                 raise GraphError(f"degree {m} outside 1..{g.rank(h)} for head {h!r}")
-            size = 1
+            size = 0
             offsets: dict[str, int] = {}
             relations: list[dict] = []
-            if m > 1:
+            if m == 1:
+                size = 1
+            else:
                 covers = g.lower_covers(h)
-                size = 0
                 for c in covers:
                     offsets[c] = size
                     size += self.block(c, m - 1)[0].dim
