@@ -10,15 +10,17 @@ the top dimension is exactly what the Koszulity decision needs.
 
 A field and Z take one path.  The pair layer of each column is built once,
 over the ring of the call, and lends its bases to the next column as the
-targets of the vertical differential.  `hx_table` reads every entry from
-ranks of echelon forms on the pair layers, with no quotient coordinates:
-the echelon form of the vertical image in degree n + 1, continued with the
-horizontal images of the pair basis vectors that are not its pivots in
-degree n, gives the rank of the induced map; over Z the Smith factors of
-the same forms give the torsion.  `reduced_layers` presents each pair space
-as the cokernel of the vertical differential by `linalg.quotient`, for a
-caller that reads quotient coordinates (the comparison with the word
-complexes).  Pair bases are read off the closure of each upper cell.
+targets of the vertical differential.  `reduced_layer` is the one place
+that divides a column by the vertical image: it keeps the echelon form of
+the image's generators in each degree, refusing torsion over Z, and every
+reader of a column works on that form, with no quotient coordinates.
+`hx_table` reads every entry from ranks: the echelon form of the vertical
+image in degree n + 1, continued with the horizontal images of the pair
+basis vectors that are not its pivots in degree n, gives the rank of the
+induced map; over Z the Smith factors of the same forms give the torsion.
+Over a field the nonpivot pairs of each form label a basis of the reduced
+pair space, which is what the comparison with the word complexes reads.
+Pair bases are read off the closure of each upper cell.
 Relative cohomology lives on the star of a cell.  On the pair layer of
 column k the pairs (beta, alpha) of one k-cell alpha and `d_up` are the
 relative cochain complex of alpha's star, so the obstruction report reads
@@ -41,7 +43,6 @@ from .linalg import (
     _field_char,
     cohomology_dims,
     echelon_factors,
-    quotient,
     require_free,
 )
 
@@ -117,55 +118,57 @@ def build_layer(
 
 @dataclass
 class ReducedLayer:
-    """Column k after dividing out the vertical image, with its horizontal differential."""
+    """Column k with the echelon forms of the vertical image of column k+1.
 
-    k: int
-    ring: object
-    quotients: dict[int, object]
-    d_up: dict[int, SparseExactMatrix]
+    `echelons[n]` is E_n = (pivot rows, core) of the generators of V_n, the
+    image of `above.d_down[n]` in the pair space P_n (empty for n = k and
+    for the top column), and `ranks[n]` is rank V_n.
+    """
+
+    layer: BigradedLayer
+    above: BigradedLayer | None
+    echelons: dict[int, tuple[dict[int, dict], list[dict]]]
+    ranks: dict[int, int]
+
+    @property
+    def k(self) -> int:
+        return self.layer.k
+
+    def labels(self, n: int) -> list[tuple[str, str]]:
+        """Over a field, the pairs at the nonpivot columns of E_n: their
+        classes are a basis of P_n / V_n."""
+        pivots = self.echelons[n][0]
+        return [pair for j, pair in enumerate(self.layer.bases[n]) if j not in pivots]
 
 
-def reduced_layer(
-    x: RegularCWComplex,
-    k: int,
-    ring,
-    layer: BigradedLayer,
-    above: BigradedLayer | None,
-) -> ReducedLayer:
-    """Quotient of column k by the vertical image of column k+1.
+def reduced_layer(layer: BigradedLayer, above: BigradedLayer | None, ring) -> ReducedLayer:
+    """Column k = layer.k divided by the vertical image of column k+1.
 
     `layer` and `above` are the pair layers of columns k and k+1 over
-    `ring`; `above` is None past the top.
+    `ring`; `above` is None past the top.  Over Z a quotient P_n / V_n
+    with torsion is refused (`TorsionError`).
     """
-    d = x.dim
-    quotients: dict[int, object] = {}
-    for n in range(k, d + 1):
-        labels = layer.bases[n]
+    p, k = ring.p, layer.k
+    echelons, ranks = {}, {}
+    for n in sorted(layer.bases):
+        tails, core = {}, []
         if above is not None and n > k:
-            # the cokernel of the vertical differential
-            rel = above.d_down[n]
-        else:
-            rel = SparseExactMatrix.zero(len(labels), 0, ring)
-        quotients[n] = quotient(labels, rel, ring)
-    return ReducedLayer(k, ring, quotients, layer.d_up)
-
-
-def column_layers(
-    x: RegularCWComplex, ring
-) -> Iterator[tuple[BigradedLayer, BigradedLayer | None]]:
-    """(layer of column k, layer of column k+1 or None past the top) for
-    k = 0..dim in turn, each pair layer built once."""
-    layer = build_layer(x, 0, ring, None)
-    for k in range(x.dim + 1):
-        above = build_layer(x, k + 1, ring, layer) if k < x.dim else None
-        yield layer, above
-        layer = above
+            tails, core = _echelon(above.d_down[n].columns, p)
+        factors = echelon_factors(tails, core)
+        require_free(factors)
+        ranks[n] = len(factors)
+        echelons[n] = tails, core
+    return ReducedLayer(layer, above, echelons, ranks)
 
 
 def reduced_layers(x: RegularCWComplex, ring) -> Iterator[ReducedLayer]:
-    """The reduced columns k = 0..dim in turn, each pair layer built once."""
-    for layer, above in column_layers(x, ring):
-        yield reduced_layer(x, layer.k, ring, layer, above)
+    """The reduced columns k = 0..dim in turn, each pair layer built once
+    and lent to the next column as the targets of its vertical differential."""
+    layer = build_layer(x, 0, ring, None)
+    for k in range(x.dim + 1):
+        above = build_layer(x, k + 1, ring, layer) if k < x.dim else None
+        yield reduced_layer(layer, above, ring)
+        layer = above
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +234,15 @@ class PairCohomologyTable:
         return self.entries[(n, k)]
 
 
-def _column_entries(layer: BigradedLayer, above: BigradedLayer | None, ring) -> list:
-    """H_X(n, k) for n = k..dim, k = layer.k, from echelon ranks on the pair layers.
+def _column_entries(red: ReducedLayer, ring) -> list:
+    """H_X(n, k) for n = k..dim, k = red.k, from echelon ranks on the pair layers.
 
-    P_n is the pair space of bidegree (n, k), V_n the image of
-    `above.d_down[n]` in it for n > k (V_k = 0), and d = `layer.d_up`.  The
-    entry is the cohomology of the complex P_n / V_n:
+    P_n is the pair space of bidegree (n, k), V_n the vertical image in it,
+    E_n its echelon form from `reduced_layer`, and d = `red.layer.d_up`.
+    The entry is the cohomology of the complex P_n / V_n:
 
-    - E_n, the echelon form of the generators of V_n, gives rank V_n: its
-      pivots, plus over Z the nonzero Smith factors of its core.  Over Z a
-      factor other than 1 means P_n / V_n has torsion: `TorsionError`.
+    - E_n gives rank V_n: its pivots, plus over Z the nonzero Smith factors
+      of its core; `reduced_layer` has refused torsion in P_n / V_n.
     - The pivot rows of E_n are unitriangular on its pivot columns; with
       the unit vectors at its other columns they form a unimodular basis of
       P_n.  The pivot rows lie in V_n and d maps V_n into V_{n+1}, so
@@ -251,22 +253,13 @@ def _column_entries(layer: BigradedLayer, above: BigradedLayer | None, ring) -> 
       is free, so the Smith factors other than 1 of the continued form are
       the torsion of H(n+1, k).
 
-    Over a field the core is empty and every factor is 1.  Every E_n is
-    found, and torsion refused, before the checks: d commutes with the
-    vertical differential on every generator of V_n (so d maps V_n into
-    V_{n+1}), and d o d = 0.
+    Over a field the core is empty and every factor is 1.  The checks run
+    before any rank is read: d commutes with the vertical differential on
+    every generator of V_n (so d maps V_n into V_{n+1}), and d o d = 0.
     """
-    p, k = ring.p, layer.k
+    p, k, layer, above = ring.p, red.k, red.layer, red.above
+    echelons, ranks = red.echelons, red.ranks
     ns = sorted(layer.bases)
-    echelons, ranks = {}, {}
-    for n in ns:
-        tails, core = {}, []
-        if above is not None and n > k:
-            tails, core = _echelon(above.d_down[n].columns, p)
-        factors = echelon_factors(tails, core)
-        require_free(factors)
-        ranks[n] = len(factors)
-        echelons[n] = tails, core
     if above is not None:
         for n in ns[1:-1]:
             f, up, down = layer.d_up[n], above.d_up[n].columns, above.d_down[n + 1]
@@ -305,15 +298,15 @@ def hx_table(x: RegularCWComplex, ring) -> PairCohomologyTable:
     """
     x.ensure_valid()
     entries: dict[tuple[int, int], object] = {}
-    for layer, above in column_layers(x, ring):
-        _add_column(entries, layer, above, ring)
+    for red in reduced_layers(x, ring):
+        _add_column(entries, red, ring)
     return PairCohomologyTable(ring.key, x.dim, entries)
 
 
-def _add_column(entries: dict, layer: BigradedLayer, above: BigradedLayer | None, ring) -> None:
-    """Store the entries H_X(n, k) of column k = layer.k under (n, k)."""
-    k = layer.k
-    for i, val in enumerate(_column_entries(layer, above, ring)):
+def _add_column(entries: dict, red: ReducedLayer, ring) -> None:
+    """Store the entries H_X(n, k) of column k = red.k under (n, k)."""
+    k = red.k
+    for i, val in enumerate(_column_entries(red, ring)):
         entries[(k + i, k)] = val
 
 
@@ -386,9 +379,9 @@ def koszul_obstructions(x: RegularCWComplex, field) -> ObstructionReport:
     d, p = x.dim, _field_char(field)
     entries: dict[tuple[int, int], object] = {}
     relative = []
-    for layer, above in column_layers(x, field):
-        _add_column(entries, layer, above, field)
-        relative += [t for t in _relative_dims(layer, p) if t[1] < d]
+    for red in reduced_layers(x, field):
+        _add_column(entries, red, field)
+        relative += [t for t in _relative_dims(red.layer, p) if t[1] < d]
     bigraded = [
         (n, k, entries[(n, k)])
         for k in range(d)

@@ -30,6 +30,8 @@ def _connected(inside, faces) -> bool:
 
     Every such cover is (u, l) with l in faces[u], so a union-find over the
     faces of the cells inside sees each one once; no coface is scanned.
+    Each find halves its path (every visited cell is pointed at its
+    grandparent), so the trees stay shallow when cells have many faces.
     """
     parent: dict[str, str] = {}  # a cell's parent in its tree; roots have none
     parts = len(inside)
@@ -38,9 +40,11 @@ def _connected(inside, faces) -> bool:
             if l in inside:
                 u = cell
                 while u in parent:
-                    u = parent[u]
+                    up = parent[u]
+                    parent[u] = u = parent.get(up, up)
                 while l in parent:
-                    l = parent[l]
+                    up = parent[l]
+                    parent[l] = l = parent.get(up, up)
                 if u != l:
                     parent[u] = l
                     parts -= 1

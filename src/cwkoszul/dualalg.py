@@ -473,16 +473,17 @@ def comparison_map(
     """The signed path map from the reduced pair space (n, k) to the word space.
 
     The word space is the sum of B(beta, n-k+1) over the n-cells beta, the
-    vertices of rank n+1 of the bar poset.  Each pair (upper, lower) goes to
-    the class of its lexicographically smallest connecting chain, weighted by
-    that chain's sign; the choice of chain does not matter in the quotient.
-    `layer` is the reduced column k, and `blocks` the head-block store of
-    the bar poset of x over the field of `layer`; the poset is read from it.
+    vertices of rank n+1 of the bar poset.  Each pair (upper, lower) of
+    `layer.labels(n)`, a basis of the reduced pair space, goes to the class
+    of its lexicographically smallest connecting chain, weighted by that
+    chain's sign; the choice of chain does not matter in the quotient.
+    `layer` is the reduced column k over the field of `blocks`, the
+    head-block store of the bar poset of x; the poset is read from it.
     """
     g, field = blocks.graph, blocks.field
     offsets, dim = block_component(blocks, n - layer.k + 1, g.at_rank(n + 1))
     cols = []
-    for beta, alpha in layer.quotients[n].labels():
+    for beta, alpha in layer.labels(n):
         chain = g.first_maximal_chain(beta, alpha)
         sgn = field.of(sign_of_path(x, chain))
         off = offsets[beta]
@@ -493,7 +494,8 @@ def comparison_map(
 def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]:
     """Check bijectivity of the signed path map in every bidegree.
 
-    Returns (all bijective, rows of (n, k, pair dim, word dim, bijective)).
+    Returns (all bijective, rows of (n, k, pair dim, word dim, bijective)),
+    the pair dim being the number of labels: the columns of the map.
     """
     x.ensure_valid()
     blocks = HeadBlocks(x.face_poset_bar(), field)
@@ -504,7 +506,7 @@ def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]
         k = layer.k
         for n in range(k, d + 1):
             phi = comparison_map(x, n, layer, blocks)
-            ldim, rdim = layer.quotients[n].dim, phi.rows
+            ldim, rdim = phi.cols, phi.rows
             ok = ldim == rdim and mat_rank(phi) == ldim
             details.append((n, k, ldim, rdim, ok))
             all_ok = all_ok and ok

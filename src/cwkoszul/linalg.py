@@ -36,8 +36,12 @@ Q, F_p and Z alike; it keeps the reduced pivot rows, not the map.  Over Z
 rows with no unit entry may be left in a core, and only the subclass
 `IntegralQuotient` adds what it needs: a dense Smith normal form of the
 core, refusing a quotient with torsion (`require_free`).  `induced_map`
-carries a map to quotient coordinates over either kind; no cohomology
-table needs it, since ranks of stacked echelon forms give the same numbers.
+carries a map to quotient coordinates over either kind.  On request paths
+the only presented quotients are the head blocks of the word algebra, over
+a field: the pair spaces of the bigraded side are divided by their vertical
+images through echelon forms (`bigraded.reduced_layer`), and no cohomology
+table needs `induced_map`, since ranks of stacked echelon forms give the
+same numbers.
 
 Cohomology is read from ranks: `cohomology_dims` checks the shapes and
 d o d = 0 and takes one rank per differential.  Cocycles are built only
@@ -250,10 +254,6 @@ class SparseExactMatrix:
         m = cls.__new__(cls)
         m.rows, m.cols, m.columns, m.ring = rows, len(columns), columns, ring
         return m
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, ring) -> "SparseExactMatrix":
-        return cls(rows, cols, {}, ring)
 
     @classmethod
     def from_columns(cls, cols: list[dict], nrows: int, ring) -> "SparseExactMatrix":

@@ -420,9 +420,27 @@ def pair_dims(layer) -> dict[int, int]:
     return {n: len(b) for n, b in layer.bases.items()}
 
 
-def reduced_dims(layer) -> dict[int, int]:
+def reduced_quotients(red) -> dict:
+    """The pair spaces of a `ReducedLayer` presented by `linalg.quotient` as
+    cokernels of the vertical differential (of the empty map for n = k and
+    past the top), by n: the reference for the echelon forms it holds."""
+    from cwkoszul.linalg import SparseExactMatrix, quotient
+
+    layer, above, k = red.layer, red.above, red.k
+    ring = layer.d_up[k].ring
+    out = {}
+    for n, labels in sorted(layer.bases.items()):
+        if above is not None and n > k:
+            rel = above.d_down[n]
+        else:
+            rel = SparseExactMatrix(len(labels), 0, {}, ring)
+        out[n] = quotient(labels, rel, ring)
+    return out
+
+
+def reduced_dims(red) -> dict[int, int]:
     """Dimensions of the quotients of a `ReducedLayer`, by n."""
-    return {n: q.dim for n, q in layer.quotients.items()}
+    return {n: q.dim for n, q in reduced_quotients(red).items()}
 
 
 def pair_layers(x: RegularCWComplex, ring) -> dict:
@@ -471,17 +489,18 @@ def reference_reduced_layer(x: RegularCWComplex, k: int, ring):
     from cwkoszul.bigraded import reduced_layer
 
     above = reference_layer(x, k + 1, ring) if k < x.dim else None
-    return reduced_layer(x, k, ring, reference_layer(x, k, ring), above)
+    return reduced_layer(reference_layer(x, k, ring), above, ring)
 
 
-def reduced_chain(layer) -> tuple[list[int], list]:
-    """Dimensions of the quotients of a `ReducedLayer` and the maps its
-    `d_up` induces between them by `induced_map`, which checks that
-    relations go to relations."""
+def reduced_chain(red) -> tuple[list[int], list]:
+    """Dimensions of the quotients of a `ReducedLayer` (`reduced_quotients`)
+    and the maps its `d_up` induces between them by `induced_map`, which
+    checks that relations go to relations."""
     from cwkoszul.linalg import induced_map
 
-    ns, q = sorted(layer.quotients), layer.quotients
-    return [q[n].dim for n in ns], [induced_map(layer.d_up[n], q[n], q[n + 1]) for n in ns[:-1]]
+    q, d_up = reduced_quotients(red), red.layer.d_up
+    ns = sorted(q)
+    return [q[n].dim for n in ns], [induced_map(d_up[n], q[n], q[n + 1]) for n in ns[:-1]]
 
 
 def reference_hx_table(x: RegularCWComplex, ring):
@@ -1092,15 +1111,16 @@ def path_annihilator_check(g: LayeredGraph, field, x: str, n: int, memo: dict | 
     return True
 
 
-def path_comparison_map(x: RegularCWComplex, n: int, layer, block):
-    """`comparison_map` into the path-word block of head rank n+1."""
+def path_comparison_map(x: RegularCWComplex, pairs, block):
+    """`comparison_map` from the pair-space quotient `pairs` (one of
+    `reduced_quotients`) into the path-word block of head rank n+1."""
     from cwkoszul.dualalg import sign_of_path
     from cwkoszul.linalg import SparseExactMatrix
 
-    g, field = block.graph, layer.ring
+    g, field = block.graph, pairs.ring
     word_index = {w: i for i, w in enumerate(block.presentation.ambient_labels)}
     cols = []
-    for beta, alpha in layer.quotients[n].labels():
+    for beta, alpha in pairs.labels():
         chain = g.first_maximal_chain(beta, alpha)
         sgn = field.of(sign_of_path(x, chain))
         cols.append(block.presentation.project({word_index[chain]: sgn}))
@@ -1118,11 +1138,11 @@ def path_comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tu
     all_ok = True
     memo: dict = {}
     for layer in reduced_layers(x, field):
-        k = layer.k
+        k, quotients = layer.k, reduced_quotients(layer)
         for n in range(k, x.dim + 1):
             block = path_block_component(g, n - k + 1, n + 1, field, memo)
-            phi = path_comparison_map(x, n, layer, block)
-            ldim, rdim = layer.quotients[n].dim, block.dim
+            phi = path_comparison_map(x, quotients[n], block)
+            ldim, rdim = quotients[n].dim, block.dim
             ok = ldim == rdim and rank(phi) == ldim
             details.append((n, k, ldim, rdim, ok))
             all_ok = all_ok and ok

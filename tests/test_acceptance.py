@@ -31,6 +31,7 @@ from helpers import (
     path_word_complex,
     random_uniform_graphs,
     reduced_chain,
+    reduced_dims,
     word_cohomology,
 )
 
@@ -192,10 +193,11 @@ def test_criterion_9_property_suite():
                 ok = ok and left == right
         for field in (QQ, GF(2)):
             reduced = list(reduced_layers(x, field))
+            rdims = [reduced_dims(layer) for layer in reduced]
             for k in range(1, x.dim + 1):
                 for n in range(k, x.dim + 1):
-                    lhs = reduced[k].quotients[n].dim
-                    rhs = len(pair_basis(x, n, k - 1)) - reduced[k - 1].quotients[n].dim
+                    lhs = rdims[k][n]
+                    rhs = len(pair_basis(x, n, k - 1)) - rdims[k - 1][n]
                     ok = ok and lhs == rhs
             for k in range(x.dim + 1):
                 dims, mats = reduced_chain(reduced[k])

@@ -10,16 +10,17 @@ from cwkoszul.bigraded import (
     _column_entries,
     _relative_dims,
     cellular_cohomology,
-    column_layers,
     cellular_complex,
     hx_table,
     koszul_obstructions,
     pair_basis,
+    reduced_layer,
     reduced_layers,
     relative_cohomology,
 )
 from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.cw import ComplexError
+from cwkoszul.dualalg import comparison_iso_check
 from cwkoszul.linalg import (
     GF,
     QQ,
@@ -41,6 +42,7 @@ from helpers import (
     pair_layers,
     reduced_chain,
     reduced_dims,
+    reduced_quotients,
     reference_hx_table,
     reference_layer,
     reference_reduced_layer,
@@ -116,12 +118,12 @@ def test_reduced_layer_dims():
         x = catalog(name)
         d = x.dim
         layers = list(reduced_layers(x, QQ))
-        top = layers[d]
+        top = reduced_dims(layers[d])
         for n in range(d, d + 1):
-            assert top.quotients[n].dim == len(pair_basis(x, n, d))
-        zero = layers[0]
+            assert top[n] == len(pair_basis(x, n, d))
+        zero = reduced_dims(layers[0])
         for n in range(d + 1):
-            assert zero.quotients[n].dim == len(x.cells(n))
+            assert zero[n] == len(x.cells(n))
 
 
 def test_reduced_layer_dimension_recursion():
@@ -129,11 +131,11 @@ def test_reduced_layer_dimension_recursion():
     for name in ("sphere2", "simplex3", "example_singular"):
         x = catalog(name)
         for field in (QQ, GF(2)):
-            layers = list(reduced_layers(x, field))
+            dims = [reduced_dims(layer) for layer in reduced_layers(x, field)]
             for k in range(1, x.dim + 1):
                 for n in range(k, x.dim + 1):
-                    lhs = layers[k].quotients[n].dim
-                    rhs = len(pair_basis(x, n, k - 1)) - layers[k - 1].quotients[n].dim
+                    lhs = dims[k][n]
+                    rhs = len(pair_basis(x, n, k - 1)) - dims[k - 1][n]
                     assert lhs == rhs, (name, n, k)
 
 
@@ -154,7 +156,7 @@ def test_reduced_k0_equals_cellular_matrices():
         layer = next(reduced_layers(x, QQ))
         _, lmats = reduced_chain(layer)
         cdims, cmats = cellular_complex(x, QQ)
-        assert [q.dim for q in layer.quotients.values()] == cdims
+        assert list(reduced_dims(layer).values()) == cdims
         assert lmats == cmats, name
 
 
@@ -422,7 +424,7 @@ def test_column_entries_match_the_quotient_complex(ring, data):
         dst = linalg.quotient(layer.bases[1], above.d_down[1], ring)
     except linalg.TorsionError as exc:
         with pytest.raises(linalg.TorsionError) as ours:
-            _column_entries(layer, above, ring)
+            _column_entries(reduced_layer(layer, above, ring), ring)
         assert str(ours.value) == str(exc)
         return
     dims, mats = [src.dim, dst.dim], [linalg.induced_map(layer.d_up[0], src, dst)]
@@ -430,7 +432,7 @@ def test_column_entries_match_the_quotient_complex(ring, data):
         expected = linalg.integral_cochain_cohomology(dims, mats)
     else:
         expected = linalg.cohomology_dims(dims, mats, ring)
-    assert _column_entries(layer, above, ring) == expected
+    assert _column_entries(reduced_layer(layer, above, ring), ring) == expected
 
 
 def test_obstructions_require_hypotheses():
@@ -479,11 +481,40 @@ def test_shared_columns_equal_reduced_layer(ring):
         assert [layer.k for layer in layers] == list(range(x.dim + 1))
         for layer in layers:
             ref = reference_reduced_layer(x, layer.k, ring)
+            assert layer.echelons == ref.echelons, (name, layer.k)
             assert reduced_dims(layer) == reduced_dims(ref), (name, layer.k)
-            for n, q in layer.quotients.items():
-                assert q.ambient_labels == ref.quotients[n].ambient_labels
-                assert q.labels() == ref.quotients[n].labels(), (name, layer.k, n)
+            ref_quotients = reduced_quotients(ref)
+            for n, q in reduced_quotients(layer).items():
+                assert q.ambient_labels == ref_quotients[n].ambient_labels
+                assert q.labels() == ref_quotients[n].labels(), (name, layer.k, n)
             assert reduced_chain(layer) == reduced_chain(ref), (name, layer.k)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_labels_equal_the_quotient_labels(field):
+    # the nonpivot pairs of each E_n are the free labels that the quotient
+    # presentation of P_n / V_n picks
+    for x in [catalog(name) for name in catalog_names()] + [grid_torus(4, 5)]:
+        for red in reduced_layers(x, field):
+            for n, q in reduced_quotients(red).items():
+                assert red.labels(n) == q.labels(), (x.name, n, red.k)
+
+
+def test_every_column_reader_reduces_each_column_once(monkeypatch):
+    calls = []
+    reduce = bigraded.reduced_layer
+
+    def counted(layer, above, ring):
+        calls.append(layer.k)
+        return reduce(layer, above, ring)
+
+    monkeypatch.setattr(bigraded, "reduced_layer", counted)
+    for run in (lambda x: hx_table(x, ZZ), lambda x: hx_table(x, GF(3)),
+                lambda x: koszul_obstructions(x, QQ), lambda x: comparison_iso_check(x, GF(2))):
+        for name in ("sphere2", "example_singular"):
+            calls.clear()
+            run(catalog(name))
+            assert calls == list(range(catalog(name).dim + 1)), name
 
 
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(5)), ids=repr)
@@ -491,9 +522,9 @@ def test_relative_dims_read_off_the_layers_equal_the_star_complex(field):
     # every cell's relative groups, in every degree, from the pair layer of its column
     for x in [catalog(name) for name in catalog_names()] + [grid_torus(4, 5)]:
         got = {}
-        for layer, above in column_layers(x, field):
-            _column_entries(layer, above, field)
-            for alpha, n, h in _relative_dims(layer, field.p):
+        for red in reduced_layers(x, field):
+            _column_entries(red, field)
+            for alpha, n, h in _relative_dims(red.layer, field.p):
                 got[(alpha, n)] = h
         for alpha in x.cells():
             rel = [got.get((alpha, n), 0) for n in range(x.dim + 1)]

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, JSON reports, round trips, errors."""
 
 import json
+import sys
 import time
 
 import pytest
 
-from cwkoszul import bigraded
+from cwkoszul import bigraded, linalg
 from cwkoszul.catalog import catalog
 from cwkoszul.cli import main
 from cwkoszul.cw import complex_from_dict
@@ -394,6 +395,29 @@ def test_phi_check_command(capsys):
     code, out, _ = run(capsys, "phi-check", "catalog:sphere2", "--field", "f2", "--json")
     report = json.loads(out)
     assert report["result"]["bijective"] is True
+
+
+def test_column_requests_present_no_pair_space_quotient(monkeypatch, capsys):
+    # pair spaces are divided by their vertical images only through echelon
+    # forms; the only presented quotients left are head blocks, on a range
+    labels = []
+    quotient = linalg.quotient
+
+    def spy(ambient_labels, relations, ring):
+        labels.append(ambient_labels)
+        return quotient(ambient_labels, relations, ring)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cwkoszul.") and getattr(mod, "quotient", None) is quotient:
+            monkeypatch.setattr(mod, "quotient", spy)
+    for argv in (("hx", "--field", "f2"), ("hx", "--integral"),
+                 ("koszul", "--poset", "hat", "--field", "q"), ("phi-check", "--field", "f3")):
+        for name in ("sphere2", "example_singular"):
+            labels.clear()
+            code, _, _ = run(capsys, argv[0], f"catalog:{name}", *argv[1:])
+            assert code == 0, (argv, name)
+            assert all(isinstance(ls, range) for ls in labels), (argv, name)
+            assert bool(labels) == (argv[0] != "hx"), (argv, name)
 
 
 def test_field_parse_error(capsys):

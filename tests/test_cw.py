@@ -6,7 +6,7 @@ import pytest
 
 from cwkoszul.bigraded import cellular_cohomology
 from cwkoszul.catalog import _simplicial, catalog, catalog_names
-from cwkoszul.cw import ComplexError, RegularCWComplex, complex_from_dict
+from cwkoszul.cw import ComplexError, RegularCWComplex, _connected, complex_from_dict
 from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph
 from cwkoszul.linalg import QQ
 
@@ -407,6 +407,42 @@ def test_validate_matches_the_bar_poset_reference():
         assert fresh.validate() == reference_validation_report(fresh), x.to_dict()
         reported += bool(fresh._report)
     assert reported >= 100
+
+
+def _covers_connect(inside, faces) -> bool:
+    """Plain search: whether the covers (u, l), l in faces[u], with both
+    ends inside join all of `inside`."""
+    adj = {c: [] for c in inside}
+    for u in inside:
+        for l in faces[u]:
+            if l in inside:
+                adj[u].append(l)
+                adj[l].append(u)
+    if not adj:
+        return True
+    start = next(iter(adj))
+    seen, todo = {start}, [start]
+    while todo:
+        for c in adj[todo.pop()]:
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return len(seen) == len(adj)
+
+
+def test_connected_matches_a_plain_search_on_simplex_faces():
+    # seeded random subsets of the faces of a 6-simplex, sparse ones split
+    x = _simplicial("s6", ["0123456"])
+    cells, faces = x.cells(), x._faces
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(300):
+        density = rng.choice((0.02, 0.05, 0.1, 0.3, 0.7, 1.0))
+        inside = {c for c in cells if rng.random() < density}
+        got = _connected(inside, faces)
+        assert got == _covers_connect(inside, faces), sorted(inside)
+        verdicts.append(got)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
 
 
 def test_impossible_dimension_is_refused_at_init():

@@ -315,7 +315,7 @@ def test_comparison_map_reduces_negative_signs_mod_p():
     signs = set()
     for layer in reduced_layers(x, field):
         for n in range(layer.k, x.dim + 1):
-            for beta, alpha in layer.quotients[n].labels():
+            for beta, alpha in layer.labels(n):
                 chain = g.first_maximal_chain(beta, alpha)
                 signs.add(dualalg.sign_of_path(x, chain))
             phi = dualalg.comparison_map(x, n, layer, blocks)

@@ -77,7 +77,7 @@ def test_rank_triangle_boundary_incidence():
 
 
 def test_kernel_of_zero_map_is_full_basis():
-    m = SparseExactMatrix.zero(3, 3, QQ)
+    m = SparseExactMatrix(3, 3, {}, QQ)
     vecs = kernel_vectors(m)
     assert vecs == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
     kb = kernel_basis(m)
@@ -106,7 +106,7 @@ def test_rref_deterministic_pivoting():
 
 
 def test_quotient_no_relations_is_identity():
-    q = quotient(["u", "v"], SparseExactMatrix.zero(2, 0, QQ), QQ)
+    q = quotient(["u", "v"], SparseExactMatrix(2, 0, {}, QQ), QQ)
     assert q.dim == 2
     assert q.labels() == ["u", "v"]
     assert q.project({0: QQ.one}) == {0: QQ.one}
@@ -143,7 +143,7 @@ def test_induced_map_identity_and_zero():
         q = quotient(["u", "v"], rel, ring)
         ident = identity(2, ring)
         assert induced_map(ident, q, q) == identity(1, ring), ring
-        zero = SparseExactMatrix.zero(2, 2, ring)
+        zero = SparseExactMatrix(2, 2, {}, ring)
         assert is_zero(induced_map(zero, q, q)), ring
 
 
@@ -158,7 +158,7 @@ def test_induced_map_rejects_unpreserved_relations():
     # over Z the relations are a lattice; the check is the same
     for ring in (QQ, ZZ):
         src = quotient(["u", "v"], transpose(dense([[1, 1]], ring)), ring)
-        dst = quotient(["u", "v"], SparseExactMatrix.zero(2, 0, ring), ring)
+        dst = quotient(["u", "v"], SparseExactMatrix(2, 0, {}, ring), ring)
         f = dense([[1, 0], [0, -1]], ring)  # sends u+v to u-v, not a dst relation
         with pytest.raises(ValueError, match="relation"):
             induced_map(f, src, dst)
@@ -194,7 +194,7 @@ def test_quotient_keeps_no_relation_map(ring):
 @settings(max_examples=40, deadline=None)
 def test_induced_composition(f, extra):
     # dst relations contain the image of src relations by construction
-    src_rel = dense([[1]] * f.cols, QQ) if f.cols > 1 else SparseExactMatrix.zero(f.cols, 0, QQ)
+    src_rel = dense([[1]] * f.cols, QQ) if f.cols > 1 else SparseExactMatrix(f.cols, 0, {}, QQ)
     src = quotient(list(range(f.cols)), src_rel, QQ)
     fq = convert(f, QQ)
     mid = quotient(list(range(f.rows)), matmul(fq, src_rel), QQ)
@@ -238,7 +238,7 @@ def test_smith_diag_2_3():
 
 
 def test_smith_zero_and_empty():
-    assert smith_normal_form(SparseExactMatrix.zero(2, 3, ZZ)).factors == ()
+    assert smith_normal_form(SparseExactMatrix(2, 3, {}, ZZ)).factors == ()
 
 
 def test_smith_form_divisibility_enforced():
