@@ -6,6 +6,14 @@ plain text.  Exit codes: 0 success, 2 input or validation error, 3 hypothesis
 failure, 4 internal fault (a failed internal check or any unexpected
 exception; the traceback goes to stderr); `koszul --exit-status` maps the
 verdict itself onto 0/1.
+
+Importing this module loads only `cw` and `layered`; each command imports
+the layers it runs when it runs.  `validate` and `poset` need nothing more;
+`cohomology`, `relative` and `hx` add `linalg` and `bigraded`; `koszul --poset
+bar`, `koszul-graph`, `rdims` and `ann-check` add `linalg` and `dualalg`;
+`koszul --poset hat` and `phi-check` add all three; the `catalog` command and
+`catalog:` inputs add `catalog`.  In a long-lived process the first call of a
+command pays its imports once.
 """
 
 from __future__ import annotations
@@ -16,24 +24,8 @@ import hashlib
 import json
 import sys
 from . import __version__
-from .bigraded import (
-    cellular_cohomology,
-    hx_table,
-    koszul_obstructions,
-    relative_cohomology,
-)
-from .catalog import catalog, catalog_names
 from .cw import ComplexError, RegularCWComplex, complex_from_dict
-from .dualalg import (
-    HeadBlocks,
-    annihilator_check,
-    comparison_iso_check,
-    graded_dims,
-    koszul_decide,
-    whole_graph_criterion,
-)
 from .layered import BOTTOM, TOP, GraphError, LayeredGraph, graph_from_dict
-from .linalg import ZZ, TorsionError, field_from_spec
 
 
 class InputError(Exception):
@@ -45,6 +37,8 @@ class HypothesisFailure(Exception):
 
 
 def _field(spec: str):
+    from .linalg import field_from_spec
+
     try:
         return field_from_spec(spec)
     except ValueError as exc:
@@ -79,6 +73,8 @@ def _read_complex(spec: str) -> tuple[RegularCWComplex, dict, list[str]]:
     Catalog entries are built valid and are not validated again.
     """
     if spec.startswith("catalog:"):
+        from .catalog import catalog
+
         name = spec[len("catalog:"):]
         try:
             x = catalog(name)
@@ -194,6 +190,8 @@ def _cmd_poset(args):
 
 
 def _cmd_cohomology(args):
+    from .bigraded import cellular_cohomology
+
     x, prov = load_complex(args.input)
     field = _field(args.field)
     dims = cellular_cohomology(x, field)
@@ -204,6 +202,8 @@ def _cmd_cohomology(args):
 
 
 def _cmd_relative(args):
+    from .bigraded import relative_cohomology
+
     x, prov = load_complex(args.input)
     field = _field(args.field)
     if args.cell not in x:
@@ -216,6 +216,9 @@ def _cmd_relative(args):
 
 
 def _cmd_hx(args):
+    from .bigraded import hx_table
+    from .linalg import ZZ, TorsionError
+
     x, prov = load_complex(args.input)
     if args.integral:
         if args.field is not None:
@@ -223,7 +226,11 @@ def _cmd_hx(args):
         ring = ZZ
     else:
         ring = _field(args.field or "q")
-    table = hx_table(x, ring)
+    try:
+        table = hx_table(x, ring)
+    except TorsionError as exc:
+        # a pair quotient over Z with torsion has no free coordinates
+        raise HypothesisFailure(str(exc)) from None
     if args.integral:
         entries = {
             f"{n},{k}": {"free": e[0], "torsion": list(e[1])}
@@ -241,6 +248,8 @@ def _cmd_hx(args):
 
 
 def _cmd_rdims(args):
+    from .dualalg import graded_dims
+
     x, prov = load_complex(args.input)
     field = _field(args.field)
     g = _poset_of(x, args.poset)
@@ -252,6 +261,8 @@ def _cmd_rdims(args):
 
 
 def _run_koszul(g: LayeredGraph, field, check_remark: bool):
+    from .dualalg import HeadBlocks, koszul_decide, whole_graph_criterion
+
     # the decision and the whole-graph criterion present each head block once
     blocks = HeadBlocks(g, field)
     try:
@@ -312,6 +323,8 @@ def _cmd_koszul(args):
     lines = [f"dual algebra of the {args.poset} poset of {x.name!r}"]
     lines += _verdict_lines(verdict, extra)
     if args.poset == "hat":
+        from .bigraded import koszul_obstructions
+
         # the topological route must agree with the vertexwise decision
         report = koszul_obstructions(x, field)
         if report.empty != verdict.koszul:
@@ -351,6 +364,8 @@ def _cmd_koszul_graph(args):
 
 
 def _cmd_ann_check(args):
+    from .dualalg import annihilator_check
+
     x, prov = load_complex(args.input)
     field = _field(args.field)
     g = _poset_of(x, args.poset)
@@ -377,6 +392,8 @@ def _cmd_ann_check(args):
 
 
 def _cmd_phi_check(args):
+    from .dualalg import comparison_iso_check
+
     x, prov = load_complex(args.input)
     field = _field(args.field)
     ok, details = comparison_iso_check(x, field)
@@ -397,6 +414,8 @@ def _cmd_phi_check(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import catalog, catalog_names
+
     if args.action == "list":
         names = catalog_names()
         return {"catalog": names}, names, 0
@@ -494,7 +513,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HypothesisFailure, TorsionError) as exc:
+    except HypothesisFailure as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 3
     except (ComplexError, GraphError) as exc:

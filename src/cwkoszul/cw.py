@@ -317,9 +317,15 @@ class RegularCWComplex:
         return len(covered) == len(self.dims)
 
     def connected_by_codim1(self) -> bool:
-        """Top cells form one class under sharing a codimension-1 face."""
+        """Top cells form one class under sharing a codimension-1 face.
+
+        The codimension-1 face of a point is the empty cell, which every
+        point shares, so a 0-dimensional complex is one class.
+        """
         if not self.is_pure():
             raise ComplexError(f"complex {self.name!r} is not pure")
+        if self.dim == 0:
+            return True
         return len(linked_classes(self.cells(self.dim), self.faces)) == 1
 
     # -- serialization ---------------------------------------------------------------

@@ -41,7 +41,6 @@ from .linalg import (
     rank as mat_rank,
     span_rank,
 )
-from .bigraded import ReducedLayer, reduced_layers
 
 
 @dataclass
@@ -497,6 +496,9 @@ def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]
     Returns (all bijective, rows of (n, k, pair dim, word dim, bijective)),
     the pair dim being the number of labels: the columns of the map.
     """
+    # imported here, so that deciding Koszulity alone never loads `bigraded`
+    from .bigraded import reduced_layers
+
     x.ensure_valid()
     blocks = HeadBlocks(x.face_poset_bar(), field)
     d = x.dim

@@ -251,7 +251,6 @@ def test_koszul_decision_builds_no_word_labels(monkeypatch, capsys):
 def test_koszul_hat_makes_no_relative_cohomology_call(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("cwkoszul.bigraded.relative_cohomology", lambda *a: calls.append(a))
-    monkeypatch.setattr("cwkoszul.cli.relative_cohomology", lambda *a: calls.append(a))
     for name in ("example_singular", "sphere2", "rp2_six"):
         code, _, _ = run(capsys, "koszul", f"catalog:{name}", "--poset", "hat", "--field", "f3")
         assert code == 0, name
@@ -312,6 +311,25 @@ def test_hypothesis_failures_exit_three(tmp_path, capsys):
     code, _, err = run(capsys, "koszul", str(split), "--poset", "hat", "--field", "q")
     assert code == 3
     assert "uniform" in err
+
+
+@pytest.mark.parametrize("field", ["q", "f2"])
+def test_koszul_hat_accepts_two_points(tmp_path, capsys, field):
+    # points share the empty face, so two of them are connected by
+    # codimension-1 faces: their hat poset is a rank-2 Boolean lattice
+    path = tmp_path / "two_points.json"
+    cells = [{"id": c, "dim": 0, "boundary": {}} for c in "ab"]
+    path.write_text(json.dumps({"name": "tp", "cells": cells}))
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out, err = run(capsys, "--json", "koszul", str(path), "--poset", "hat",
+                         "--field", field, "--exit-status")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["koszul"] is True and result["witness"] is None
+    assert result["obstructions"] == {"bigraded": [], "cohomology": [], "relative": []}
+    code, out, _ = run(capsys, "koszul", str(path), "--poset", "hat", "--field", field,
+                       "--exit-status")
+    assert code == 0 and "verdict: KOSZUL over" in out
 
 
 def test_koszul_graph_round_trip(tmp_path, capsys):
@@ -434,7 +452,7 @@ def _raise(exc):
 
 def test_internal_assertion_exits_four(monkeypatch, capsys):
     # a failed internal check must not read as NOT KOSZUL (exit 1)
-    monkeypatch.setattr("cwkoszul.cli.koszul_obstructions",
+    monkeypatch.setattr("cwkoszul.bigraded.koszul_obstructions",
                         _raise(AssertionError("routes disagree")))
     code, out, err = run(capsys, "koszul", "catalog:simplex3", "--poset", "hat",
                          "--field", "q", "--exit-status")
@@ -445,7 +463,7 @@ def test_internal_assertion_exits_four(monkeypatch, capsys):
 
 def test_internal_value_error_exits_four(monkeypatch, capsys):
     # nor may a bare ValueError from an internal check read as an input error (exit 2)
-    monkeypatch.setattr("cwkoszul.cli.koszul_obstructions",
+    monkeypatch.setattr("cwkoszul.bigraded.koszul_obstructions",
                         _raise(ValueError("composition of differentials 0 and 1 is nonzero")))
     code, out, err = run(capsys, "koszul", "catalog:simplex3", "--poset", "hat",
                          "--field", "f2", "--exit-status")
@@ -464,7 +482,7 @@ def test_witness_below_the_maximum_exits_four(monkeypatch, capsys, poset):
         witness = KoszulWitness("012", 2, 1, [(("012", "01"), 1)])
         return KoszulVerdict(False, field.key, g.name, witness, [("012", 3, False)])
 
-    monkeypatch.setattr("cwkoszul.cli.koszul_decide", decide)
+    monkeypatch.setattr("cwkoszul.dualalg.koszul_decide", decide)
     code, out, err = run(capsys, "koszul", "catalog:simplex3", "--poset", poset,
                          "--field", "q", "--exit-status")
     assert code == 4
@@ -485,7 +503,7 @@ def test_torsion_refusal_exits_three(monkeypatch, capsys):
     # apply, which is a failed hypothesis, not an input error
     from cwkoszul.linalg import TorsionError
 
-    monkeypatch.setattr("cwkoszul.cli.hx_table",
+    monkeypatch.setattr("cwkoszul.bigraded.hx_table",
                         _raise(TorsionError("integral quotient has torsion")))
     code, _, err = run(capsys, "hx", "catalog:simplex3", "--integral")
     assert code == 3

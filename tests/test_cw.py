@@ -150,6 +150,8 @@ def test_connected_by_codim1():
     assert catalog("example_singular").connected_by_codim1()
     assert catalog("sphere3").connected_by_codim1()
     assert not two_disjoint_triangles().connected_by_codim1()
+    # points share their codimension-1 face, the empty cell
+    assert RegularCWComplex("two_points", {"a": 0, "b": 0}, {}).connected_by_codim1()
     with pytest.raises(ComplexError, match="not pure"):
         segment_plus_point().connected_by_codim1()
 
