@@ -2,10 +2,22 @@
 
 Inputs are complex/graph JSON files or `catalog:<name>` pseudo-paths.  Every
 command accepts --json for a machine-readable report; human output is aligned
-plain text.  Exit codes: 0 success, 2 input or validation error, 3 hypothesis
-failure, 4 internal fault (a failed internal check or any unexpected
-exception; the traceback goes to stderr); `koszul --exit-status` maps the
-verdict itself onto 0/1.
+plain text.
+
+`COMMANDS` is the one table of subcommands.  A row gives the help line, the
+runner, what the positional input is read as (a complex, a graph, a complex
+with its validation report, or none for `catalog`), whether the command
+takes `--field` (default q) and `--poset`, and its own options;
+`build_parser` builds every subparser from it.  Before the runner, `main`
+reads the input, parses the field and builds the poset, in that order, and
+passes them on; the runner returns (report dict, human lines, exit code).
+
+`main` is also the one map onto exit codes: 0 success, 2 `InputError` (bad
+file, schema or validation), 3 `HypothesisFailure` (impure complex,
+non-uniform graph, torsion), 4 anything else, an internal fault, with the
+traceback on stderr.  So an error raised after the input was read never
+reads as an input error.  `koszul --exit-status` maps the verdict itself
+onto 0/1.
 
 Importing this module loads only `cw` and `layered`; each command imports
 the layers it runs when it runs.  `validate` and `poset` need nothing more;
@@ -23,9 +35,10 @@ import functools
 import hashlib
 import json
 import sys
+from collections import namedtuple
 from . import __version__
 from .cw import ComplexError, RegularCWComplex, complex_from_dict
-from .layered import BOTTOM, TOP, GraphError, LayeredGraph, graph_from_dict
+from .layered import BOTTOM, TOP, GraphError, LayeredGraph, NotUniformError, graph_from_dict
 
 
 class InputError(Exception):
@@ -161,11 +174,12 @@ def _table_lines(title: str, dim: int, cell) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (report dict, human lines, exit code)
+# runners: each takes the parsed arguments, then what its row of COMMANDS
+# reads and builds (the loader's values, the field, the poset), and returns
+# (report dict, human lines, exit code)
 
 
-def _cmd_validate(args):
-    x, prov, report = _read_complex(args.input)
+def _cmd_validate(args, x, prov, report):
     result = {"name": x.name, "counts": list(x.counts()), "violations": report}
     lines = [f"complex {x.name!r}: cells by dimension {x.counts()}"]
     if report:
@@ -176,8 +190,7 @@ def _cmd_validate(args):
     return _report("validate", prov, {}, result), lines, (2 if report else 0)
 
 
-def _cmd_poset(args):
-    x, prov = load_complex(args.input)
+def _cmd_poset(args, x, prov):
     g = _poset_of(x, "hat" if args.hat else "bar")
     data = g.to_dict()
     lines = [f"poset of {x.name!r} ({'hat' if args.hat else 'bar'}), implicit minimum omitted"]
@@ -189,11 +202,9 @@ def _cmd_poset(args):
     return data, lines, 0
 
 
-def _cmd_cohomology(args):
+def _cmd_cohomology(args, x, prov, field):
     from .bigraded import cellular_cohomology
 
-    x, prov = load_complex(args.input)
-    field = _field(args.field)
     dims = cellular_cohomology(x, field)
     result = {"name": x.name, "field": field.key, "dims": dims}
     lines = [f"cellular cohomology of {x.name!r} over {field.key}"]
@@ -201,11 +212,9 @@ def _cmd_cohomology(args):
     return _report("cohomology", prov, {"field": field.key}, result), lines, 0
 
 
-def _cmd_relative(args):
+def _cmd_relative(args, x, prov, field):
     from .bigraded import relative_cohomology
 
-    x, prov = load_complex(args.input)
-    field = _field(args.field)
     if args.cell not in x:
         raise InputError(f"unknown cell {args.cell!r}")
     dims = relative_cohomology(x, args.cell, field)
@@ -215,11 +224,10 @@ def _cmd_relative(args):
     return _report("relative", prov, {"cell": args.cell, "field": field.key}, result), lines, 0
 
 
-def _cmd_hx(args):
+def _cmd_hx(args, x, prov):
     from .bigraded import hx_table
     from .linalg import ZZ, TorsionError
 
-    x, prov = load_complex(args.input)
     if args.integral:
         if args.field is not None:
             raise InputError("choose either --field or --integral, not both")
@@ -247,12 +255,9 @@ def _cmd_hx(args):
     return _report("hx", prov, {"coefficients": ring.key}, result), lines, 0
 
 
-def _cmd_rdims(args):
+def _cmd_rdims(args, x, prov, field, g):
     from .dualalg import graded_dims
 
-    x, prov = load_complex(args.input)
-    field = _field(args.field)
-    g = _poset_of(x, args.poset)
     dims = graded_dims(g, field)
     result = {"name": x.name, "poset": args.poset, "field": field.key, "dims": dims}
     lines = [f"graded dimensions of the dual algebra of the {args.poset} poset of {x.name!r} over {field.key}"]
@@ -260,24 +265,46 @@ def _cmd_rdims(args):
     return _report("rdims", prov, {"poset": args.poset, "field": field.key}, result), lines, 0
 
 
-def _run_koszul(g: LayeredGraph, field, check_remark: bool):
+def _cmd_koszul(args, src, prov, field, poset=None):
+    """`koszul` on the face poset of the complex `src`, or `koszul-graph` on the graph `src`."""
     from .dualalg import HeadBlocks, koszul_decide, whole_graph_criterion
 
+    g = src if poset is None else poset
     # the decision and the whole-graph criterion present each head block once
     blocks = HeadBlocks(g, field)
     try:
         verdict = koszul_decide(g, field, blocks)
-    except GraphError as exc:
+    except NotUniformError as exc:
         raise HypothesisFailure(str(exc)) from None
     extra = {}
-    if check_remark:
+    if args.check_remark39:
         whole = whole_graph_criterion(g, field, blocks)
         extra = {"whole_graph_criterion": whole, "agrees": whole == verdict.koszul}
-    return verdict, extra
-
-
-def _verdict_lines(verdict, extra) -> list[str]:
-    lines = [f"verdict: {'KOSZUL' if verdict.koszul else 'NOT KOSZUL'} over {verdict.field_key}"]
+    del blocks  # freed before the topological route builds its layers
+    if poset is None:
+        lines, params = [f"dual algebra of graph {g.name!r}"], {"field": field.key}
+    else:
+        # every bar interval and every hat interval below the maximum is the face
+        # poset of a regular CW cell with a minimum, hence Koszul (Serconek-Wilson;
+        # Piontkovski): a witness there is a fault, never a verdict
+        if not verdict.koszul and (args.poset == "bar" or verdict.witness.vertex != TOP):
+            raise AssertionError(
+                f"internal error: the interval below {verdict.witness.vertex!r} of the "
+                f"{args.poset} poset of a valid complex fails Koszulity"
+            )
+        lines = [f"dual algebra of the {args.poset} poset of {src.name!r}"]
+        params = {"poset": args.poset, "field": field.key}
+    result = {
+        "graph": verdict.graph_name,
+        "field": verdict.field_key,
+        "koszul": verdict.koszul,
+        "witness": _witness_json(verdict.witness),
+        "checked": [
+            {"vertex": v, "rank": r, "ok": ok} for v, r, ok in verdict.checked
+        ],
+        **extra,
+    }
+    lines.append(f"verdict: {'KOSZUL' if verdict.koszul else 'NOT KOSZUL'} over {verdict.field_key}")
     if verdict.witness:
         w = verdict.witness
         lines.append(f"witness: vertex {w.vertex}, bidegree (n,k) = ({w.n},{w.k})")
@@ -290,43 +317,11 @@ def _verdict_lines(verdict, extra) -> list[str]:
             f"whole-graph criterion: {extra['whole_graph_criterion']} "
             f"(agrees: {extra['agrees']})"
         )
-    return lines
-
-
-def _verdict_result(verdict, extra) -> dict:
-    return {
-        "graph": verdict.graph_name,
-        "field": verdict.field_key,
-        "koszul": verdict.koszul,
-        "witness": _witness_json(verdict.witness),
-        "checked": [
-            {"vertex": v, "rank": r, "ok": ok} for v, r, ok in verdict.checked
-        ],
-        **extra,
-    }
-
-
-def _cmd_koszul(args):
-    x, prov = load_complex(args.input)
-    field = _field(args.field)
-    g = _poset_of(x, args.poset)
-    verdict, extra = _run_koszul(g, field, args.check_remark39)
-    # every bar interval and every hat interval below the maximum is the face
-    # poset of a regular CW cell with a minimum, hence Koszul (Serconek-Wilson;
-    # Piontkovski): a witness there is a fault, never a verdict
-    if not verdict.koszul and (args.poset == "bar" or verdict.witness.vertex != TOP):
-        raise AssertionError(
-            f"internal error: the interval below {verdict.witness.vertex!r} of the "
-            f"{args.poset} poset of a valid complex fails Koszulity"
-        )
-    result = _verdict_result(verdict, extra)
-    lines = [f"dual algebra of the {args.poset} poset of {x.name!r}"]
-    lines += _verdict_lines(verdict, extra)
-    if args.poset == "hat":
+    if poset is not None and args.poset == "hat":
         from .bigraded import koszul_obstructions
 
         # the topological route must agree with the vertexwise decision
-        report = koszul_obstructions(x, field)
+        report = koszul_obstructions(src, field)
         if report.empty != verdict.koszul:
             raise AssertionError(
                 "internal error: topological and algebraic Koszulity routes disagree"
@@ -343,32 +338,13 @@ def _cmd_koszul(args):
         ):
             if entries:
                 lines.append(f"{label}: " + ", ".join(f"({','.join(map(str, t))})" for t in entries))
-    code = 0
-    if args.exit_status:
-        code = 0 if verdict.koszul else 1
-    params = {"poset": args.poset, "field": field.key}
-    return _report("koszul", prov, params, result), lines, code
+    code = 1 if args.exit_status and not verdict.koszul else 0
+    return _report(args.cmd, prov, params, result), lines, code
 
 
-def _cmd_koszul_graph(args):
-    g, prov = load_graph(args.input)
-    field = _field(args.field)
-    verdict, extra = _run_koszul(g, field, args.check_remark39)
-    result = _verdict_result(verdict, extra)
-    lines = [f"dual algebra of graph {g.name!r}"]
-    lines += _verdict_lines(verdict, extra)
-    code = 0
-    if args.exit_status:
-        code = 0 if verdict.koszul else 1
-    return _report("koszul-graph", prov, {"field": field.key}, result), lines, code
-
-
-def _cmd_ann_check(args):
+def _cmd_ann_check(args, x, prov, field, g):
     from .dualalg import annihilator_check
 
-    x, prov = load_complex(args.input)
-    field = _field(args.field)
-    g = _poset_of(x, args.poset)
     if args.vertex not in g or args.vertex == BOTTOM:
         raise InputError(f"unknown vertex {args.vertex!r}")
     if not 0 <= args.n <= g.rank(args.vertex):
@@ -391,11 +367,9 @@ def _cmd_ann_check(args):
     return _report("ann-check", prov, params, result), lines, 0
 
 
-def _cmd_phi_check(args):
+def _cmd_phi_check(args, x, prov, field):
     from .dualalg import comparison_iso_check
 
-    x, prov = load_complex(args.input)
-    field = _field(args.field)
     ok, details = comparison_iso_check(x, field)
     result = {
         "name": x.name,
@@ -429,6 +403,53 @@ def _cmd_catalog(args):
     return data, _canonical_json(data).rstrip("\n").split("\n"), 0
 
 
+def _opt(*flags, **kwargs):
+    """One `add_argument` call of a command's own options."""
+    return flags, kwargs
+
+
+# what a command reads from its positional input; each reader calls its loader
+# through this module's globals, so a wrapper set on `load_complex` is called
+_READERS = {
+    "complex": lambda spec: load_complex(spec),
+    "graph": lambda spec: load_graph(spec),
+    "report": lambda spec: _read_complex(spec),  # violations listed, not refused
+}
+
+Command = namedtuple("Command", "help run reads field poset options",
+                     defaults=("complex", True, False, ()))
+
+_VERDICT_OPTIONS = (
+    _opt("--exit-status", action="store_true", help="exit 0 when Koszul, 1 when not"),
+    _opt("--check-remark39", action="store_true",
+         help="also report the whole-graph vanishing criterion"),
+)
+
+COMMANDS = {
+    "validate": Command("validate a complex file", _cmd_validate, "report", field=False),
+    "poset": Command("emit the face poset as a graph file", _cmd_poset, field=False, options=(
+        _opt("--hat", action="store_true", help="extend with a maximum"),)),
+    "cohomology": Command("cellular cohomology dimensions", _cmd_cohomology),
+    "relative": Command("cohomology relative to a complement star", _cmd_relative,
+                        options=(_opt("--cell", required=True),)),
+    # --field has no default here: it may not be combined with --integral
+    "hx": Command("bigraded pair cohomology table", _cmd_hx, field=False, options=(
+        _opt("--field", default=None),
+        _opt("--integral", action="store_true", help="compute over Z"))),
+    "koszul": Command("decide Koszulity of a face-poset dual algebra", _cmd_koszul,
+                      poset=True, options=_VERDICT_OPTIONS),
+    "koszul-graph": Command("decide Koszulity from a graph file", _cmd_koszul, "graph",
+                            options=_VERDICT_OPTIONS),
+    "rdims": Command("graded dimensions of the dual algebra", _cmd_rdims, poset=True),
+    "ann-check": Command("annihilator identity at one vertex and depth", _cmd_ann_check,
+                         poset=True, options=(_opt("--vertex", required=True),
+                                              _opt("--n", type=int, required=True))),
+    "phi-check": Command("bijectivity of the signed path map", _cmd_phi_check),
+    "catalog": Command("list or emit built-in complexes", _cmd_catalog, None, field=False,
+                       options=(_opt("action", choices=["list", "emit"]), _opt("name", nargs="?"))),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -438,87 +459,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
         # accepted in either position; SUPPRESS keeps the top-level value
         sp.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
-        sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("validate", _cmd_validate, help="validate a complex file")
-    sp.add_argument("input")
-
-    sp = add("poset", _cmd_poset, help="emit the face poset as a graph file")
-    sp.add_argument("input")
-    sp.add_argument("--hat", action="store_true", help="extend with a maximum")
-
-    sp = add("cohomology", _cmd_cohomology, help="cellular cohomology dimensions")
-    sp.add_argument("input")
-    sp.add_argument("--field", default="q")
-
-    sp = add("relative", _cmd_relative, help="cohomology relative to a complement star")
-    sp.add_argument("input")
-    sp.add_argument("--cell", required=True)
-    sp.add_argument("--field", default="q")
-
-    sp = add("hx", _cmd_hx, help="bigraded pair cohomology table")
-    sp.add_argument("input")
-    sp.add_argument("--field", default=None)
-    sp.add_argument("--integral", action="store_true", help="compute over Z")
-
-    sp = add("koszul", _cmd_koszul, help="decide Koszulity of a face-poset dual algebra")
-    sp.add_argument("input")
-    sp.add_argument("--poset", choices=["bar", "hat"], default="bar")
-    sp.add_argument("--field", default="q")
-    sp.add_argument("--exit-status", action="store_true",
-                    help="exit 0 when Koszul, 1 when not")
-    sp.add_argument("--check-remark39", action="store_true",
-                    help="also report the whole-graph vanishing criterion")
-
-    sp = add("koszul-graph", _cmd_koszul_graph, help="decide Koszulity from a graph file")
-    sp.add_argument("input")
-    sp.add_argument("--field", default="q")
-    sp.add_argument("--exit-status", action="store_true")
-    sp.add_argument("--check-remark39", action="store_true")
-
-    sp = add("rdims", _cmd_rdims, help="graded dimensions of the dual algebra")
-    sp.add_argument("input")
-    sp.add_argument("--poset", choices=["bar", "hat"], default="bar")
-    sp.add_argument("--field", default="q")
-
-    sp = add("ann-check", _cmd_ann_check, help="annihilator identity at one vertex and depth")
-    sp.add_argument("input")
-    sp.add_argument("--poset", choices=["bar", "hat"], default="bar")
-    sp.add_argument("--vertex", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--field", default="q")
-
-    sp = add("phi-check", _cmd_phi_check, help="bijectivity of the signed path map")
-    sp.add_argument("input")
-    sp.add_argument("--field", default="q")
-
-    sp = add("catalog", _cmd_catalog, help="list or emit built-in complexes")
-    sp.add_argument("action", choices=["list", "emit"])
-    sp.add_argument("name", nargs="?")
-
+        if cmd.reads:
+            sp.add_argument("input")
+        if cmd.field:
+            sp.add_argument("--field", default="q")
+        if cmd.poset:
+            sp.add_argument("--poset", choices=["bar", "hat"], default="bar")
+        for flags, kwargs in cmd.options:
+            sp.add_argument(*flags, **kwargs)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.cmd]
     try:
-        report, lines, code = args.fn(args)
+        inputs = [*_READERS[cmd.reads](args.input)] if cmd.reads else []
+        if cmd.field:
+            inputs.append(_field(args.field))
+        if cmd.poset:
+            inputs.append(_poset_of(inputs[0], args.poset))
+        report, lines, code = cmd.run(args, *inputs)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisFailure as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 3
-    except (ComplexError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception:
         # a failed internal check must never read as a verdict or an input error;
         # traceback is imported here to keep it off the start-up path

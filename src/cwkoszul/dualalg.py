@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .cw import ComplexError, RegularCWComplex
-from .layered import BOTTOM, GraphError, LayeredGraph
+from .layered import BOTTOM, GraphError, LayeredGraph, NotUniformError
 from .linalg import (
     QuotientPresentation,
     SparseExactMatrix,
@@ -338,7 +338,7 @@ def koszul_decide(g: LayeredGraph, field, blocks: HeadBlocks | None = None) -> K
     """
     ok, wit = g.is_uniform()
     if not ok:
-        raise GraphError(
+        raise NotUniformError(
             f"graph {g.name!r} is not uniform at vertex {wit[0]!r}; classes {wit[1]}"
         )
     if blocks is None:

@@ -18,6 +18,10 @@ class GraphError(ValueError):
     pass
 
 
+class NotUniformError(GraphError):
+    """The graph is not uniform, so the Koszulity decision does not apply."""
+
+
 def linked_classes(items, links) -> list[list[str]]:
     """Partition of the sorted `items` under 'share an element of links(item)'.
 

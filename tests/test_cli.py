@@ -6,10 +6,11 @@ import time
 
 import pytest
 
-from cwkoszul import bigraded, linalg
+from cwkoszul import bigraded, cli, linalg
 from cwkoszul.catalog import catalog
-from cwkoszul.cli import main
-from cwkoszul.cw import complex_from_dict
+from cwkoszul.cli import COMMANDS, main
+from cwkoszul.cw import ComplexError, complex_from_dict
+from cwkoszul.layered import GraphError
 
 from helpers import (
     dangling_square_complex,
@@ -182,6 +183,44 @@ def test_parser_shared_between_calls_keeps_no_option(capsys):
         assert code == 0 and out.startswith("cellular cohomology of 'sphere2' over F2\n")
         code, out, _ = run(capsys, "koszul", "catalog:rp2_six", "--poset", "hat", "--field", "f2")
         assert code == 0 and out.startswith("dual algebra of the hat poset")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_command_renders_its_help(capsys, name):
+    # argparse formats a subcommand's help only when asked for it
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cwkoszul {name} ")
+
+
+COMPLEX_COMMANDS = [
+    ("poset", "--hat"),
+    ("cohomology", "--field", "f2"),
+    ("relative", "--cell", "01"),
+    ("hx", "--integral"),
+    ("koszul", "--poset", "hat"),
+    ("rdims",),
+    ("ann-check", "--vertex", "012", "--n", "1"),
+    ("phi-check", "--field", "f3"),
+]
+
+
+def test_complex_commands_call_load_complex_once(monkeypatch, capsys):
+    # through the module attribute, so a wrapper set on it (the benchmark
+    # tracer's `cli.load` span) sees every read
+    assert {argv[0] for argv in COMPLEX_COMMANDS} == {
+        name for name, cmd in COMMANDS.items() if cmd.reads == "complex"
+    }
+    calls = []
+    load_complex = cli.load_complex
+    monkeypatch.setattr("cwkoszul.cli.load_complex",
+                        lambda spec: calls.append(spec) or load_complex(spec))
+    for name, *options in COMPLEX_COMMANDS:
+        calls.clear()
+        code, _, err = run(capsys, name, "catalog:simplex2", *options)
+        assert (code, err) == (0, ""), name
+        assert calls == ["catalog:simplex2"], name
 
 
 def test_koszul_json_witness(capsys):
@@ -357,6 +396,29 @@ def test_koszul_graph_nonuniform_exit_three(tmp_path, capsys):
     assert "uniform" in err
 
 
+def test_koszul_graph_check_remark(tmp_path, capsys):
+    _, out, _ = run(capsys, "poset", "catalog:simplex2", "--hat", "--json")
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "koszul-graph", str(path), "--check-remark39")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "dual algebra of graph 'simplex2^'",
+        "verdict: KOSZUL over Q",
+        "checked vertices: 5 (5 passed)",
+        "whole-graph criterion: True (agrees: True)",
+    ]
+    code, out, _ = run(capsys, "koszul-graph", str(path), "--field", "f2",
+                       "--check-remark39", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["command"] == "koszul-graph"
+    assert report["params"] == {"field": "F2"}
+    result = report["result"]
+    assert result["koszul"] is True and result["witness"] is None
+    assert result["whole_graph_criterion"] is True and result["agrees"] is True
+    assert [c["vertex"] for c in result["checked"]] == ["01", "02", "12", "012", "1bar"]
+
+
 def test_cohomology_command(capsys):
     code, out, _ = run(capsys, "cohomology", "catalog:example_singular",
                        "--field", "q", "--json")
@@ -470,6 +532,24 @@ def test_internal_value_error_exits_four(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert "Traceback" in err and "composition" in err
+
+
+@pytest.mark.parametrize("target, exc, argv", [
+    ("cwkoszul.dualalg.HeadBlocks.block", GraphError("the minimum carries no generator"),
+     ("koszul", "catalog:simplex3", "--poset", "hat", "--exit-status")),
+    ("cwkoszul.dualalg.sign_of_path", ComplexError("unknown cell 'zz'"),
+     ("phi-check", "catalog:sphere2", "--field", "f2")),
+    ("cwkoszul.bigraded.koszul_obstructions", GraphError("unknown vertex 'zz'"),
+     ("koszul", "catalog:simplex3", "--poset", "hat", "--field", "f3")),
+], ids=["koszul-head-block", "phi-check-sign", "koszul-obstructions"])
+def test_library_error_after_reading_exits_four(monkeypatch, capsys, target, exc, argv):
+    # a ComplexError or GraphError is an input error only while the input is
+    # read; later it is an internal fault, not exit 2, and only the
+    # non-uniform refusal is exit 3
+    monkeypatch.setattr(target, _raise(exc))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert "Traceback" in err and str(exc) in err
 
 
 @pytest.mark.parametrize("poset", ["hat", "bar"])
