@@ -33,10 +33,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .cw import ComplexError, RegularCWComplex
 from .linalg import (
+    Record,
     SparseExactMatrix,
     _check_complex,
     _echelon,
@@ -66,14 +66,12 @@ def _units(ring) -> dict[int, object]:
     return {1: ring.of(1), -1: ring.of(-1)}
 
 
-@dataclass
-class BigradedLayer:
-    """Pair spaces of one column k with both differentials, over one ring."""
+class BigradedLayer(Record):
+    """Pair spaces of one column k with both differentials, over one ring:
+    `bases[n]` lists the pairs of bidegree (n, k), and `d_up[n]` and
+    `d_down[n]` are the horizontal and vertical differentials out of it."""
 
-    k: int
-    bases: dict[int, list[tuple[str, str]]]
-    d_up: dict[int, SparseExactMatrix]
-    d_down: dict[int, SparseExactMatrix]
+    __slots__ = ("k", "bases", "d_up", "d_down")
 
 
 def build_layer(
@@ -116,19 +114,16 @@ def build_layer(
     return BigradedLayer(k, bases, d_up, d_down)
 
 
-@dataclass
-class ReducedLayer:
+class ReducedLayer(Record):
     """Column k with the echelon forms of the vertical image of column k+1.
 
+    `layer` is column k and `above` column k+1 (None past the top).
     `echelons[n]` is E_n = (pivot rows, core) of the generators of V_n, the
     image of `above.d_down[n]` in the pair space P_n (empty for n = k and
     for the top column), and `ranks[n]` is rank V_n.
     """
 
-    layer: BigradedLayer
-    above: BigradedLayer | None
-    echelons: dict[int, tuple[dict[int, dict], list[dict]]]
-    ranks: dict[int, int]
+    __slots__ = ("layer", "above", "echelons", "ranks")
 
     @property
     def k(self) -> int:
@@ -222,13 +217,11 @@ def relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int]:
 # the bigraded table and the obstruction report
 
 
-@dataclass
-class PairCohomologyTable:
-    """Cohomology of the reduced columns: entries for 0 <= k <= n <= dim."""
+class PairCohomologyTable(Record):
+    """Cohomology of the reduced columns over the ring named `coeff`:
+    `entries[(n, k)]` for 0 <= k <= n <= dim."""
 
-    coeff: str
-    dim: int
-    entries: dict[tuple[int, int], object]
+    __slots__ = ("coeff", "dim", "entries")
 
     def entry(self, n: int, k: int):
         return self.entries[(n, k)]
@@ -341,21 +334,17 @@ def _relative_dims(layer: BigradedLayer, p: int) -> list[tuple[str, int, int]]:
     return out
 
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(Record):
     """Koszulity obstructions of the extended poset, by both routes.
 
-    `bigraded` lists nonzero table entries with 0 <= k < n < dim;
-    `cohomology` lists nonzero reduced cellular cohomology in 0 < n < dim;
-    `relative` lists cells alpha and degrees n < dim with H^n(X, Y_alpha) != 0.
-    The two routes always agree on emptiness.
+    `bigraded` lists nonzero table entries (n, k, dim) with 0 <= k < n < dim;
+    `cohomology` lists nonzero reduced cellular cohomology (n, dim) in
+    0 < n < dim; `relative` lists cells alpha and degrees n < dim with
+    H^n(X, Y_alpha) != 0, as (alpha, n, dim).  The two routes always agree
+    on emptiness.
     """
 
-    coeff: str
-    dim: int
-    bigraded: list[tuple[int, int, int]]
-    cohomology: list[tuple[int, int]]
-    relative: list[tuple[str, int, int]]
+    __slots__ = ("coeff", "dim", "bigraded", "cohomology", "relative")
 
     @property
     def empty(self) -> bool:

@@ -36,6 +36,7 @@ import hashlib
 import json
 import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 from . import __version__
 from .cw import ComplexError, RegularCWComplex, complex_from_dict
 from .layered import BOTTOM, TOP, GraphError, LayeredGraph, NotUniformError, graph_from_dict
@@ -63,7 +64,52 @@ def _sha256(data: bytes) -> str:
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+
+    With `indent` set, `json.dumps` runs its pure-Python encoder; this writer
+    covers only what reports hold: dicts with str keys, lists, str, bool,
+    int and None.  Anything else raises TypeError.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(obj, newline: str, out) -> None:
+    """Write obj at the indentation that `newline` (a newline and spaces) ends in."""
+    if isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = ","
+        out(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in obj:
+            out(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out(newline + "]")
+    elif obj is None:
+        out("null")
+    elif isinstance(obj, bool):
+        out("true" if obj else "false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _read_json(spec: str) -> tuple[object, bytes]:
@@ -270,7 +316,7 @@ def _cmd_koszul(args, src, prov, field, poset=None):
     from .dualalg import HeadBlocks, koszul_decide, whole_graph_criterion
 
     g = src if poset is None else poset
-    # the decision and the whole-graph criterion present each head block once
+    # the decision and the whole-graph criterion share one head-block store
     blocks = HeadBlocks(g, field)
     try:
         verdict = koszul_decide(g, field, blocks)

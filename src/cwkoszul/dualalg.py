@@ -12,6 +12,11 @@ A_{m-2} (x) R -> A_{m-1} (x) V restricted to h (Polishchuk-Positselski,
 Quadratic Algebras, 2005), on the blocks B(c, m-1) of the lower covers c of
 h, so no path word is ever listed: a block's coordinates are indices, and
 the words they stand for are built on demand, for a printed witness.
+Most blocks repeat the relations of another: every B(h, 1) is the field,
+and blocks over alike intervals often have equal relation matrices.  So a
+store eliminates each distinct relation matrix once and shares the
+presentation, hash-consing style (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006).
 Every entry point works on these blocks:
 `graded_dims` sums their dimensions, left multiplication by generators is
 made of `HeadBlocks.prepend` maps at block offsets (the annihilator test and
@@ -28,12 +33,12 @@ a simplicial complex every interval below the maximum is Boolean.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .cw import ComplexError, RegularCWComplex
 from .layered import BOTTOM, GraphError, LayeredGraph, NotUniformError
 from .linalg import (
     QuotientPresentation,
+    Record,
     SparseExactMatrix,
     cocycle_representatives,
     cohomology_dims,
@@ -43,21 +48,18 @@ from .linalg import (
 )
 
 
-@dataclass
-class KoszulWitness:
-    vertex: str
-    n: int
-    k: int
-    cocycle: list[tuple[tuple[str, ...], object]]
+class KoszulWitness(Record):
+    """A nonzero off-diagonal word cohomology class below `vertex` in
+    bidegree (n, k): its cocycle as (path word, coefficient) pairs."""
+
+    __slots__ = ("vertex", "n", "k", "cocycle")
 
 
-@dataclass
-class KoszulVerdict:
-    koszul: bool
-    field_key: str
-    graph_name: str
-    witness: KoszulWitness | None
-    checked: list[tuple[str, int, bool]]
+class KoszulVerdict(Record):
+    """The decision over the field named `field_key`: the first failure's
+    witness (None when Koszul) and (vertex, rank, passed) per vertex checked."""
+
+    __slots__ = ("koszul", "field_key", "graph_name", "witness", "checked")
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +86,34 @@ class HeadBlocks:
 
     A store serves one public call, or one `koszul` command that shares it
     between the decision and the whole-graph criterion, and is dropped with it.
+
+    Within a store, blocks with equal relations share one presentation.  The
+    key is the ambient size and the relation columns, each as the tuple of
+    its (index, value) items; the store's field is fixed.  A presentation
+    depends on nothing else, and no presentation, prepend list or column
+    dict is changed once built, so sharing them changes no result.  Each
+    block keeps its own cover offsets, and `labels` reads them, so the words
+    of a basis are the block's own.  The columns of `prepend(y, h, m)` are
+    likewise built once per (shared presentation, offset of h, dim B(h, m)).
+    Both caches live and die with the store.
     """
 
     def __init__(self, g: LayeredGraph, field):
         self.graph = g
         self.field = field
         self._blocks: dict[tuple[str, int], tuple[QuotientPresentation, dict[str, int]]] = {}
+        # (ambient size, relation columns as item tuples) -> its one presentation
+        self._presentations: dict[tuple, QuotientPresentation] = {}
         self._prepends: dict[tuple[str, str, int], list[dict]] = {}
+        # (presentation, offset, count) -> the projections of those ambient units
+        self._projections: dict[tuple, list[dict]] = {}
         self._labels: dict[tuple[str, int], list[tuple[str, ...]]] = {}
 
     def block(self, h: str, m: int) -> tuple[QuotientPresentation, dict[str, int]]:
-        """B(h, m) for 1 <= m <= rank(h), and the ambient offset of each B(c, m-1)."""
+        """B(h, m) for 1 <= m <= rank(h), and the ambient offset of each B(c, m-1).
+
+        The presentation is shared with every block of the store that has the
+        same ambient size and relation columns; the offsets are h's own."""
         key = (h, m)
         if key not in self._blocks:
             g, one = self.graph, self.field.one
@@ -124,9 +143,13 @@ class HeadBlocks:
                                 for i, v in self.prepend(c, d, m - 2)[q].items():
                                     rel[off + i] = v
                             relations.append(rel)
-            # relation columns: projections and the field's one are canonical already
-            rmap = SparseExactMatrix._canonical(size, relations, self.field)
-            self._blocks[key] = (quotient(range(size), rmap, self.field), offsets)
+            shared = (size, tuple(tuple(rel.items()) for rel in relations))
+            pres = self._presentations.get(shared)
+            if pres is None:
+                # relation columns: projections and the field's one are canonical already
+                rmap = SparseExactMatrix._canonical(size, relations, self.field)
+                pres = self._presentations[shared] = quotient(range(size), rmap, self.field)
+            self._blocks[key] = (pres, offsets)
         return self._blocks[key]
 
     def labels(self, h: str, m: int) -> list[tuple[str, ...]]:
@@ -148,14 +171,18 @@ class HeadBlocks:
         return self._labels[key]
 
     def prepend(self, y: str, h: str, m: int) -> list[dict]:
-        """Left multiplication by y, B(h, m) -> B(y, m+1), one column per basis vector."""
+        """Left multiplication by y, B(h, m) -> B(y, m+1), one column per basis
+        vector: the projections of B(y, m+1)'s ambient units at h's offset,
+        built once per (shared presentation, offset, dim B(h, m))."""
         key = (y, h, m)
         if key not in self._prepends:
             pres, offsets = self.block(y, m + 1)
-            off = offsets[h]
-            self._prepends[key] = [
-                pres.project_unit(off + q) for q in range(self.block(h, m)[0].dim)
-            ]
+            shared = (pres, offsets[h], self.block(h, m)[0].dim)
+            cols = self._projections.get(shared)
+            if cols is None:
+                _, off, count = shared
+                cols = self._projections[shared] = [pres.project_unit(off + q) for q in range(count)]
+            self._prepends[key] = cols
         return self._prepends[key]
 
 

@@ -22,32 +22,48 @@ class NotUniformError(GraphError):
     """The graph is not uniform, so the Koszulity decision does not apply."""
 
 
+def _union(items, links) -> tuple[dict[str, str], int]:
+    """One union-find pass over `items` under 'share an element of links[item]'.
+
+    Returns the parent links, a root per class, and the number of classes.
+    """
+    parent: dict[str, str] = {}
+    owner: dict[str, str] = {}
+    count = 0
+    for v in items:
+        parent[v] = v
+        count += 1
+        for c in links[v]:
+            u = owner.setdefault(c, v)
+            if u == v:
+                continue
+            # path halving keeps the trees shallow
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            w = v
+            while parent[w] != w:
+                parent[w] = parent[parent[w]]
+                w = parent[w]
+            if u != w:
+                parent[w] = u
+                count -= 1
+    return parent, count
+
+
 def linked_classes(items, links) -> list[list[str]]:
     """Partition of the sorted `items` under 'share an element of links(item)'.
 
     Two items are linked when their link sets meet; the classes are the
     transitive closure, each in item order, listed by smallest member.
     """
-    parent = {v: v for v in items}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    owner: dict[str, str] = {}
-    for v in items:
-        for c in links(v):
-            if c in owner:
-                ra, rb = find(owner[c]), find(v)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            else:
-                owner[c] = v
+    parent, _ = _union(items, {v: links(v) for v in items})
     groups: dict[str, list[str]] = {}
     for v in items:
-        groups.setdefault(find(v), []).append(v)
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(v)
     return sorted(groups.values())
 
 
@@ -146,16 +162,23 @@ class LayeredGraph:
         return self._below[v]
 
     def sphere(self, x: str, n: int) -> tuple[str, ...]:
-        """Vertices strictly below x whose rank is rank(x) - n; sphere(x, 0) = (x,)."""
+        """Vertices strictly below x whose rank is rank(x) - n; sphere(x, 0) = (x,).
+
+        Every vertex below x is reached from x by a chain of covers, each
+        dropping the rank by one, so n steps down the lower covers reach
+        exactly this level."""
         r = self.rank(x)
         if n < 0:
             raise GraphError(f"negative sphere radius {n}")
         if n == 0:
             return (x,)
-        want = r - n
-        if want < 0:
-            return ()
-        return tuple(v for v in self.at_rank(want) if v in self._below[x])
+        if n >= r:
+            return (BOTTOM,) if n == r else ()
+        lower = self._lower
+        level = lower[x]
+        for _ in range(n - 1):
+            level = {w for v in level for w in lower[v]}
+        return tuple(sorted(level))
 
     # -- structure predicates ------------------------------------------------
 
@@ -164,12 +187,10 @@ class LayeredGraph:
 
         On failure the witness is (vertex, partition of its lower covers).
         """
+        lower = self._lower
         for v in self.vertex_ids():
-            if self.vertices[v] < 2:
-                continue
-            classes = linked_classes(self._lower[v], self.lower_covers)
-            if len(classes) > 1:
-                return False, (v, classes)
+            if self.vertices[v] >= 2 and _union(lower[v], lower)[1] > 1:
+                return False, (v, linked_classes(lower[v], self.lower_covers))
         return True, None
 
     # -- chains ---------------------------------------------------------------

@@ -53,14 +53,37 @@ form per differential, found the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 
-@dataclass(frozen=True)
+class Record:
+    """A plain record: positional fields named by `__slots__`, equal when of
+    one class with equal fields, and shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class Ring:
-    """Z (p None), Q (p = 0) or F_p (p a prime below 2^31), compared by `p`.
+    """Z (p None), Q (p = 0) or F_p (p a prime below 2^31), immutable,
+    compared and hashed by `p`.
 
     `of` gives the canonical form of a value, and the kernel's arithmetic
     keeps it: a matrix over Q built from integral entries holds ints,
@@ -70,18 +93,31 @@ class Ring:
     form.  Z has no division: eliminations pivot on units and Smith forms.
     """
 
-    p: int | None
+    __slots__ = ("p",)
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        p = self.p
-        if p is None or p == 0:
-            return
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p >= 2**31:
-            raise ValueError(f"prime {p} too large (must be < 2^31)")
+    def __init__(self, p: int | None):
+        if p:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if p >= 2**31:
+                raise ValueError(f"prime {p} too large (must be < 2^31)")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Ring")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.p == other.p if type(other) is Ring else NotImplemented
+
+    def __hash__(self):
+        return hash(self.p)
+
+    def __reduce__(self):
+        return Ring, (self.p,)
 
     @property
     def key(self) -> str:
@@ -683,18 +719,19 @@ def cochain_cohomology(
 # Smith normal form and integral cohomology
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Nonzero invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
+class SmithForm(Record):
+    """Nonzero invariant factors d_1 | d_2 | ... | d_r of an integer matrix,
+    `factors`, a tuple."""
 
-    factors: tuple[int, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
+    def __init__(self, factors: tuple[int, ...]):
+        for a, b in zip(factors, factors[1:]):
             if a <= 0 or b % a != 0:
-                raise ValueError(f"invariant factors {self.factors} violate divisibility")
-        if self.factors and self.factors[-1] <= 0:
+                raise ValueError(f"invariant factors {factors} violate divisibility")
+        if factors and factors[-1] <= 0:
             raise ValueError("invariant factors must be positive")
+        super().__init__(factors)
 
     @property
     def rank(self) -> int:

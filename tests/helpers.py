@@ -1147,3 +1147,28 @@ def path_comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tu
             details.append((n, k, ldim, rdim, ok))
             all_ok = all_ok and ok
     return all_ok, details
+
+
+def block_relations(blocks, h: str, m: int) -> tuple[int, list[dict]]:
+    """The ambient size and relation columns of B(h, m) in the store `blocks`,
+    rebuilt from the definition in the `HeadBlocks` docstring: the ambient
+    basis concatenates the blocks B(c, m-1) of the lower covers c of h, and
+    each relation sums, over the covers c between h and a vertex d two ranks
+    below, one basis vector of B(d, m-2) with c prepended."""
+    g, one = blocks.graph, blocks.field.one
+    if m == 1:
+        return 1, []
+    covers = g.lower_covers(h)
+    _, offsets = blocks.block(h, m)
+    size = sum(blocks.block(c, m - 1)[0].dim for c in covers)
+    if m == 2:
+        return size, [{offsets[c]: one for c in covers}]
+    relations = []
+    for d in g.sphere(h, 2):
+        for q in range(blocks.block(d, m - 2)[0].dim):
+            rel = {}
+            for c in covers:
+                if (c, d) in g.covers:
+                    rel.update((offsets[c] + i, v) for i, v in blocks.prepend(c, d, m - 2)[q].items())
+            relations.append(rel)
+    return size, relations

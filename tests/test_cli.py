@@ -5,6 +5,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwkoszul import bigraded, cli, linalg
 from cwkoszul.catalog import catalog
@@ -336,6 +338,28 @@ def test_json_output_deterministic(capsys):
     _, out2, _ = run(capsys, "koszul", "catalog:rp2_six", "--poset", "hat",
                      "--field", "f2", "--json")
     assert out1 == out2
+
+
+# report values: text with any code point but lone surrogates, so non-ASCII
+# and control characters, big ints, and empty or nested containers
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(REPORT_VALUES)
+@example({"": [], "\u00e9\x00\u2028": {}, "b": [None, True, False, 0, -(10**30), "\U0001f600\t\""]})
+@settings(max_examples=300, deadline=None)
+def test_report_writer_equals_json_dumps(obj):
+    assert cli._canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [1.5, (1,), {1: 0}, {"a": [set()]}], ids=repr)
+def test_report_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._canonical_json(obj)
 
 
 def test_hypothesis_failures_exit_three(tmp_path, capsys):

@@ -17,10 +17,11 @@ from cwkoszul.dualalg import (
     word_complex,
 )
 from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph
-from cwkoszul.linalg import GF, QQ
+from cwkoszul.linalg import GF, QQ, SparseExactMatrix, quotient
 
 from helpers import (
     below,
+    block_relations,
     path_annihilator_check,
     path_comparison_iso_check,
     path_graded_dims,
@@ -124,15 +125,32 @@ def _presented_blocks(monkeypatch):
     return presented
 
 
+def _every_block(g):
+    return [(h, m) for h in g.vertex_ids(skip_bottom=True) for m in range(1, g.rank(h) + 1)]
+
+
+def _relation_matrix(blocks, h, m):
+    """B(h, m)'s ambient size and relation columns, as a hashable value."""
+    size, relations = block_relations(blocks, h, m)
+    return size, tuple(tuple(sorted(rel.items())) for rel in relations)
+
+
 def test_each_block_presented_once_per_decision(monkeypatch):
     presented = _presented_blocks(monkeypatch)
     g = catalog("simplex4").face_poset_hat()
-    assert koszul_decide(g, QQ).koszul
-    # a Koszul decision visits every block B(h, m), 1 <= m <= rank(h), once
-    assert len(presented) == sum(g.rank(v) for v in g.vertex_ids(skip_bottom=True))
+    blocks = HeadBlocks(g, QQ)
+    assert koszul_decide(g, QQ, blocks).koszul
+    count = len(presented)
+    # a Koszul decision visits every block B(h, m), 1 <= m <= rank(h), and
+    # presents each distinct relation matrix once, shared by all its blocks
+    shared = {}
+    for h, m in _every_block(g):
+        pres = blocks.block(h, m)[0]
+        assert shared.setdefault(_relation_matrix(blocks, h, m), pres) is pres, (h, m)
+    assert len(presented) == count == len(shared) < len(_every_block(g))
     presented.clear()
     koszul_decide(g, QQ)  # a second decision shares nothing with the first
-    assert len(presented) == sum(g.rank(v) for v in g.vertex_ids(skip_bottom=True))
+    assert len(presented) == count
 
 
 def _decided_vertices(monkeypatch):
@@ -195,7 +213,27 @@ def test_check_remark39_shares_the_decision_blocks(monkeypatch, capsys):
         assert cli.main(argv + extra) == 0
         counts.append(len(presented))
     capsys.readouterr()
-    assert counts == [192, 192]
+    # 192 blocks B(h, m) share 16 distinct relation matrices
+    assert counts == [16, 16]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.key)
+def test_shared_presentation_equals_a_fresh_quotient(field):
+    blocks_seen = presentations_seen = 0
+    for g in _posets(catalog_names()) + RANDOM + [COUNTERFEIT]:
+        blocks = HeadBlocks(g, field)
+        every = _every_block(g)
+        for h, m in every:
+            pres = blocks.block(h, m)[0]
+            size, relations = block_relations(blocks, h, m)
+            fresh = quotient(range(size), SparseExactMatrix.from_columns(relations, size, field), field)
+            assert pres.labels() == fresh.labels(), (g.name, h, m)
+            assert [pres.project_unit(j) for j in range(size)] == [
+                fresh.project_unit(j) for j in range(size)
+            ], (g.name, h, m)
+        blocks_seen += len(every)
+        presentations_seen += len({id(blocks.block(h, m)[0]) for h, m in every})
+    assert presentations_seen < blocks_seen
 
 
 def test_block_guard():

@@ -60,6 +60,34 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, modules):
         assert report["stdlib"] == []
 
 
+EVERY_COMMAND = """
+import contextlib, io, sys
+from cwkoszul import cli
+path, graph = sys.argv[1:]
+argvs = [
+    ["validate", path], ["poset", path, "--hat"], ["cohomology", path],
+    ["relative", path, "--cell", "0"], ["hx", path, "--field", "f2"], ["hx", path, "--integral"],
+    ["koszul", path, "--poset", "hat", "--check-remark39"], ["koszul-graph", graph],
+    ["rdims", path, "--poset", "hat"], ["ann-check", path, "--vertex", "01", "--n", "1"],
+    ["phi-check", path], ["catalog", "list"], ["catalog", "emit", "simplex3"],
+]
+assert {a[0] for a in argvs} == set(cli.COMMANDS)
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--json", *argv]) == 0, argv
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    # records are plain `__slots__` classes; `dataclasses` would load `inspect` and `ast`
+    x = catalog("simplex3")
+    path, graph = tmp_path / "simplex3.json", tmp_path / "simplex3_hat.json"
+    path.write_text(json.dumps(x.to_dict()))
+    graph.write_text(json.dumps(x.face_poset_hat().to_dict()))
+    assert _fresh(EVERY_COMMAND, str(path), str(graph)) == "False\n"
+
+
 LIBRARY = """
 import contextlib, importlib, io, sys
 import cwkoszul

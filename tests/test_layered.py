@@ -1,9 +1,11 @@
 """Layered graphs: spheres, intervals, uniformity, thinness, chains, serialization."""
 
+import random
+
 import pytest
 
-from cwkoszul.catalog import catalog
-from cwkoszul.layered import BOTTOM, GraphError, LayeredGraph, graph_from_dict
+from cwkoszul.catalog import catalog, catalog_names
+from cwkoszul.layered import BOTTOM, GraphError, LayeredGraph, graph_from_dict, linked_classes
 
 from helpers import (
     below,
@@ -13,8 +15,22 @@ from helpers import (
     is_thin,
     nonuniform_poset,
     open_interval_connected,
+    random_layered_graph,
+    random_uniform_graphs,
     up_down_sequence,
 )
+
+RANDOM = random_uniform_graphs(30, 2024)
+
+
+def _catalog_posets():
+    out = []
+    for name in catalog_names():
+        x = catalog(name)
+        out.append(x.face_poset_bar())
+        if x.is_pure():
+            out.append(x.face_poset_hat())
+    return out
 
 
 def test_construction_rejects_bad_rank_drop():
@@ -61,6 +77,53 @@ def test_sphere_examples():
     assert g.sphere("e", 2) == (BOTTOM,)
     assert g.sphere("e", 0) == ("e",)
     assert g.sphere("a", 2) == ()
+
+
+def test_sphere_equals_level_scan():
+    for g in _catalog_posets() + RANDOM:
+        for x in g.vertex_ids():
+            r = g.rank(x)
+            for n in range(1, r + 2):
+                scan = tuple(v for v in g.at_rank(r - n) if v in g.strictly_below(x))
+                assert g.sphere(x, n) == scan, (g.name, x, n)
+            if r:
+                assert g.sphere(x, r) == (BOTTOM,)
+
+
+def _closure_classes(items, links):
+    """Partition of `items` by merging any two groups whose link sets meet."""
+    groups = [([v], set(links[v])) for v in items]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i][1] & groups[j][1]:
+                    groups[i][0].extend(groups[j][0])
+                    groups[i][1].update(groups.pop(j)[1])
+                    merged = True
+                    break
+            if merged:
+                break
+    return sorted(sorted(members) for members, _ in groups)
+
+
+def test_is_uniform_equals_linked_classes():
+    rng = random.Random(7)
+    graphs = RANDOM + [random_layered_graph(rng) for _ in range(60)] + [nonuniform_poset()]
+    assert not all(g.is_uniform()[0] for g in graphs)
+    for g in graphs:
+        lower = {v: g.lower_covers(v) for v in g.vertex_ids()}
+        want = (True, None)
+        for v in g.vertex_ids():
+            if g.rank(v) < 2:
+                continue
+            classes = linked_classes(lower[v], lower.__getitem__)
+            assert classes == _closure_classes(lower[v], lower), (g.name, v)
+            if len(classes) > 1:
+                want = (False, (v, classes))
+                break
+        assert g.is_uniform() == want, g.name
 
 
 def test_is_uniform_positive_and_negative():

@@ -1,5 +1,7 @@
 """Exact linear algebra: ranks, kernels, quotients, SNF, integral cohomology."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -442,6 +444,13 @@ def test_rings_are_values():
     for bad in (0, 1, 4, 2**31 + 11):
         with pytest.raises(ValueError):
             GF(bad)
+    # immutable, and copied or pickled as the same value
+    with pytest.raises(AttributeError):
+        GF(5).p = 7
+    with pytest.raises(AttributeError):
+        del QQ.p
+    assert copy.deepcopy(GF(5)) == pickle.loads(pickle.dumps(GF(5))) == GF(5)
+    assert copy.copy(ZZ).p is None
 
 
 def test_of_converts_exactly_and_never_truncates():
