@@ -31,12 +31,11 @@ up through cofaces.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 
 from .cw import ComplexError, RegularCWComplex
 from .linalg import (
-    Record,
     SparseExactMatrix,
     _check_complex,
     _echelon,
@@ -66,12 +65,12 @@ def _units(ring) -> dict[int, object]:
     return {1: ring.of(1), -1: ring.of(-1)}
 
 
-class BigradedLayer(Record):
+class BigradedLayer(namedtuple("BigradedLayer", "k bases d_up d_down")):
     """Pair spaces of one column k with both differentials, over one ring:
     `bases[n]` lists the pairs of bidegree (n, k), and `d_up[n]` and
     `d_down[n]` are the horizontal and vertical differentials out of it."""
 
-    __slots__ = ("k", "bases", "d_up", "d_down")
+    __slots__ = ()
 
 
 def build_layer(
@@ -114,7 +113,7 @@ def build_layer(
     return BigradedLayer(k, bases, d_up, d_down)
 
 
-class ReducedLayer(Record):
+class ReducedLayer(namedtuple("ReducedLayer", "layer above echelons ranks")):
     """Column k with the echelon forms of the vertical image of column k+1.
 
     `layer` is column k and `above` column k+1 (None past the top).
@@ -123,7 +122,7 @@ class ReducedLayer(Record):
     for the top column), and `ranks[n]` is rank V_n.
     """
 
-    __slots__ = ("layer", "above", "echelons", "ranks")
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -217,11 +216,11 @@ def relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int]:
 # the bigraded table and the obstruction report
 
 
-class PairCohomologyTable(Record):
+class PairCohomologyTable(namedtuple("PairCohomologyTable", "coeff dim entries")):
     """Cohomology of the reduced columns over the ring named `coeff`:
     `entries[(n, k)]` for 0 <= k <= n <= dim."""
 
-    __slots__ = ("coeff", "dim", "entries")
+    __slots__ = ()
 
     def entry(self, n: int, k: int):
         return self.entries[(n, k)]
@@ -334,7 +333,7 @@ def _relative_dims(layer: BigradedLayer, p: int) -> list[tuple[str, int, int]]:
     return out
 
 
-class ObstructionReport(Record):
+class ObstructionReport(namedtuple("ObstructionReport", "coeff dim bigraded cohomology relative")):
     """Koszulity obstructions of the extended poset, by both routes.
 
     `bigraded` lists nonzero table entries (n, k, dim) with 0 <= k < n < dim;
@@ -344,7 +343,7 @@ class ObstructionReport(Record):
     on emptiness.
     """
 
-    __slots__ = ("coeff", "dim", "bigraded", "cohomology", "relative")
+    __slots__ = ()
 
     @property
     def empty(self) -> bool:

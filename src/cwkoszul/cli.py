@@ -372,6 +372,12 @@ def _cmd_koszul(args, src, prov, field, poset=None):
             raise AssertionError(
                 "internal error: topological and algebraic Koszulity routes disagree"
             )
+        w = verdict.witness
+        if w and (w.n, w.k) not in {(n, k) for n, k, _ in report.bigraded}:
+            raise AssertionError(
+                f"internal error: the witness bidegree ({w.n},{w.k}) is not among "
+                "the bigraded obstructions"
+            )
         result["obstructions"] = {
             "bigraded": [list(t) for t in report.bigraded],
             "cohomology": [list(t) for t in report.cohomology],

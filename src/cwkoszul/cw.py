@@ -2,8 +2,9 @@
 
 A complex stores cell dimensions and the incidence map d(upper, lower) in
 {-1, +1}, defined exactly for codimension-1 faces, together with the faces,
-cofaces and strict lower closure of every cell.  A cell dimension is below
-the number of cells, since every dimension up to it needs a cell.
+cofaces and strict lower closure of every cell; `layered.closures` builds it,
+and the upper closures `validate` reads.  A cell dimension is below the
+number of cells, since every dimension up to it needs a cell.
 
 Regularity itself is not certified; the validator checks the combinatorial
 consequences that matter here: vanishing boundary-of-boundary, thin face
@@ -18,7 +19,7 @@ poset; each call of `face_poset_bar` or `face_poset_hat` builds a new one.
 
 from __future__ import annotations
 
-from .layered import BOTTOM, TOP, LayeredGraph, linked_classes
+from .layered import BOTTOM, TOP, LayeredGraph, closures, linked_classes
 
 
 class ComplexError(ValueError):
@@ -97,15 +98,7 @@ class RegularCWComplex:
         self._faces = {c: tuple(sorted(fs)) for c, fs in faces.items()}
         self._cofaces = {c: tuple(sorted(fs)) for c, fs in cofaces.items()}
 
-        closure: dict[str, frozenset[str]] = {}
-        for d in range(self.dim + 1):
-            for c in self._by_dim.get(d, ()):
-                acc: set[str] = set()
-                for f in self._faces[c]:
-                    acc.add(f)
-                    acc.update(closure[f])
-                closure[c] = frozenset(acc)
-        self._strict_faces = closure
+        self._strict_faces = closures(self.cells(), self._faces)
         self._sign = {c: -1 if d & 1 else 1 for c, d in dims.items()}
         self._report: list[str] | None = None
 
@@ -249,14 +242,7 @@ class RegularCWComplex:
                     f"boundary of {c!r} has Euler characteristic {chi}, expected {expected}"
                 )
         if not report:
-            cofaces = self._cofaces
-            above: dict[str, frozenset[str]] = {}  # strict upper closures
-            for c in reversed(cells):
-                acc_up: set[str] = set()
-                for u in cofaces[c]:
-                    acc_up.add(u)
-                    acc_up.update(above[u])
-                above[c] = frozenset(acc_up)
+            above = closures(reversed(cells), self._cofaces)
             for b in cells:
                 db = dims[b]
                 if db < 2:

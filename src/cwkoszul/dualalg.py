@@ -33,12 +33,12 @@ a simplicial complex every interval below the maximum is Boolean.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 
 from .cw import ComplexError, RegularCWComplex
 from .layered import BOTTOM, GraphError, LayeredGraph, NotUniformError
 from .linalg import (
     QuotientPresentation,
-    Record,
     SparseExactMatrix,
     cocycle_representatives,
     cohomology_dims,
@@ -48,18 +48,18 @@ from .linalg import (
 )
 
 
-class KoszulWitness(Record):
+class KoszulWitness(namedtuple("KoszulWitness", "vertex n k cocycle")):
     """A nonzero off-diagonal word cohomology class below `vertex` in
     bidegree (n, k): its cocycle as (path word, coefficient) pairs."""
 
-    __slots__ = ("vertex", "n", "k", "cocycle")
+    __slots__ = ()
 
 
-class KoszulVerdict(Record):
+class KoszulVerdict(namedtuple("KoszulVerdict", "koszul field_key graph_name witness checked")):
     """The decision over the field named `field_key`: the first failure's
     witness (None when Koszul) and (vertex, rank, passed) per vertex checked."""
 
-    __slots__ = ("koszul", "field_key", "graph_name", "witness", "checked")
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

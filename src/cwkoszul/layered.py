@@ -4,6 +4,8 @@ Vertices are string ids, totally ordered by the usual string order; every
 derived enumeration (spheres, chains, witnesses) follows that order so results
 are reproducible.  The minimum carries the reserved id "0bar" and is implicit
 in serialized graphs; rank-1 vertices are wired to it automatically.
+`closures` is the one closure walk: below each vertex here, below and above
+each cell in `cw`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,20 @@ def _union(items, links) -> tuple[dict[str, str], int]:
                 parent[w] = u
                 count -= 1
     return parent, count
+
+
+def closures(order, links) -> dict[str, frozenset[str]]:
+    """The strict closure of each item: every item reached through one or
+    more links.  `order` lists every linked item before the items that link
+    to it, so each closure is the union of its links' closures."""
+    out: dict[str, frozenset[str]] = {}
+    for v in order:
+        acc: set[str] = set()
+        for w in links[v]:
+            acc.add(w)
+            acc.update(out[w])
+        out[v] = frozenset(acc)
+    return out
 
 
 def linked_classes(items, links) -> list[list[str]]:
@@ -117,15 +133,7 @@ class LayeredGraph:
         self._by_rank = {r: tuple(sorted(vs)) for r, vs in by_rank.items()}
         self.max_rank = max(verts.values())
 
-        below: dict[str, frozenset[str]] = {}
-        for r in range(self.max_rank + 1):
-            for v in self._by_rank.get(r, ()):
-                acc: set[str] = set()
-                for w in self._lower[v]:
-                    acc.add(w)
-                    acc.update(below[w])
-                below[v] = frozenset(acc)
-        self._below = below
+        self._below = closures(self.vertex_ids(), self._lower)
 
     # -- basic queries ------------------------------------------------------
 

@@ -547,6 +547,22 @@ def test_internal_assertion_exits_four(monkeypatch, capsys):
     assert "Traceback" in err and "routes disagree" in err
 
 
+def test_witness_bidegree_off_the_obstructions_exits_four(monkeypatch, capsys):
+    # the routes must agree on where the obstruction sits, not only on whether it exists
+    real = bigraded.koszul_obstructions
+
+    def shifted(x, field):
+        report = real(x, field)
+        return report._replace(bigraded=[(n + 1, k, h) for n, k, h in report.bigraded])
+
+    monkeypatch.setattr("cwkoszul.bigraded.koszul_obstructions", shifted)
+    code, out, err = run(capsys, "koszul", "catalog:rp2_six", "--poset", "hat",
+                         "--field", "f2", "--exit-status")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "witness bidegree (1,0)" in err
+
+
 def test_internal_value_error_exits_four(monkeypatch, capsys):
     # nor may a bare ValueError from an internal check read as an input error (exit 2)
     monkeypatch.setattr("cwkoszul.bigraded.koszul_obstructions",

@@ -80,7 +80,7 @@ print("dataclasses" in sys.modules)
 
 
 def test_no_command_loads_dataclasses(tmp_path):
-    # records are plain `__slots__` classes; `dataclasses` would load `inspect` and `ast`
+    # records are namedtuples; `dataclasses` would load `inspect` and `ast`
     x = catalog("simplex3")
     path, graph = tmp_path / "simplex3.json", tmp_path / "simplex3_hat.json"
     path.write_text(json.dumps(x.to_dict()))

@@ -5,7 +5,14 @@ import random
 import pytest
 
 from cwkoszul.catalog import catalog, catalog_names
-from cwkoszul.layered import BOTTOM, GraphError, LayeredGraph, graph_from_dict, linked_classes
+from cwkoszul.layered import (
+    BOTTOM,
+    GraphError,
+    LayeredGraph,
+    closures,
+    graph_from_dict,
+    linked_classes,
+)
 
 from helpers import (
     below,
@@ -46,6 +53,36 @@ def test_construction_rejects_missing_lower_cover():
 def test_construction_rejects_explicit_bottom_cover():
     with pytest.raises(GraphError, match="implicit"):
         LayeredGraph({"a": 1}, {("a", BOTTOM)})
+
+
+def _searched(v, links) -> frozenset[str]:
+    """Every item reached from v through one or more links, by depth-first search."""
+    seen: set[str] = set()
+    stack = list(links[v])
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen.add(w)
+            stack.extend(links[w])
+    return frozenset(seen)
+
+
+def test_closures_equal_a_search_per_item():
+    rng = random.Random(7)
+    walks = []  # (order, links), each linked item listed before the items linking to it
+    for g in RANDOM + [random_layered_graph(rng) for _ in range(40)]:
+        order = g.vertex_ids()
+        upper: dict[str, list[str]] = {v: [] for v in order}
+        for u, l in g.covers:
+            upper[l].append(u)
+        walks += [(order, {v: g.lower_covers(v) for v in order}), (order[::-1], upper)]
+    for name in catalog_names():
+        x = catalog(name)
+        order = x.cells()
+        walks += [(order, {c: x.faces(c) for c in order}),
+                  (order[::-1], {c: x.cofaces(c) for c in order})]
+    for order, links in walks:
+        assert closures(order, links) == {v: _searched(v, links) for v in order}
 
 
 def test_below_minimum_is_single_vertex():

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from cwkoszul.bigraded import hx_table, koszul_obstructions, reduced_layers
+from cwkoszul.catalog import catalog
+from cwkoszul.dualalg import koszul_decide
 from cwkoszul.linalg import (
     GF,
     QQ,
@@ -244,8 +247,9 @@ def test_smith_zero_and_empty():
 
 
 def test_smith_form_divisibility_enforced():
-    with pytest.raises(ValueError):
-        SmithForm((2, 3))
+    for factors in ((2, 3), (0, 0), (-2,), (2, -4)):
+        with pytest.raises(ValueError):
+            SmithForm(factors)
 
 
 @given(small_matrices())
@@ -451,6 +455,24 @@ def test_rings_are_values():
         del QQ.p
     assert copy.deepcopy(GF(5)) == pickle.loads(pickle.dumps(GF(5))) == GF(5)
     assert copy.copy(ZZ).p is None
+
+
+def test_records_are_values():
+    x = catalog("rp2_six")
+    verdict = koszul_decide(x.face_poset_hat(), GF(2))
+    red = next(reduced_layers(x, GF(2)))
+    records = [verdict, verdict.witness, red.layer, red, hx_table(x, GF(2)),
+               koszul_obstructions(x, GF(2)), smith_normal_form(dense([[2, 0], [0, 3]], ZZ))]
+    assert len({type(r) for r in records}) == 7
+    assert repr(records[-1]) == "SmithForm(factors=(1, 6))"
+    for r in records:
+        fields = ", ".join(f"{name}={getattr(r, name)!r}" for name in r._fields)
+        assert repr(r) == f"{type(r).__name__}({fields})"
+        assert r == type(r)(*r)
+        back = pickle.loads(pickle.dumps(r))
+        assert type(back) is type(r) and back == r
+        with pytest.raises(AttributeError):
+            setattr(r, r._fields[0], None)
 
 
 def test_of_converts_exactly_and_never_truncates():
