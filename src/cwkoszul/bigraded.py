@@ -97,7 +97,7 @@ def build_layer(
             {tgt[(gamma, alpha)]: unit[inc[(gamma, beta)]] for gamma in cofaces[beta]}
             for beta, alpha in bases[n]
         ]
-        d_up[n] = SparseExactMatrix._canonical(len(tgt), cols, ring)
+        d_up[n] = SparseExactMatrix(len(tgt), cols, ring)
 
     d_down: dict[int, SparseExactMatrix] = {}
     if k >= 1:
@@ -108,7 +108,7 @@ def build_layer(
                 {tgt[(beta, gamma)]: unit[inc[(alpha, gamma)]] for gamma in faces[alpha]}
                 for beta, alpha in bases[n]
             ]
-            d_down[n] = SparseExactMatrix._canonical(len(tgt), cols, ring)
+            d_down[n] = SparseExactMatrix(len(tgt), cols, ring)
 
     return BigradedLayer(k, bases, d_up, d_down)
 
@@ -182,7 +182,7 @@ def _coboundaries(x: RegularCWComplex, cells, ring) -> tuple[list[int], list[Spa
         cols = [
             {tgt[gamma]: unit[inc[(gamma, beta)]] for gamma in cofaces[beta]} for beta in cells[n]
         ]
-        mats.append(SparseExactMatrix._canonical(dims[n + 1], cols, ring))
+        mats.append(SparseExactMatrix(dims[n + 1], cols, ring))
     return dims, mats
 
 

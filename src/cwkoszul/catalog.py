@@ -9,7 +9,6 @@ validator confirms is consistent.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from .cw import ComplexError, RegularCWComplex
@@ -105,7 +104,6 @@ def catalog_names() -> list[str]:
     return names
 
 
-@lru_cache(maxsize=None)
 def catalog(name: str) -> RegularCWComplex:
     """Return the validated built-in complex with the given name.
 

@@ -100,7 +100,7 @@ class RegularCWComplex:
 
         self._strict_faces = closures(self.cells(), self._faces)
         self._sign = {c: -1 if d & 1 else 1 for c, d in dims.items()}
-        self._report: list[str] | None = None
+        self._report: tuple[str, ...] | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -185,10 +185,11 @@ class RegularCWComplex:
         of b above a, all strict faces of b for a = 0bar.  Its covers, each a
         cell inside and one of its faces inside, must join it into one
         component.  Cells b go by dimension and then by id, and each a in
-        string order among the strict faces of b and 0bar.
+        string order among the strict faces of b and 0bar.  The report is
+        kept as a tuple, and each call returns a new list of it.
         """
         if self._report is not None:
-            return self._report
+            return list(self._report)
         report: list[str] = []
         dims, faces, inc, strict = self.dims, self._faces, self.incidence, self._strict_faces
         cells = self.cells()
@@ -256,7 +257,7 @@ class RegularCWComplex:
                         report.append(
                             f"interval [{a!r}, {b!r}] splits into several diamond classes"
                         )
-        self._report = report
+        self._report = tuple(report)
         return report
 
     def ensure_valid(self) -> None:

@@ -147,7 +147,7 @@ class HeadBlocks:
             pres = self._presentations.get(shared)
             if pres is None:
                 # relation columns: projections and the field's one are canonical already
-                rmap = SparseExactMatrix._canonical(size, relations, self.field)
+                rmap = SparseExactMatrix(size, relations, self.field)
                 pres = self._presentations[shared] = quotient(range(size), rmap, self.field)
             self._blocks[key] = (pres, offsets)
         return self._blocks[key]
@@ -172,8 +172,8 @@ class HeadBlocks:
 
     def prepend(self, y: str, h: str, m: int) -> list[dict]:
         """Left multiplication by y, B(h, m) -> B(y, m+1), one column per basis
-        vector: the projections of B(y, m+1)'s ambient units at h's offset,
-        built once per (shared presentation, offset, dim B(h, m))."""
+        vector: the projections (`project`) of B(y, m+1)'s ambient units at
+        h's offset, built once per (shared presentation, offset, dim B(h, m))."""
         key = (y, h, m)
         if key not in self._prepends:
             pres, offsets = self.block(y, m + 1)
@@ -181,7 +181,8 @@ class HeadBlocks:
             cols = self._projections.get(shared)
             if cols is None:
                 _, off, count = shared
-                cols = self._projections[shared] = [pres.project_unit(off + q) for q in range(count)]
+                units = ({off + q: self.field.one} for q in range(count))
+                cols = self._projections[shared] = [pres.project(u) for u in units]
             self._prepends[key] = cols
         return self._prepends[key]
 
@@ -244,7 +245,7 @@ def _left_multiplication(blocks: HeadBlocks, gens, m: int, src: tuple, dst: tupl
         out = cols[j]
         for i, v in col.items():
             out[oy + i] = v
-    return SparseExactMatrix._canonical(dst[1], cols, blocks.field)
+    return SparseExactMatrix(dst[1], cols, blocks.field)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +503,8 @@ def comparison_map(
     vertices of rank n+1 of the bar poset.  Each pair (upper, lower) of
     `layer.labels(n)`, a basis of the reduced pair space, goes to the class
     of its lexicographically smallest connecting chain, weighted by that
-    chain's sign; the choice of chain does not matter in the quotient.
+    chain's sign; the choice of chain does not matter in the quotient.  A
+    signed value is brought to the canonical form of the field by `of`.
     `layer` is the reduced column k over the field of `blocks`, the
     head-block store of the bar poset of x; the poset is read from it.
     """
@@ -511,10 +513,9 @@ def comparison_map(
     cols = []
     for beta, alpha in layer.labels(n):
         chain = g.first_maximal_chain(beta, alpha)
-        sgn = field.of(sign_of_path(x, chain))
-        off = offsets[beta]
-        cols.append({off + i: sgn * v for i, v in _word_coordinates(blocks, chain).items()})
-    return SparseExactMatrix.from_columns(cols, dim, field)
+        sgn, off = sign_of_path(x, chain), offsets[beta]
+        cols.append({off + i: field.of(sgn * v) for i, v in _word_coordinates(blocks, chain).items()})
+    return SparseExactMatrix(dim, cols, field)
 
 
 def comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]:

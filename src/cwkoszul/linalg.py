@@ -24,9 +24,9 @@ Fraction values over Q.  The reduced row echelon form of a row space is
 unique, so kernels, quotient bases and representatives depend only on the
 spans involved, never on row order: they are reproducible across runs.
 
-Matrices built from canonical values (induced maps, pair complexes, word
-complexes, head-block relations) skip the per-entry canonicalisation of the
-public constructors through `_canonical`.
+Values become canonical in one place, `Ring.of`.  A matrix is built from
+columns whose values are canonical already, as the kernel's arithmetic
+keeps them; a caller holding any other value converts it with `Ring.of`.
 
 Every presented quotient is the cokernel of a relation map ring^r ->
 ring^ambient, built by `quotient(labels, relations, ring)`.  One class,
@@ -238,42 +238,19 @@ class SparseExactMatrix:
     """Immutable sparse matrix mapping column vectors: F^cols -> F^rows.
 
     A matrix is its list of columns, one dict {row: nonzero scalar} per
-    column, as the complexes emit them and `apply` reads them.  The public
-    constructors bring every entry to the canonical form of the ring;
-    `_canonical` takes columns that are canonical already.
+    column, as the complexes emit them and `apply` reads them.  The list is
+    kept, not copied, and its values are taken as canonical for `ring`
+    (`Ring.of`); only the row bounds are checked.
     """
 
     __slots__ = ("rows", "cols", "columns", "ring")
 
-    def __init__(self, rows: int, cols: int, entries: dict, ring):
-        of = ring.of
-        columns: list[dict] = [{} for _ in range(cols)]
-        for (i, j), v in entries.items():
-            v = of(v)
-            if v:
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
-                columns[j][i] = v
-        self.rows, self.cols, self.columns, self.ring = rows, cols, columns, ring
-
-    @classmethod
-    def _canonical(cls, rows: int, columns: list[dict], ring) -> "SparseExactMatrix":
-        """A matrix on `columns` as they are: nonzero values in the canonical
-        form of `ring`, as the kernel and the pair complexes build them.  The
-        list is kept, not copied; only the row bounds are checked."""
+    def __init__(self, rows: int, columns: list[dict], ring):
         for j, col in enumerate(columns):
             for i in col:
                 if not 0 <= i < rows:
                     raise IndexError(f"entry ({i},{j}) outside {rows}x{len(columns)}")
-        m = cls.__new__(cls)
-        m.rows, m.cols, m.columns, m.ring = rows, len(columns), columns, ring
-        return m
-
-    @classmethod
-    def from_columns(cls, cols: list[dict], nrows: int, ring) -> "SparseExactMatrix":
-        of = ring.of
-        cols = [{i: w for i, v in col.items() if (w := of(v))} for col in cols]
-        return cls._canonical(nrows, cols, ring)
+        self.rows, self.cols, self.columns, self.ring = rows, len(columns), columns, ring
 
     @property
     def entries(self) -> dict:
@@ -464,8 +441,7 @@ class QuotientPresentation:
     column is a combination of nonpivot columns modulo the relations, so
     ring^ambient / relations is ring^(nonpivot columns) / core.  The free
     coordinates are the nonpivot columns no core row touches: `project`
-    reduces an ambient vector by the pivot rows and reads them
-    (`project_unit` reads a unit vector's straight off its pivot row), and `lift`
+    reduces an ambient vector by the pivot rows and reads them, and `lift`
     embeds them back as ambient unit vectors, so project(lift(j)) is the
     j-th unit vector.  Only `IntegralQuotient` presents a lattice, and it
     adds the coordinates of the core.  The relation map is not kept.
@@ -499,18 +475,6 @@ class QuotientPresentation:
     def project(self, vec: dict) -> dict:
         pos = self._free_pos
         return {pos[j]: v for j, v in _reduce(vec, self._tails, self._p).items()}
-
-    def project_unit(self, j: int) -> dict:
-        """project({j: one}), read off the pivot rows: a free column is its own
-        coordinate, a pivot column the negated tail of its reduced pivot row,
-        which over a field holds free columns only."""
-        pos, p = self._free_pos, self._p
-        tail = self._tails.get(j)
-        if tail is None:
-            return {pos[j]: self.ring.one}
-        if p:
-            return {pos[c]: -v % p for c, v in tail.items()}
-        return {pos[c]: -v for c, v in tail.items()}
 
     def lift(self, q: int) -> dict:
         return {self._free[q]: self.ring.one}
@@ -571,10 +535,6 @@ class IntegralQuotient(QuotientPresentation):
                 out[i] = v
         return out
 
-    def project_unit(self, j: int) -> dict:
-        # a core column has no free coordinate of its own
-        return self.project({j: self.ring.one})
-
     def lift(self, idx: int) -> dict:
         if idx < len(self._free):
             return super().lift(idx)
@@ -610,7 +570,7 @@ def induced_map(f: SparseExactMatrix, src, dst) -> SparseExactMatrix:
                 f"induced_map: image of relation row {i} is not in the target relation span"
             )
     cols = [dst.project(f.apply(src.lift(j))) for j in range(src.dim)]
-    return SparseExactMatrix._canonical(dst.dim, cols, src.ring)
+    return SparseExactMatrix(dst.dim, cols, src.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -232,20 +232,27 @@ def debug_triples(m) -> str:
     return "\n".join(lines)
 
 
-def matmul(a, b):
-    """The product a * b of two sparse matrices, column by column."""
+def matrix(rows: int, columns: list[dict], ring):
+    """The matrix on `columns` ({row: value} each), every value brought to the
+    canonical form of `ring` by `Ring.of` and zeros dropped: the reference
+    for the canonical values the kernel's own builders keep."""
     from cwkoszul.linalg import SparseExactMatrix
 
+    of = ring.of
+    columns = [{i: w for i, v in col.items() if (w := of(v))} for col in columns]
+    return SparseExactMatrix(rows, columns, ring)
+
+
+def matmul(a, b):
+    """The product a * b of two sparse matrices, column by column."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
-    return SparseExactMatrix.from_columns([a.apply(c) for c in b.columns], a.rows, a.ring)
+    return matrix(a.rows, [a.apply(c) for c in b.columns], a.ring)
 
 
 def transpose(m):
     """The transpose of a sparse matrix: its rows become the columns."""
-    from cwkoszul.linalg import SparseExactMatrix
-
-    return SparseExactMatrix._canonical(m.cols, m.row_list(), m.ring)
+    return matrix(m.cols, m.row_list(), m.ring)
 
 
 def is_zero(m) -> bool:
@@ -254,18 +261,16 @@ def is_zero(m) -> bool:
 
 def convert(m, ring):
     """The entries of m over `ring`; a matrix already over it is returned as is."""
-    from cwkoszul.linalg import SparseExactMatrix
-
     if ring == m.ring:
         return m
-    return SparseExactMatrix.from_columns(m.columns, m.rows, ring)
+    return matrix(m.rows, m.columns, ring)
 
 
 def kernel_basis(m):
     """The kernel vectors of m as the columns of a matrix."""
-    from cwkoszul.linalg import SparseExactMatrix, kernel_vectors
+    from cwkoszul.linalg import kernel_vectors
 
-    return SparseExactMatrix.from_columns(kernel_vectors(m), m.cols, m.ring)
+    return matrix(m.cols, kernel_vectors(m), m.ring)
 
 
 def image_vectors(m, ring=None) -> list[dict]:
@@ -424,7 +429,7 @@ def reduced_quotients(red) -> dict:
     """The pair spaces of a `ReducedLayer` presented by `linalg.quotient` as
     cokernels of the vertical differential (of the empty map for n = k and
     past the top), by n: the reference for the echelon forms it holds."""
-    from cwkoszul.linalg import SparseExactMatrix, quotient
+    from cwkoszul.linalg import quotient
 
     layer, above, k = red.layer, red.above, red.k
     ring = layer.d_up[k].ring
@@ -433,7 +438,7 @@ def reduced_quotients(red) -> dict:
         if above is not None and n > k:
             rel = above.d_down[n]
         else:
-            rel = SparseExactMatrix(len(labels), 0, {}, ring)
+            rel = matrix(len(labels), [], ring)
         out[n] = quotient(labels, rel, ring)
     return out
 
@@ -459,28 +464,25 @@ def reference_layer(x: RegularCWComplex, k: int, ring):
     """The pair layer of column k built alone: the bases of column k and the
     targets of its vertical differential are listed by `scan_pair_basis`."""
     from cwkoszul.bigraded import BigradedLayer
-    from cwkoszul.linalg import SparseExactMatrix
 
     d = x.dim
     bases = {n: scan_pair_basis(x, n, k) for n in range(k, d + 1)}
     d_up, d_down = {}, {}
     for n in range(k, d + 1):
         tgt = {pair: i for i, pair in enumerate(bases.get(n + 1, []))}
-        entries = {
-            (tgt[(gamma, alpha)], j): x.incidence[(gamma, beta)]
-            for j, (beta, alpha) in enumerate(bases[n])
-            for gamma in x.cofaces(beta)
-        }
-        d_up[n] = SparseExactMatrix(len(tgt), len(bases[n]), entries, ring)
+        cols = [
+            {tgt[(gamma, alpha)]: x.incidence[(gamma, beta)] for gamma in x.cofaces(beta)}
+            for beta, alpha in bases[n]
+        ]
+        d_up[n] = matrix(len(tgt), cols, ring)
         if k >= 1:
             below_basis = scan_pair_basis(x, n, k - 1)
             tgt = {pair: i for i, pair in enumerate(below_basis)}
-            entries = {
-                (tgt[(beta, gamma)], j): x.incidence[(alpha, gamma)]
-                for j, (beta, alpha) in enumerate(bases[n])
-                for gamma in x.faces(alpha)
-            }
-            d_down[n] = SparseExactMatrix(len(below_basis), len(bases[n]), entries, ring)
+            cols = [
+                {tgt[(beta, gamma)]: x.incidence[(alpha, gamma)] for gamma in x.faces(alpha)}
+                for beta, alpha in bases[n]
+            ]
+            d_down[n] = matrix(len(below_basis), cols, ring)
     return BigradedLayer(k, bases, d_up, d_down)
 
 
@@ -544,34 +546,31 @@ def flip_d_up_sign(layer) -> None:
     cols = [dict(c) for c in m.columns]
     col = next(c for c in cols if c)
     i = min(col)
-    col[i] = m.ring.of(-col[i])
-    layer.d_up[1] = type(m)._canonical(m.rows, cols, m.ring)
+    col[i] = -col[i]
+    layer.d_up[1] = matrix(m.rows, cols, m.ring)
 
 
 def double_diagonal_d_down(layer) -> None:
     """Double the `d_down[k]` column of the first pair (t, t) of column k."""
     m = layer.d_down[layer.k]
     cols = list(m.columns)
-    cols[0] = {i: m.ring.of(2 * v) for i, v in cols[0].items()}
-    layer.d_down[layer.k] = type(m)._canonical(m.rows, cols, m.ring)
+    cols[0] = {i: 2 * v for i, v in cols[0].items()}
+    layer.d_down[layer.k] = matrix(m.rows, cols, m.ring)
 
 
 def scan_relative_complex(x: RegularCWComplex, alpha: str, field):
     """The cochain complex of (X, Y_alpha) on the star of alpha, found by
     testing every cell with `cell_le`: (dims, differentials)."""
-    from cwkoszul.linalg import SparseExactMatrix
-
     cells = [[c for c in x.cells(n) if cell_le(x, alpha, c)] for n in range(x.dim + 1)]
     dims = [len(cs) for cs in cells]
     mats = []
     for n in range(x.dim):
         tgt = {c: i for i, c in enumerate(cells[n + 1])}
-        entries = {}
-        for j, beta in enumerate(cells[n]):
-            for gamma in x.cofaces(beta):
-                if gamma in tgt:
-                    entries[(tgt[gamma], j)] = x.incidence[(gamma, beta)]
-        mats.append(SparseExactMatrix(dims[n + 1], dims[n], entries, field))
+        cols = [
+            {tgt[gamma]: x.incidence[(gamma, beta)] for gamma in x.cofaces(beta) if gamma in tgt}
+            for beta in cells[n]
+        ]
+        mats.append(matrix(dims[n + 1], cols, field))
     return dims, mats
 
 
@@ -585,17 +584,16 @@ def scan_relative_cohomology(x: RegularCWComplex, alpha: str, field) -> list[int
 
 def matrix_from_rows(rows: list[dict], ncols: int, ring):
     """The matrix with the given sparse rows, entries brought to the canonical form of ring."""
-    from cwkoszul.linalg import SparseExactMatrix
-
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    return SparseExactMatrix(len(rows), ncols, entries, ring)
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return matrix(len(rows), cols, ring)
 
 
 def identity(n: int, ring):
     """The n x n identity matrix."""
-    from cwkoszul.linalg import SparseExactMatrix
-
-    return SparseExactMatrix(n, n, {(i, i): ring.one for i in range(n)}, ring)
+    return matrix(n, [{i: ring.one} for i in range(n)], ring)
 
 
 def upper_covers(g: LayeredGraph, v: str) -> tuple[str, ...]:
@@ -928,12 +926,10 @@ class GradedComponent:
 
 
 def _component(words: list, rows: list, field):
-    from cwkoszul.linalg import SparseExactMatrix, quotient
+    from cwkoszul.linalg import quotient
 
     index = {w: j for j, w in enumerate(words)}
-    rel = SparseExactMatrix.from_columns(
-        [{index[w]: field.one for w in row} for row in rows], len(words), field
-    )
+    rel = matrix(len(words), [{index[w]: field.one for w in row} for row in rows], field)
     return quotient(list(words), rel, field)
 
 
@@ -964,11 +960,9 @@ def path_graded_dims(g: LayeredGraph, field, up_to: int | None = None) -> list[i
 
 def _lmul_ambient(g: LayeredGraph, coeffs: dict, src_words: list, dst_words: list, field):
     """Prepend a linear combination of generators, on ambient path words."""
-    from cwkoszul.linalg import SparseExactMatrix
-
     dst_index = {w: i for i, w in enumerate(dst_words)}
     covers = g.covers
-    entries: dict[tuple[int, int], object] = {}
+    cols: list[dict] = [{} for _ in src_words]
     for j, w in enumerate(src_words):
         for y, cv in coeffs.items():
             if w == ():
@@ -979,18 +973,16 @@ def _lmul_ambient(g: LayeredGraph, coeffs: dict, src_words: list, dst_words: lis
                 continue
             i = dst_index.get(tgt)
             if i is not None:
-                entries[(i, j)] = cv
-    return SparseExactMatrix(len(dst_words), len(src_words), entries, field)
+                cols[j][i] = cv
+    return matrix(len(dst_words), cols, field)
 
 
 def _lmul_induced(g: LayeredGraph, coeffs: dict, src: GradedComponent, dst: GradedComponent, field):
     """Left multiplication on quotient coordinates (no relation re-checks;
     any left multiplication preserves the relation ideal)."""
-    from cwkoszul.linalg import SparseExactMatrix
-
     f = _lmul_ambient(g, coeffs, src.presentation.ambient_labels, dst.presentation.ambient_labels, field)
     cols = [dst.presentation.project(f.apply(src.presentation.lift(q))) for q in range(src.dim)]
-    return SparseExactMatrix.from_columns(cols, dst.dim, field)
+    return matrix(dst.dim, cols, field)
 
 
 @dataclass
@@ -1115,7 +1107,6 @@ def path_comparison_map(x: RegularCWComplex, pairs, block):
     """`comparison_map` from the pair-space quotient `pairs` (one of
     `reduced_quotients`) into the path-word block of head rank n+1."""
     from cwkoszul.dualalg import sign_of_path
-    from cwkoszul.linalg import SparseExactMatrix
 
     g, field = block.graph, pairs.ring
     word_index = {w: i for i, w in enumerate(block.presentation.ambient_labels)}
@@ -1124,7 +1115,7 @@ def path_comparison_map(x: RegularCWComplex, pairs, block):
         chain = g.first_maximal_chain(beta, alpha)
         sgn = field.of(sign_of_path(x, chain))
         cols.append(block.presentation.project({word_index[chain]: sgn}))
-    return SparseExactMatrix.from_columns(cols, block.dim, field)
+    return matrix(block.dim, cols, field)
 
 
 def path_comparison_iso_check(x: RegularCWComplex, field) -> tuple[bool, list[tuple]]:

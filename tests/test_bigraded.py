@@ -25,7 +25,6 @@ from cwkoszul.linalg import (
     GF,
     QQ,
     ZZ,
-    SparseExactMatrix,
     cochain_cohomology,
     rank,
     smith_normal_form,
@@ -38,6 +37,7 @@ from helpers import (
     integral_cellular_cohomology,
     is_zero,
     matmul,
+    matrix,
     pair_dims,
     pair_layers,
     reduced_chain,
@@ -174,12 +174,8 @@ def _lower_block_dims(x, alpha, field):
         dims.append(len(idx[n]))
     for n in ns[:-1]:
         src, tgt = idx[n], {i: p for p, i in enumerate(idx[n + 1])}
-        entries = {}
-        for jp, j in enumerate(src):
-            col = layer.d_up[n].apply({j: 1})
-            for i, v in col.items():
-                entries[(tgt[i], jp)] = v
-        mats.append(SparseExactMatrix(len(idx[n + 1]), len(src), entries, field))
+        cols = [{tgt[i]: v for i, v in layer.d_up[n].apply({j: 1}).items()} for j in src]
+        mats.append(matrix(len(idx[n + 1]), cols, field))
     return [h for h, _ in cochain_cohomology(dims, mats, field)]
 
 
@@ -206,19 +202,8 @@ def test_upper_blocks_are_contractible_columns():
                 idx = [i for i, (b, a) in enumerate(layers[k].bases[nb]) if b == beta]
                 dims_by_k[k] = len(idx)
                 if k >= 1:
-                    sub = {
-                        (i, j): v
-                        for (i, j), v in layers[k].d_down[nb].entries.items()
-                        if j in set(idx)
-                    }
-                    cols = sorted({j for _, j in sub})
-                    remap = {j: p for p, j in enumerate(cols)}
-                    m = SparseExactMatrix(
-                        len(layers[k - 1].bases[nb]),
-                        len(cols),
-                        {(i, remap[j]): v for (i, j), v in sub.items()},
-                        QQ,
-                    )
+                    d_down = layers[k].d_down[nb]
+                    m = matrix(len(layers[k - 1].bases[nb]), [d_down.columns[j] for j in idx], QQ)
                     rank_by_k[k] = rank(m)
             for k in range(nb + 1):
                 kernel = dims_by_k[k] - rank_by_k.get(k, 0)
@@ -413,8 +398,7 @@ def test_column_entries_match_the_quotient_complex(ring, data):
     a, b, c, d_up, gens = data
 
     def mat(rows, cols):
-        return SparseExactMatrix.from_columns(
-            [dict(enumerate(col)) for col in cols], rows, ring)
+        return matrix(rows, [dict(enumerate(col)) for col in cols], ring)
 
     layer = BigradedLayer(0, {0: list(range(a)), 1: list(range(b))},
                           {0: mat(b, d_up), 1: mat(0, [{}] * b)}, {})

@@ -11,7 +11,6 @@ from cwkoszul.linalg import (
     GF,
     QQ,
     ZZ,
-    SparseExactMatrix,
     cochain_cohomology,
     cocycle_representatives,
     cohomology_dims,
@@ -23,6 +22,7 @@ from helpers import (
     convert,
     identity,
     image_vectors,
+    matrix,
     matrix_from_rows,
     path_word_complex,
     reduced_chain,
@@ -74,20 +74,20 @@ def integer_complexes(draw):
                for r in range(dims[i + 1])]
         p_next, q_here = bases[i + 1][0], bases[i][1]
         dense = _mul(_mul(p_next, std, dims[i + 1]), q_here, dims[i])
-        mats.append({(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v})
+        mats.append([{r: row[c] for r, row in enumerate(dense)} for c in range(dims[i])])
     return dims, mats, hs
 
 
-def _over(ring, dims, entries):
-    return [SparseExactMatrix(dims[i + 1], dims[i], e, ring) for i, e in enumerate(entries)]
+def _over(ring, dims, columns):
+    return [matrix(dims[i + 1], cols, ring) for i, cols in enumerate(columns)]
 
 
 @pytest.mark.parametrize("ring", FIELDS, ids=repr)
 @given(data=integer_complexes())
 @settings(max_examples=60, deadline=None)
 def test_dims_equal_full_cohomology_on_generated_complexes(ring, data):
-    dims, entries, hs = data
-    mats = _over(ring, dims, entries)
+    dims, columns, hs = data
+    mats = _over(ring, dims, columns)
     full = cochain_cohomology(dims, mats, ring)
     assert cohomology_dims(dims, mats, ring) == [h for h, _ in full] == hs
     for i, (h, reps) in enumerate(full):
@@ -103,8 +103,8 @@ def test_dims_equal_full_cohomology_on_generated_complexes(ring, data):
 @given(data=integer_complexes())
 @settings(max_examples=40, deadline=None)
 def test_integral_free_ranks_on_generated_complexes(data):
-    dims, entries, hs = data
-    homs = integral_cochain_cohomology(dims, _over(ZZ, dims, entries))
+    dims, columns, hs = data
+    homs = integral_cochain_cohomology(dims, _over(ZZ, dims, columns))
     assert homs == [(h, ()) for h in hs]
 
 

@@ -52,6 +52,24 @@ def test_unknown_catalog_name():
         catalog("simplex7")
 
 
+def test_catalog_builds_a_fresh_complex_per_call():
+    # no process-long cache: each call builds and validates its own complex
+    first, second = catalog("sphere2"), catalog("sphere2")
+    assert first == second and first is not second
+
+
+def test_validate_hands_out_a_copy_of_its_report():
+    x = RegularCWComplex("one_end", {"v": 0, "e": 1}, {("e", "v"): 1})
+    report = x.validate()
+    assert report
+    report.clear()
+    assert x.validate() and x.validate() is not x.validate()
+    with pytest.raises(ComplexError):
+        x.ensure_valid()
+    with pytest.raises(ComplexError):
+        x.face_poset_bar()
+
+
 def test_validator_flags_dangling_boundary():
     report = dangling_square_complex().validate()
     assert any("boundary of boundary" in v and "'f'" in v for v in report)

@@ -17,11 +17,12 @@ from cwkoszul.dualalg import (
     word_complex,
 )
 from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph
-from cwkoszul.linalg import GF, QQ, SparseExactMatrix, quotient
+from cwkoszul.linalg import GF, QQ, quotient
 
 from helpers import (
     below,
     block_relations,
+    matrix,
     path_annihilator_check,
     path_comparison_iso_check,
     path_graded_dims,
@@ -226,11 +227,10 @@ def test_shared_presentation_equals_a_fresh_quotient(field):
         for h, m in every:
             pres = blocks.block(h, m)[0]
             size, relations = block_relations(blocks, h, m)
-            fresh = quotient(range(size), SparseExactMatrix.from_columns(relations, size, field), field)
+            fresh = quotient(range(size), matrix(size, relations, field), field)
             assert pres.labels() == fresh.labels(), (g.name, h, m)
-            assert [pres.project_unit(j) for j in range(size)] == [
-                fresh.project_unit(j) for j in range(size)
-            ], (g.name, h, m)
+            units = [{j: field.one} for j in range(size)]
+            assert [pres.project(u) for u in units] == [fresh.project(u) for u in units], (g.name, h, m)
         blocks_seen += len(every)
         presentations_seen += len({id(blocks.block(h, m)[0]) for h, m in every})
     assert presentations_seen < blocks_seen

@@ -38,6 +38,7 @@ from cwkoszul.linalg import (
 from helpers import (
     dense_rref,
     identity,
+    matrix,
     matrix_from_rows,
     reduce_mod_rows,
     reduced_chain,
@@ -159,7 +160,7 @@ def test_integers_are_refused():
         cochain_cohomology([1, 1], [identity(1, ZZ)], ZZ)
     # only IntegralQuotient may present a lattice and reach a nonempty core
     with pytest.raises(TypeError, match="not a field"):
-        QuotientPresentation(["u", "v"], SparseExactMatrix(2, 1, {(0, 0): 2, (1, 0): 3}, ZZ), ZZ)
+        QuotientPresentation(["u", "v"], matrix(2, [{0: 2, 1: 3}], ZZ), ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_q_decisions_on_integral_input_build_no_fraction(monkeypatch):
 
 def _assert_canonical(m):
     """m equals its canonicalised copy, value types included (over Q, 1 == Fraction(1))."""
-    canon = SparseExactMatrix(m.rows, m.cols, m.entries, m.ring)
+    canon = matrix(m.rows, m.columns, m.ring)
     assert m == canon, m
     assert all(type(v) is type(canon.entries[key]) for key, v in m.entries.items()), m
 
@@ -326,10 +327,10 @@ def test_comparison_map_reduces_negative_signs_mod_p():
 
 def test_canonical_constructor_checks_bounds():
     # the columns give the width; only row indices can fall outside
-    assert SparseExactMatrix._canonical(2, [{}, {}, {1: 1}], GF(3)).entries == {(1, 2): 1}
+    assert SparseExactMatrix(2, [{}, {}, {1: 1}], GF(3)).entries == {(1, 2): 1}
     for i in (2, -1):
         with pytest.raises(IndexError, match=rf"entry \({i},2\) outside 2x3"):
-            SparseExactMatrix._canonical(2, [{}, {}, {i: 1}], GF(3))
+            SparseExactMatrix(2, [{}, {}, {i: 1}], GF(3))
 
 
 @st.composite

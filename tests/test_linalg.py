@@ -17,7 +17,6 @@ from cwkoszul.linalg import (
     ZZ,
     IntegralQuotient,
     SmithForm,
-    SparseExactMatrix,
     TorsionError,
     _echelon,
     _eliminate,
@@ -44,19 +43,15 @@ from helpers import (
     is_zero,
     kernel_basis,
     matmul,
+    matrix,
     matrix_from_rows,
     transpose,
 )
 
 
 def dense(rows, ring):
-    entries = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = v
     ncols = len(rows[0]) if rows else 0
-    return SparseExactMatrix(len(rows), ncols, entries, ring)
+    return matrix(len(rows), [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)], ring)
 
 
 small_entries = st.integers(min_value=-3, max_value=3)
@@ -82,7 +77,7 @@ def test_rank_triangle_boundary_incidence():
 
 
 def test_kernel_of_zero_map_is_full_basis():
-    m = SparseExactMatrix(3, 3, {}, QQ)
+    m = matrix(3, [{}] * 3, QQ)
     vecs = kernel_vectors(m)
     assert vecs == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
     kb = kernel_basis(m)
@@ -111,7 +106,7 @@ def test_rref_deterministic_pivoting():
 
 
 def test_quotient_no_relations_is_identity():
-    q = quotient(["u", "v"], SparseExactMatrix(2, 0, {}, QQ), QQ)
+    q = quotient(["u", "v"], matrix(2, [], QQ), QQ)
     assert q.dim == 2
     assert q.labels() == ["u", "v"]
     assert q.project({0: QQ.one}) == {0: QQ.one}
@@ -148,7 +143,7 @@ def test_induced_map_identity_and_zero():
         q = quotient(["u", "v"], rel, ring)
         ident = identity(2, ring)
         assert induced_map(ident, q, q) == identity(1, ring), ring
-        zero = SparseExactMatrix(2, 2, {}, ring)
+        zero = matrix(2, [{}] * 2, ring)
         assert is_zero(induced_map(zero, q, q)), ring
 
 
@@ -163,7 +158,7 @@ def test_induced_map_rejects_unpreserved_relations():
     # over Z the relations are a lattice; the check is the same
     for ring in (QQ, ZZ):
         src = quotient(["u", "v"], transpose(dense([[1, 1]], ring)), ring)
-        dst = quotient(["u", "v"], SparseExactMatrix(2, 0, {}, ring), ring)
+        dst = quotient(["u", "v"], matrix(2, [], ring), ring)
         f = dense([[1, 0], [0, -1]], ring)  # sends u+v to u-v, not a dst relation
         with pytest.raises(ValueError, match="relation"):
             induced_map(f, src, dst)
@@ -199,7 +194,7 @@ def test_quotient_keeps_no_relation_map(ring):
 @settings(max_examples=40, deadline=None)
 def test_induced_composition(f, extra):
     # dst relations contain the image of src relations by construction
-    src_rel = dense([[1]] * f.cols, QQ) if f.cols > 1 else SparseExactMatrix(f.cols, 0, {}, QQ)
+    src_rel = dense([[1]] * f.cols, QQ) if f.cols > 1 else matrix(f.cols, [], QQ)
     src = quotient(list(range(f.cols)), src_rel, QQ)
     fq = convert(f, QQ)
     mid = quotient(list(range(f.rows)), matmul(fq, src_rel), QQ)
@@ -243,7 +238,7 @@ def test_smith_diag_2_3():
 
 
 def test_smith_zero_and_empty():
-    assert smith_normal_form(SparseExactMatrix(2, 3, {}, ZZ)).factors == ()
+    assert smith_normal_form(matrix(2, [{}] * 3, ZZ)).factors == ()
 
 
 def test_smith_form_divisibility_enforced():
@@ -298,8 +293,7 @@ def integer_relations(draw):
     if kind == "torsion" and rows:
         i, f = draw(st.integers(0, m - 1)), draw(st.sampled_from([2, 3, -2]))
         rows[i] = [f * v for v in rows[i]]
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
-    return SparseExactMatrix(m, n, entries, ZZ)
+    return matrix(m, [{i: row[j] for i, row in enumerate(rows)} for j in range(n)], ZZ)
 
 
 def _quotient_or_error(cls, rel):
@@ -483,10 +477,10 @@ def test_of_converts_exactly_and_never_truncates():
     assert GF(3).of(0.5) == 2 and GF(3).of(2.5) == 1
     with pytest.raises(ZeroDivisionError):
         GF(5).of(Fraction(1, 5))
-    m = SparseExactMatrix(1, 1, {(0, 0): 0.5}, GF(3))
+    m = matrix(1, [{0: 0.5}], GF(3))
     assert m.entries == {(0, 0): 2}
     with pytest.raises(ValueError):
-        SparseExactMatrix(1, 1, {(0, 0): 0.5}, ZZ)
+        matrix(1, [{0: 0.5}], ZZ)
 
 
 def test_is_prime_edges():
