@@ -6,20 +6,26 @@ cofaces and strict lower closure of every cell; `layered.closures` builds it,
 and the upper closures `validate` reads.  A cell dimension is below the
 number of cells, since every dimension up to it needs a cell.
 
-Regularity itself is not certified; the validator checks the combinatorial
-consequences that matter here: vanishing boundary-of-boundary, thin face
-poset, sphere Euler characteristics of cell boundaries, and connected open
-intervals of rank gap >= 3 in the face poset.  The last check is the diamond
-condition without listing maximal chains: all maximal chains of every interval
-form one class under one-position exchanges iff every such open interval is
-connected through covers (strongly flag-connected iff strongly connected).
-Every check reads the complex's own closures, so validation builds no face
-poset; each call of `face_poset_bar` or `face_poset_hat` builds a new one.
+The validator checks the combinatorial consequences of regularity that
+matter here: vanishing boundary-of-boundary, thin face poset, sphere Euler
+characteristics of cell boundaries, connected open intervals of rank gap >= 3
+in the face poset, and boundaries of cells of dimension >= 4 with the
+integral homology of spheres.  Together they make every closed cell of
+dimension <= 3 a ball; above that, a cell bounded by a homology sphere that
+is no sphere passes, so regularity itself is not certified there.  The
+diamond condition is checked without listing maximal chains: all maximal
+chains of every interval form one class under one-position exchanges iff
+every such open interval is connected through covers (strongly
+flag-connected iff strongly connected).  A cell whose closure
+`layered.boolean_closures` certifies as a Boolean lattice is a simplex, and
+the Euler, diamond and homology checks skip it.  Every check reads the
+complex's own closures, so validation builds no face poset; each call of
+`face_poset_bar` or `face_poset_hat` builds a new one.
 """
 
 from __future__ import annotations
 
-from .layered import BOTTOM, TOP, LayeredGraph, closures, linked_classes
+from .layered import BOTTOM, TOP, LayeredGraph, boolean_closures, closures, linked_classes
 
 
 class ComplexError(ValueError):
@@ -50,6 +56,39 @@ def _connected(inside, faces) -> bool:
                     parent[u] = l
                     parts -= 1
     return parts <= 1
+
+
+def _homology_sphere_defect(x: RegularCWComplex, c: str) -> str:
+    """The integral homology groups of the boundary of cell c that differ
+    from those of the sphere S^(d-1), d = dim c >= 2, as "H_k = ..." terms,
+    empty when there are none.  Needs vanishing boundary of boundary.
+
+    The boundary's cellular chain complex has the strict faces of c and the
+    complex's incidences.  The Smith factors of each differential, read by
+    `linalg.echelon_factors` off an echelon form over Z, give its rank and
+    the torsion of the homology one degree below.
+    """
+    from .linalg import _echelon, echelon_factors
+
+    dims, faces, inc = x.dims, x._faces, x.incidence
+    d = dims[c]
+    by_dim: list[list[str]] = [[] for _ in range(d)]
+    for f in sorted(x._strict_faces[c]):
+        by_dim[dims[f]].append(f)
+    ranks, torsion = [0] * (d + 1), [()] * (d + 1)
+    for k in range(1, d):
+        index = {f: i for i, f in enumerate(by_dim[k - 1])}
+        rows = [{index[l]: inc[(u, l)] for l in faces[u]} for u in by_dim[k]]
+        factors = echelon_factors(*_echelon(rows, None))
+        ranks[k], torsion[k] = len(factors), tuple(f for f in factors if f != 1)
+    out = []
+    for k in range(d):
+        free = len(by_dim[k]) - ranks[k] - ranks[k + 1]
+        if free != (k in (0, d - 1)) or torsion[k + 1]:
+            terms = ([f"Z^{free}" if free > 1 else "Z"] if free else [])
+            terms += [f"Z/{t}" for t in torsion[k + 1]]
+            out.append(f"H_{k} = {' + '.join(terms) or '0'}")
+    return ", ".join(out)
 
 
 class RegularCWComplex:
@@ -185,8 +224,37 @@ class RegularCWComplex:
         of b above a, all strict faces of b for a = 0bar.  Its covers, each a
         cell inside and one of its faces inside, must join it into one
         component.  Cells b go by dimension and then by id, and each a in
-        string order among the strict faces of b and 0bar.  The report is
-        kept as a tuple, and each call returns a new list of it.
+        string order among the strict faces of b and 0bar.
+
+        Last, again only when every check before passes, the boundary of
+        each cell of dimension d >= 4 must have the integral homology of
+        S^(d-1) (`_homology_sphere_defect`).  The checks before force a
+        sphere for d <= 3, and a complex passing them is then regular up to
+        dimension 3, so the given signs compute its cellular homology
+        (Massey, *A Basic Course in Algebraic Topology*, 1991, IX.7):
+
+        - d = 1: the two endpoints, S^0.
+        - d = 2: each vertex of the boundary lies on exactly two of its edges
+          (the rank-2 intervals [v, c]), so the boundary is a union of
+          cycles, and one cycle, as (0bar, c) is connected: S^1.
+        - d = 3: the 2-cells of the boundary are discs (d = 2), every edge of
+          it lies on exactly two of them ([e, c]), and the link of each
+          vertex v, the open interval (v, c), is a single cycle by the same
+          argument.  So the boundary is a closed surface, connected as
+          (0bar, c) is, with Euler characteristic 2: S^2.
+
+        From d = 4 on they do not: the boundary of a 4-cell can be a 3-torus
+        with every check above passing.  A homology sphere that is no sphere
+        still passes, so regularity itself stays uncertified there.
+
+        A cell whose closure is Boolean (`layered.boolean_closures`) is a
+        simplex: its boundary is the boundary of a simplex, with sphere
+        Euler characteristic and homology, and every interval below it is
+        Boolean, so connected.  The Euler, diamond and homology checks skip
+        such cells, and the upper closures that the diamond check reads for
+        a > 0bar are built only when some other cell of dimension >= 3 needs
+        them.  The report is kept as a tuple, and each call returns a new
+        list of it.
         """
         if self._report is not None:
             return list(self._report)
@@ -231,11 +299,14 @@ class RegularCWComplex:
                         f"interval [{a!r}, {g!r}] has {met[a]} intermediate cells, expected 2"
                     )
         report += nonzero + mids
+        # the checks below skip the cells whose closure is certified Boolean;
+        # a faceless cell of dimension >= 1 would be certified as an atom,
+        # and so a cell above it with fewer atoms than its rank
+        boolean = boolean_closures(cells, faces, strict)
+        rest = [c for c in cells if dims[c] >= 1 and boolean.get(c, 0).bit_count() != dims[c] + 1]
         # boundaries of n-cells have the Euler characteristic of S^(n-1)
-        for c in cells:
+        for c in rest:
             n = dims[c]
-            if n < 1:
-                continue
             chi = self.euler_characteristic(strict[c])
             expected = 2 if n & 1 else 0
             if chi != expected:
@@ -243,19 +314,30 @@ class RegularCWComplex:
                     f"boundary of {c!r} has Euler characteristic {chi}, expected {expected}"
                 )
         if not report:
-            above = closures(reversed(cells), self._cofaces)
-            for b in cells:
+            above = None
+            for b in rest:
                 db = dims[b]
                 if db < 2:
                     continue
                 inside_b = strict[b]
                 low = [a for a in inside_b if dims[a] < db - 2]
+                if low and above is None:
+                    above = closures(reversed(cells), self._cofaces)
                 low.append(BOTTOM)
                 for a in sorted(low):
                     inside = inside_b if a == BOTTOM else above[a] & inside_b
                     if not _connected(inside, faces):
                         report.append(
                             f"interval [{a!r}, {b!r}] splits into several diamond classes"
+                        )
+        if not report:
+            for c in rest:
+                if dims[c] >= 4:
+                    defect = _homology_sphere_defect(self, c)
+                    if defect:
+                        report.append(
+                            f"boundary of {c!r} has {defect}, expected the integral "
+                            f"homology of S^{dims[c] - 1}"
                         )
         self._report = tuple(report)
         return report

@@ -24,10 +24,12 @@ the differential of `word_complex`, whose cohomology decides Koszulity), and
 the comparison map projects each chain onto block coordinates.
 
 A vertex's word complexes depend only on its lower interval.  The decision
-certifies which lower intervals are Boolean lattices (`boolean_lower_intervals`
-compares atom sets and counts elements and covers) and decides one of them per
-rank; the others of that rank share its passing verdict.  In the face poset of
-a simplicial complex every interval below the maximum is Boolean.
+takes the certificate of `layered.boolean_closures`, which `validate` shares:
+a vertex's lower interval is Boolean when its lower covers are certified with
+distinct atom sets and its interval has the size of a Boolean lattice.  It
+decides one certified vertex per rank; the others of that rank share its
+passing verdict.  In the face poset of a simplicial complex every interval
+below the maximum is Boolean.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .cw import ComplexError, RegularCWComplex
-from .layered import BOTTOM, GraphError, LayeredGraph, NotUniformError
+from .layered import BOTTOM, GraphError, LayeredGraph, NotUniformError, boolean_closures
 from .linalg import (
     QuotientPresentation,
     SparseExactMatrix,
@@ -270,42 +272,6 @@ def word_complex(
     return comps, mats
 
 
-def boolean_lower_intervals(g: LayeredGraph) -> set[str]:
-    """The vertices x of rank >= 2 whose lower interval [0bar, x] is a
-    Boolean lattice.
-
-    Bottom-up over the ranks, every vertex y gets its atom set, the union of
-    those of its lower covers (an atom's is itself).  [0bar, x] of rank r is
-    certified when |atoms(x)| = r, the interval has 2^r elements, every y in
-    it has |atoms(y)| = rank(y) with pairwise distinct atom sets, and it has
-    r * 2^(r-1) covers.  The atom map then sends the interval bijectively
-    onto the subsets of atoms(x), and each cover to a cover; there are as
-    many covers as the subset lattice has, so it is a cover-preserving
-    bijection both ways, an isomorphism.
-    """
-    rank = g.vertices
-    atoms = {BOTTOM: 0}
-    atoms.update((a, 1 << i) for i, a in enumerate(g.at_rank(1)))
-    out: set[str] = set()
-    for r in range(2, g.max_rank + 1):
-        size = 1 << r
-        for x in g.at_rank(r):
-            mask = 0
-            for c in g.lower_covers(x):
-                mask |= atoms[c]
-            atoms[x] = mask
-            interval = g.strictly_below(x) | {x}
-            if (
-                mask.bit_count() == r
-                and len(interval) == size
-                and all(atoms[y].bit_count() == rank[y] for y in interval)
-                and len({atoms[y] for y in interval}) == size
-                and sum(len(g.lower_covers(y)) for y in interval) == r * size // 2
-            ):
-                out.add(x)
-    return out
-
-
 def _interval_failure(blocks: HeadBlocks, x: str) -> KoszulWitness | None:
     """Decide the word complexes of the interval below x, of rank >= 2.
 
@@ -359,7 +325,7 @@ def koszul_decide(g: LayeredGraph, field, blocks: HeadBlocks | None = None) -> K
 
     A vertex's verdict depends only on its interval up to isomorphism, and
     all Boolean lattices of one rank are isomorphic.  So among the vertices
-    whose interval `boolean_lower_intervals` certifies, the first of each
+    whose interval `layered.boolean_closures` certifies, the first of each
     rank is decided and, once it passes, every later one of that rank passes
     with it.  A failure is always found directly, so witnesses and `checked`
     lists are those of deciding every vertex.
@@ -371,7 +337,7 @@ def koszul_decide(g: LayeredGraph, field, blocks: HeadBlocks | None = None) -> K
         )
     if blocks is None:
         blocks = HeadBlocks(g, field)
-    boolean = boolean_lower_intervals(g)
+    boolean = boolean_closures(g.vertex_ids(skip_bottom=True), g._lower, g._below)
     passed: set[int] = set()  # ranks whose first Boolean vertex passed
     checked: list[tuple[str, int, bool]] = []
     for x in g.vertex_ids():

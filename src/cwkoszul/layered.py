@@ -5,7 +5,9 @@ derived enumeration (spheres, chains, witnesses) follows that order so results
 are reproducible.  The minimum carries the reserved id "0bar" and is implicit
 in serialized graphs; rank-1 vertices are wired to it automatically.
 `closures` is the one closure walk: below each vertex here, below and above
-each cell in `cw`.
+each cell in `cw`.  `boolean_closures` reads its result and certifies the
+items whose lower interval is a Boolean lattice, for the Koszulity decision
+in `dualalg` and for validation in `cw`.
 """
 
 from __future__ import annotations
@@ -64,6 +66,60 @@ def closures(order, links) -> dict[str, frozenset[str]]:
             acc.add(w)
             acc.update(out[w])
         out[v] = frozenset(acc)
+    return out
+
+
+def boolean_closures(order, links, strict) -> dict[str, int]:
+    """The items whose lower interval [0bar, v] is a Boolean lattice, each
+    mapped to its atom set as a bitmask.
+
+    `order` and `links` are as for `closures`, and `strict` is its result.
+    The minimum 0bar is BOTTOM when it is an item, as in a layered graph
+    (pass the order without it), and implicit otherwise, as below the cells
+    of a complex.  An item with no link but 0bar is an atom: it gets a bit
+    of its own, and [0bar, v] = {0bar, v} is Boolean.  Any other item v with
+    r links is certified when every link is certified with r - 1 atoms, the
+    links' atom sets are pairwise distinct and their union U has r atoms,
+    and the strict closure of v has 2^r - 1 elements with 0bar counted.
+    Each item costs O(r): its links and one closure size.
+
+    Certified means Boolean, by induction on r.  The bitmask of a certified
+    item is the union of its links', so it holds the atoms below the item.
+    The links carry r distinct (r-1)-subsets of the r-set U, so all of them.
+    Let S be the union of the links' intervals: the strict closure of v with
+    0bar.  Each link's interval is Boolean on its atoms, so the atom sets
+    met in S are the proper subsets of U: 2^r - 1 of them on 2^r - 1
+    elements, so no two elements of S share one.  Hence the atom map is a
+    bijection from [0bar, v] onto the subsets of U, v going to U itself.
+    If y <= z, the atoms below y lie below z.  If atoms(y) is contained in
+    atoms(z), then y <= z: at once for z = v, and for z in S because z lies
+    in the interval of some link, whose Boolean lattice holds an element
+    below z with the atom set of y, which is y, as atom sets are distinct in
+    S.  So the atom map is an isomorphism onto the subset lattice.
+    Conversely every Boolean interval passes: its r coatoms are Boolean on
+    the r distinct (r-1)-subsets of its atoms.
+    """
+    out: dict[str, int] = {}
+    atom = 1
+    for v in order:
+        below = links[v]
+        if not below or below == (BOTTOM,):
+            out[v] = atom
+            atom <<= 1
+            continue
+        r = len(below)
+        seen: set[int] = set()
+        union = 0
+        for w in below:
+            m = out.get(w)
+            if m is None or m.bit_count() != r - 1 or m in seen:
+                break
+            seen.add(m)
+            union |= m
+        else:
+            c = strict[v]
+            if union.bit_count() == r and len(c) + (BOTTOM not in c) == (1 << r) - 1:
+                out[v] = union
     return out
 
 
@@ -164,10 +220,6 @@ class LayeredGraph:
     def le(self, a: str, b: str) -> bool:
         self.rank(a), self.rank(b)
         return a == b or a in self._below[b]
-
-    def strictly_below(self, v: str) -> frozenset[str]:
-        self.rank(v)
-        return self._below[v]
 
     def sphere(self, x: str, n: int) -> tuple[str, ...]:
         """Vertices strictly below x whose rank is rank(x) - n; sphere(x, 0) = (x,).

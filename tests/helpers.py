@@ -102,6 +102,65 @@ def doubled_tetrahedron_complex() -> RegularCWComplex:
     return RegularCWComplex("doubled_tetrahedron", dims, incidence)
 
 
+def counterfeit_complex() -> RegularCWComplex:
+    """The layered graph COUNTERFEIT of the head-block tests as cells.
+
+    The triangle T = abc, and a 2-cell Y on the edges ab, ab' and bc, where
+    ab and ab' both join a and b.  The closure of Y has the size of a
+    Boolean lattice, but two of its edges share their endpoints.
+    """
+    from cwkoszul.catalog import _simplicial
+
+    t = _simplicial("counterfeit", ["abc"])
+    dims = {**t.dims, "ab'": 1, "Y": 2}
+    incidence = {**t.incidence, ("ab'", "a"): -1, ("ab'", "b"): 1}
+    incidence.update({("Y", "ab"): 1, ("Y", "ab'"): -1, ("Y", "bc"): 1})
+    return RegularCWComplex("counterfeit", dims, incidence)
+
+
+def counterfeit_tetrahedron_complex() -> RegularCWComplex:
+    """A 3-cell with the four triangles of abcd, where abd has the edge ab'
+    in place of ab.  Its faces are simplices on distinct atom sets, but its
+    closure has 15 cells where a simplex has 14."""
+    from cwkoszul.catalog import _simplicial
+
+    t = _simplicial("counterfeit_tetrahedron", ["abcd"])
+    incidence = dict(t.incidence)
+    incidence.update({("ab'", "a"): -1, ("ab'", "b"): 1, ("abd", "ab'"): incidence.pop(("abd", "ab"))})
+    return RegularCWComplex(t.name, {**t.dims, "ab'": 1}, incidence)
+
+
+def projective_pair_complex() -> RegularCWComplex:
+    """A 3-cell W on two copies of the six-vertex RP^2 glued along the cycle
+    gamma, half the boundary of the sum of its triangles.
+
+    The triangles of one copy have incidence +1 on W and those of the other
+    -1, so boundary of boundary vanishes at W; the boundary of W has H_1 =
+    Z/2, the class of gamma.  Every edge of gamma lies on four triangles, so
+    `validate` refuses W at the rank-2 check, and a test reads the homology
+    of its boundary directly.
+    """
+    from cwkoszul.catalog import _RP2_FACETS, _simplicial
+
+    rp = _simplicial("rp2_six", _RP2_FACETS)
+    twice: dict[str, int] = {}
+    for (u, l), s in rp.incidence.items():
+        if rp.dims[u] == 2:
+            twice[l] = twice.get(l, 0) + s
+    shared = {e for e, c in twice.items() if c}
+    shared |= {v for e in shared for v in rp.faces(e)}
+
+    def copy(c):
+        return c if c in shared else c + "'"
+
+    dims = {**rp.dims, **{copy(c): d for c, d in rp.dims.items()}, "W": 3}
+    incidence = dict(rp.incidence)
+    incidence.update(((copy(u), copy(l)), s) for (u, l), s in rp.incidence.items())
+    for t in rp.cells(2):
+        incidence[("W", t)], incidence[("W", copy(t))] = 1, -1
+    return RegularCWComplex("projective_pair", dims, incidence)
+
+
 def disjoint_spheres_complex() -> RegularCWComplex:
     """A 4-cell W bounded by two disjoint boundaries of 4-simplices.
 
@@ -407,7 +466,7 @@ def is_thin(g: LayeredGraph) -> tuple[bool, tuple[str, str, list[str]] | None]:
     """
     for a in g.vertex_ids():
         for b in g.sphere(a, 2):
-            mids = [z for z in g.lower_covers(a) if b in g.strictly_below(z)]
+            mids = [z for z in g.lower_covers(a) if b in g._below[z]]
             if len(mids) != 2:
                 return False, (a, b, sorted([a, b] + mids))
     return True, None
@@ -607,7 +666,7 @@ def below(g: LayeredGraph, x: str) -> LayeredGraph:
     from cwkoszul.layered import BOTTOM
 
     g.rank(x)
-    keep = set(g.strictly_below(x)) | {x}
+    keep = set(g._below[x]) | {x}
     verts = {v: g.vertices[v] for v in keep}
     covs = {(u, l) for (u, l) in g.covers if u in keep and l in keep and l != BOTTOM}
     name = f"{g.name}[<={x}]" if g.name else f"[<={x}]"
@@ -663,7 +722,7 @@ def open_interval_connected(g: LayeredGraph, b: str, a: str) -> bool:
 
     if not g.le(a, b):
         raise GraphError(f"{a!r} is not below {b!r}")
-    inside = {z for z in g.strictly_below(b) if a in g.strictly_below(z)}
+    inside = {z for z in g._below[b] if a in g._below[z]}
     stack = [min(inside)] if inside else []
     seen = set(stack)
     while stack:
@@ -685,9 +744,11 @@ def scan_to_dict(x: RegularCWComplex) -> dict:
 
 
 def reference_validation_report(x: RegularCWComplex) -> list[str]:
-    """The report of `x.validate()`, built one check per pass and the diamond
-    condition on the bar poset `x._face_poset_bar_unchecked()` through
-    `open_interval_connected`: the reference for the closure-based validator."""
+    """The report of `x.validate()`, built one check per pass on every cell,
+    the diamond condition on the bar poset `x._face_poset_bar_unchecked()`
+    through `open_interval_connected` and the homology of each boundary of
+    dimension >= 3 through `boundary_homology`: the reference for the
+    closure-based validator, which skips cells with a Boolean closure."""
     report: list[str] = []
     dims, faces, inc, strict = x.dims, x._faces, x.incidence, x._strict_faces
     for c in x.cells():
@@ -729,10 +790,85 @@ def reference_validation_report(x: RegularCWComplex) -> list[str]:
     if not report:
         bar = x._face_poset_bar_unchecked()
         for b in bar.vertex_ids():
-            for a in sorted(bar.strictly_below(b)):
+            for a in sorted(bar._below[b]):
                 if bar.rank(b) - bar.rank(a) > 2 and not open_interval_connected(bar, b, a):
                     report.append(f"interval [{a!r}, {b!r}] splits into several diamond classes")
+    if not report:
+        for c in x.cells():
+            if dims[c] >= 4:
+                groups = boundary_homology(x, c)
+                sphere = [(1 if k in (0, dims[c] - 1) else 0, ()) for k in range(dims[c])]
+                wrong = [
+                    f"H_{k} = {_group_name(*h)}" for k, h in enumerate(groups) if h != sphere[k]
+                ]
+                if wrong:
+                    report.append(
+                        f"boundary of {c!r} has {', '.join(wrong)}, expected the integral "
+                        f"homology of S^{dims[c] - 1}"
+                    )
     return report
+
+
+def boundary_homology(x: RegularCWComplex, c: str) -> list[tuple[int, tuple[int, ...]]]:
+    """Integral homology of the boundary of cell c: (free rank, torsion) per
+    degree, from a dense Smith form of each differential."""
+    from cwkoszul.linalg import _snf_reduce
+
+    d = x.dims[c]
+    by_dim = [sorted(f for f in x._strict_faces[c] if x.dims[f] == k) for k in range(d)]
+    factors = [[] for _ in range(d + 1)]
+    for k in range(1, d):
+        dense = [[x.incidence.get((u, l), 0) for l in by_dim[k - 1]] for u in by_dim[k]]
+        factors[k] = _snf_reduce(dense, None, None) if dense else []
+    return [
+        (len(by_dim[k]) - len(factors[k]) - len(factors[k + 1]),
+         tuple(f for f in factors[k + 1] if f != 1))
+        for k in range(d)
+    ]
+
+
+def _group_name(free: int, torsion: tuple[int, ...]) -> str:
+    terms = ["Z" if free == 1 else f"Z^{free}"] if free else []
+    return " + ".join(terms + [f"Z/{t}" for t in torsion]) or "0"
+
+
+def reference_boolean_lower_intervals(g: LayeredGraph) -> set[str]:
+    """The vertices x of rank >= 2 whose lower interval [0bar, x] is a
+    Boolean lattice, each interval scanned whole: the reference for
+    `layered.boolean_closures`.
+
+    Bottom-up over the ranks, every vertex y gets its atom set, the union of
+    those of its lower covers (an atom's is itself).  [0bar, x] of rank r is
+    certified when |atoms(x)| = r, the interval has 2^r elements, every y in
+    it has |atoms(y)| = rank(y) with pairwise distinct atom sets, and it has
+    r * 2^(r-1) covers.  The atom map then sends the interval bijectively
+    onto the subsets of atoms(x), and each cover to a cover; there are as
+    many covers as the subset lattice has, so it is a cover-preserving
+    bijection both ways, an isomorphism.
+    """
+    from cwkoszul.layered import BOTTOM
+
+    rank = g.vertices
+    atoms = {BOTTOM: 0}
+    atoms.update((a, 1 << i) for i, a in enumerate(g.at_rank(1)))
+    out: set[str] = set()
+    for r in range(2, g.max_rank + 1):
+        size = 1 << r
+        for x in g.at_rank(r):
+            mask = 0
+            for c in g.lower_covers(x):
+                mask |= atoms[c]
+            atoms[x] = mask
+            interval = g._below[x] | {x}
+            if (
+                mask.bit_count() == r
+                and len(interval) == size
+                and all(atoms[y].bit_count() == rank[y] for y in interval)
+                and len({atoms[y] for y in interval}) == size
+                and sum(len(g.lower_covers(y)) for y in interval) == r * size // 2
+            ):
+                out.add(x)
+    return out
 
 
 def integral_cellular_cohomology(x: RegularCWComplex) -> list[tuple[int, tuple[int, ...]]]:
@@ -759,6 +895,59 @@ def grid_torus(a: int, b: int) -> RegularCWComplex:
             p, q, r, s = vert(i, j), vert(i + 1, j), vert(i, j + 1), vert(i + 1, j + 1)
             facets += [p + q + s, p + r + s]
     return _simplicial(f"torus{a}x{b}", facets)
+
+
+def _cell_product(factors: list[list[tuple]]) -> tuple[dict, dict]:
+    """Dimensions and incidences of the product of complexes given as lists
+    of (id, dim, boundary) cells, with product signs.
+
+    A product cell joins one cell per factor with "."; its face through
+    factor p has the sign of that factor's incidence times (-1) to the sum
+    of the dimensions before p.
+    """
+    from itertools import product
+
+    dims, incidence = {}, {}
+    for combo in product(*factors):
+        cid = ".".join(c for c, _, _ in combo)
+        dims[cid] = sum(d for _, d, _ in combo)
+        before = 0
+        for p, (_, d, boundary) in enumerate(combo):
+            for v, sign in boundary.items():
+                face = ".".join(v if q == p else c for q, (c, _, _) in enumerate(combo))
+                incidence[(cid, face)] = sign * (-1) ** before
+            before += d
+    return dims, incidence
+
+
+def cycle_product(*lengths: int, filled: bool = False) -> RegularCWComplex:
+    """The product of cycles of the given lengths (each >= 3).
+
+    A cycle of length n has vertices "0".."n-1" and edges "i+" from i to
+    i + 1 mod n, with incidence -1 at i and +1 at i + 1.  Two lengths give
+    the square grid torus.  With `filled`, a cell W one dimension up has
+    incidence +1 on every top cell: their sum is the fundamental cycle of
+    the torus, so boundary of boundary vanishes, but W is no ball.
+    """
+    factors = [
+        [(str(i), 0, {}) for i in range(n)]
+        + [(f"{i}+", 1, {str(i): -1, str((i + 1) % n): 1}) for i in range(n)]
+        for n in lengths
+    ]
+    dims, incidence = _cell_product(factors)
+    if filled:
+        top = len(lengths)
+        incidence.update((("W", c), 1) for c, d in dims.items() if d == top)
+        dims["W"] = top + 1
+    name = "cycles" + "x".join(map(str, lengths)) + ("+W" if filled else "")
+    return RegularCWComplex(name, dims, incidence)
+
+
+def cube(n: int) -> RegularCWComplex:
+    """The n-cube as the product of n intervals, vertices "0" and "1" joined
+    by the edge "I": a ball whose cells of dimension >= 2 are no simplices."""
+    interval = [("0", 0, {}), ("1", 0, {}), ("I", 1, {"0": -1, "1": 1})]
+    return RegularCWComplex(f"cube{n}", *_cell_product([interval] * n))
 
 
 # ---------------------------------------------------------------------------

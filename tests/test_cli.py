@@ -15,6 +15,7 @@ from cwkoszul.cw import ComplexError, complex_from_dict
 from cwkoszul.layered import GraphError
 
 from helpers import (
+    cycle_product,
     dangling_square_complex,
     double_diagonal_d_down,
     flip_d_up_sign,
@@ -105,6 +106,20 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, command, edge, message
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["koszul", "--poset", "bar"], ["koszul", "--poset", "hat", "--field", "q"],
+], ids=["validate", "koszul-bar", "koszul-hat"])
+def test_cell_bounded_by_a_three_torus_exits_two(tmp_path, capsys, argv):
+    # an input error, not the internal fault of a valid complex whose cell
+    # fails Koszulity: the closed cell W is no ball
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(cycle_product(3, 3, 3, filled=True).to_dict()))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert "boundary of 'W' has H_1 = Z^3, H_2 = Z^3" in out + err
+    assert "internal error" not in err
 
 
 def test_graph_boolean_rank_exits_two(tmp_path, capsys):

@@ -4,23 +4,37 @@ import random
 
 import pytest
 
+from cwkoszul import cw
 from cwkoszul.bigraded import cellular_cohomology
 from cwkoszul.catalog import _simplicial, catalog, catalog_names
-from cwkoszul.cw import ComplexError, RegularCWComplex, _connected, complex_from_dict
-from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph
+from cwkoszul.cw import (
+    ComplexError,
+    RegularCWComplex,
+    _connected,
+    _homology_sphere_defect,
+    complex_from_dict,
+)
+from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph, boolean_closures
 from cwkoszul.linalg import QQ
 
 import helpers
 from helpers import (
     Subcomplex,
+    boundary_homology,
     closed_cell,
     complement_star,
+    counterfeit_complex,
+    counterfeit_tetrahedron_complex,
+    cube,
+    cycle_product,
     dangling_square_complex,
     diamond_classes,
     disjoint_spheres_complex,
     doubled_tetrahedron_complex,
     glued_spheres_complex,
+    grid_torus,
     is_thin,
+    projective_pair_complex,
     random_uniform_graphs,
     reference_validation_report,
     scan_to_dict,
@@ -264,7 +278,7 @@ def test_diamond_classes_single_on_cw_intervals():
     for name in ("sphere2", "simplex3", "example_singular"):
         g = catalog(name).face_poset_bar()
         for b in g.vertex_ids():
-            for a in sorted(g.strictly_below(b)):
+            for a in sorted(g._below[b]):
                 assert len(diamond_classes(g, b, a)) == 1, (name, b, a)
 
 
@@ -276,13 +290,13 @@ def test_intervals_of_rank_at_most_two_have_one_diamond_class():
     graphs += random_uniform_graphs(20, seed=5)
     for g in graphs:
         for b in g.vertex_ids():
-            for a in g.strictly_below(b):
+            for a in g._below[b]:
                 if g.rank(b) - g.rank(a) <= 2:
                     assert len(diamond_classes(g, b, a)) == 1, (g.name, a, b)
 
 
 def _split_intervals(g):
-    return [(a, b) for b in g.vertex_ids() for a in sorted(g.strictly_below(b))
+    return [(a, b) for b in g.vertex_ids() for a in sorted(g._below[b])
             if len(diamond_classes(g, b, a)) != 1]
 
 
@@ -415,18 +429,107 @@ def test_validate_reports_every_mutant_without_a_thin_bar_poset():
     assert not_thin >= 100
 
 
+def _fresh(x):
+    """A copy of x with no report kept: catalog entries are validated once."""
+    return RegularCWComplex(x.name, x.dims, x.incidence)
+
+
 def test_validate_matches_the_bar_poset_reference():
     # the closure-based report equals, line for line, the one built on the
-    # bar poset with one pass per check
+    # bar poset with one pass per check and no cell skipped: certified cells
+    # skip the Euler, diamond and homology checks, so the inputs mix them
+    # with uncertified ones and with closures that only look Boolean
     complexes = [catalog(name) for name in catalog_names()]
     complexes += [glued_spheres_complex(), disjoint_spheres_complex(), doubled_tetrahedron_complex()]
+    complexes += [cycle_product(4, 5), cycle_product(3, 4, filled=True), cube(4), cube(5),
+                  counterfeit_complex(), counterfeit_tetrahedron_complex()]
     complexes += list(_seeded_mutants())
+    rng = random.Random(31)
+    complexes += [_mutant(cycle_product(3, 4), rng) for _ in range(60)]
     reported = 0
     for x in complexes:
-        fresh = RegularCWComplex(x.name, x.dims, x.incidence)  # catalog entries keep their report
+        fresh = _fresh(x)
         assert fresh.validate() == reference_validation_report(fresh), x.to_dict()
         reported += bool(fresh._report)
     assert reported >= 100
+    assert cube(5).validate() == []
+    assert counterfeit_tetrahedron_complex().validate()[-1] == (
+        "boundary of 'abcd' has Euler characteristic 1, expected 2"
+    )
+
+
+def test_three_torus_cell_is_refused():
+    # the boundary of W is the 3-torus: Euler characteristic 0, as for S^3,
+    # every diamond holds, and only its integral homology tells it apart
+    x = cycle_product(3, 3, 3, filled=True)
+    assert x.counts() == (27, 81, 81, 27, 1)
+    assert x.validate() == [
+        "boundary of 'W' has H_1 = Z^3, H_2 = Z^3, expected the integral homology of S^3"
+    ]
+    assert x.validate() == reference_validation_report(x)
+    assert x.euler_characteristic(x._strict_faces["W"]) == 0
+    assert boundary_homology(x, "W") == [(1, ()), (3, ()), (3, ()), (1, ())]
+
+
+def test_boundary_homology_of_cells_reads_spheres_and_tori():
+    # the reference the homology check is tested against, on known spaces
+    s5 = _simplicial("s5", ["012345"])
+    assert boundary_homology(s5, "012345") == [(1, ()), (0, ()), (0, ()), (0, ()), (1, ())]
+    torus = cycle_product(4, 5, filled=True)
+    assert boundary_homology(torus, "W") == [(1, ()), (2, ()), (1, ())]
+    assert boundary_homology(cube(5), "I.I.I.I.I") == [(1, ()), (0, ()), (0, ()), (0, ()), (1, ())]
+
+
+def test_homology_check_reads_torsion():
+    # over Q this boundary has the Betti numbers 1, 0, 6; over Z it has
+    # Z/2 in degree 1, which the check must name
+    x = projective_pair_complex()
+    assert boundary_homology(x, "W") == [(1, ()), (0, (2,)), (6, ())]
+    assert _homology_sphere_defect(x, "W") == "H_1 = Z/2, H_2 = Z^6"
+    assert x.validate()[0] == "interval ['12', 'W'] has 4 intermediate cells, expected 2"
+
+
+def test_cell_certificate_equals_the_bar_poset_certificate():
+    # the cells' certificate reads the complex's closures, the bar poset's
+    # its lower covers and closures: they agree wherever the bar poset builds
+    complexes = [catalog(name) for name in catalog_names()]
+    complexes += [cycle_product(4, 5), counterfeit_complex(), counterfeit_tetrahedron_complex()]
+    complexes += list(_seeded_mutants())
+    compared = 0
+    for x in complexes:
+        try:
+            bar = x._face_poset_bar_unchecked()
+        except GraphError:
+            continue
+        cells = boolean_closures(x.cells(), x._faces, x._strict_faces)
+        assert cells == boolean_closures(bar.vertex_ids(skip_bottom=True), bar._lower, bar._below)
+        compared += 1
+    assert compared >= 200
+
+
+def _connected_calls(monkeypatch, x) -> int:
+    """The `cw._connected` calls of one validation of a fresh copy of x."""
+    calls = []
+
+    def counting(inside, faces):
+        calls.append(len(inside))
+        return _connected(inside, faces)
+
+    with monkeypatch.context() as m:
+        m.setattr(cw, "_connected", counting)
+        _fresh(x).validate()
+    return len(calls)
+
+
+def test_certified_cells_skip_the_diamond_check(monkeypatch):
+    # counts work, not time: every closed cell of a catalog entry is a
+    # simplex (example_singular's too, though two cells share their
+    # vertices), so no open interval is searched; the square grid torus
+    # searches (0bar, s) once per square s
+    for name in catalog_names():
+        assert _connected_calls(monkeypatch, catalog(name)) == 0, name
+    assert _connected_calls(monkeypatch, grid_torus(4, 5)) == 0
+    assert _connected_calls(monkeypatch, cycle_product(4, 5)) == 20
 
 
 def _covers_connect(inside, faces) -> bool:

@@ -1,5 +1,6 @@
 """Shared head blocks: every entry point on them equals the path-word reference."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -9,14 +10,13 @@ from cwkoszul.catalog import catalog, catalog_names
 from cwkoszul.dualalg import (
     HeadBlocks,
     annihilator_check,
-    boolean_lower_intervals,
     comparison_iso_check,
     graded_dims,
     koszul_decide,
     whole_graph_criterion,
     word_complex,
 )
-from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph
+from cwkoszul.layered import BOTTOM, TOP, GraphError, LayeredGraph, boolean_closures
 from cwkoszul.linalg import GF, QQ, quotient
 
 from helpers import (
@@ -28,7 +28,9 @@ from helpers import (
     path_graded_dims,
     path_whole_graph_criterion,
     path_word_complex,
+    random_layered_graph,
     random_uniform_graphs,
+    reference_boolean_lower_intervals,
     reference_koszul_decide,
     word_complex_labels,
 )
@@ -166,22 +168,51 @@ def _decided_vertices(monkeypatch):
     return decided
 
 
+def _certified(g):
+    """The vertices of rank >= 2 that `boolean_closures` certifies."""
+    cert = boolean_closures(g.vertex_ids(skip_bottom=True), g._lower, g._below)
+    return {v for v in cert if g.rank(v) >= 2}
+
+
 def test_boolean_certificate():
     for name in ("simplex4", "sphere3", "rp2_six"):
         x = catalog(name)
         bar = x.face_poset_bar()
         cells = {v for v in bar.vertex_ids() if bar.rank(v) >= 2}
         # closed simplices are Boolean; so is the whole hat poset of a sphere
-        assert boolean_lower_intervals(bar) == cells, name
+        assert _certified(bar) == cells, name
         top = {TOP} if name == "sphere3" else set()
-        assert boolean_lower_intervals(x.face_poset_hat()) == cells | top, name
+        assert _certified(x.face_poset_hat()) == cells | top, name
     # a square 2-cell has four atoms below a rank-3 vertex
     edges = ["2ab", "2bc", "2cd", "2ad"]
     square = _graph("square", [(e, "1" + v) for e in edges for v in e[1:]]
                     + [("3s", e) for e in edges])
-    assert boolean_lower_intervals(square) == set(edges)
-    assert boolean_lower_intervals(COUNTERFEIT) == {"2ab", "2ab'", "2ac", "2bc", "3abc"}
-    assert "4abcd" not in boolean_lower_intervals(B4_MINUS_ONE_COVER)
+    assert _certified(square) == set(edges)
+    assert _certified(COUNTERFEIT) == {"2ab", "2ab'", "2ac", "2bc", "3abc"}
+    assert "4abcd" not in _certified(B4_MINUS_ONE_COVER)
+
+
+def test_boolean_certificate_equals_the_interval_scan():
+    # the O(rank) certificate per vertex against the scan of each whole interval
+    rng = random.Random(20261022)
+    graphs = _posets(catalog_names()) + [COUNTERFEIT, B4_MINUS_ONE_COVER]
+    graphs += [random_layered_graph(rng) for _ in range(600)]
+    graphs += random_uniform_graphs(200, 31)
+    certified = 0
+    for g in graphs:
+        want = reference_boolean_lower_intervals(g)
+        assert _certified(g) == want, g.to_dict()
+        certified += bool(want)
+    assert certified >= 300
+
+
+def test_certificate_bitmasks_are_the_atoms_below():
+    for g in _posets(catalog_names()) + random_uniform_graphs(50, 7):
+        atoms = g.at_rank(1)
+        cert = boolean_closures(g.vertex_ids(skip_bottom=True), g._lower, g._below)
+        for v, mask in cert.items():
+            below = {a for a in atoms if g.le(a, v)}
+            assert below == {a for i, a in enumerate(atoms) if mask >> i & 1}, (g.name, v)
 
 
 @pytest.mark.parametrize("name", ["simplex4", "sphere3"])

@@ -9,6 +9,7 @@ from cwkoszul.layered import (
     BOTTOM,
     GraphError,
     LayeredGraph,
+    boolean_closures,
     closures,
     graph_from_dict,
     linked_classes,
@@ -85,6 +86,22 @@ def test_closures_equal_a_search_per_item():
         assert closures(order, links) == {v: _searched(v, links) for v in order}
 
 
+def test_boolean_certificate_needs_links_one_rank_down():
+    # no layered graph: v's link "x" sits on two atoms only.  v has four
+    # links on distinct atom sets covering four atoms, and its closure has
+    # the 15 elements of B4 less its top, with bcd replaced by x; only the
+    # rank of x tells v apart from a Boolean lattice
+    links = {a: () for a in "abcd"}
+    links.update({s: tuple(s) for s in ("ab", "ac", "ad", "bc", "bd", "cd")})
+    links.update({"abc": ("ab", "ac", "bc"), "abd": ("ab", "ad", "bd"), "acd": ("ac", "ad", "cd")})
+    links.update({"x": ("b", "c"), "v": ("abc", "abd", "acd", "x")})
+    order = list(links)
+    strict = closures(order, links)
+    assert len(strict["v"]) + 1 == 15
+    cert = boolean_closures(order, links, strict)
+    assert "abc" in cert and "x" in cert and "v" not in cert
+
+
 def test_below_minimum_is_single_vertex():
     g = edge_poset()
     sub = below(g, BOTTOM)
@@ -121,7 +138,7 @@ def test_sphere_equals_level_scan():
         for x in g.vertex_ids():
             r = g.rank(x)
             for n in range(1, r + 2):
-                scan = tuple(v for v in g.at_rank(r - n) if v in g.strictly_below(x))
+                scan = tuple(v for v in g.at_rank(r - n) if v in g._below[x])
                 assert g.sphere(x, n) == scan, (g.name, x, n)
             if r:
                 assert g.sphere(x, r) == (BOTTOM,)

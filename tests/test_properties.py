@@ -70,7 +70,7 @@ def test_random_graph_diamond_partition(g):
 @example(random_layered_graph(random.Random(5)))  # 3 disconnected, 6 split
 @settings(max_examples=200, deadline=None)
 def test_open_interval_connectivity_against_diamond_classes(g):
-    long = [(a, b) for b in g.vertex_ids() for a in g.strictly_below(b)
+    long = [(a, b) for b in g.vertex_ids() for a in g._below[b]
             if g.rank(b) - g.rank(a) >= 3]
     disconnected = {(a, b) for a, b in long if not open_interval_connected(g, b, a)}
     split = {(a, b) for a, b in long if len(diamond_classes(g, b, a)) > 1}
